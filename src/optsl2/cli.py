@@ -15,7 +15,6 @@ inconsistency, 2 usage, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -24,13 +23,13 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
                      OptSL2Error, PreconditionError)
 from .jordan import nilpotent_jordan
 from .literals import mat_to_literal, scalar_to_literal
-from .matrices import DEFAULT_BUDGET, Mat, inverse
+from .matrices import DEFAULT_BUDGET, Mat
 from .orbits import orbit_summary, rep_from_partition
 from .partitions import partitions_of
 from .scalars import Fp, QQ, parse_rational
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                  eval_hom, gcr_check_hom, hom_torus_cochar,
-                  positive_commutant_basis, sl2_x1, sl2_y1, verify_optimal)
+                  count_radical_conjugators, gcr_check_hom, hom_torus_cochar,
+                  positive_commutant_basis, verify_optimal)
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -252,7 +251,7 @@ def _cmd_optimal_conjugacy(args) -> int:
         twist = Mat.identity(dom, n) + N
         phi2 = conjugate_hom(phi1, twist)
         recovered = conjugate_optimal(phi1, phi2)
-        matches = _count_radical_conjugators(phi1, phi2, basis)
+        matches = count_radical_conjugators(phi1, phi2, basis)
         verified = recovered == twist and matches == 1
         records.append({"claim": "radical-conjugator-unique",
                         "instance": instance,
@@ -270,26 +269,6 @@ def _cmd_optimal_conjugacy(args) -> int:
             print("%s %s  %s" % (status, r["claim"],
                                  _fmt_instance(r["instance"])))
     return 0 if ok else 1
-
-
-def _count_radical_conjugators(phi1, phi2, basis) -> int:
-    dom = phi1.domain
-    n = phi1.n
-    p = dom.p
-    gens = (sl2_x1(dom, 1), sl2_y1(dom, 1))
-    targets = [eval_hom(phi2, g) for g in gens]
-    sources = [eval_hom(phi1, g) for g in gens]
-    matches = 0
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        M = Mat.zero(dom, n)
-        for c, B in zip(coeffs, basis):
-            if c:
-                M = M + B.scale(c)
-        x = Mat.identity(dom, n) + M
-        xi = inverse(x)
-        if all(x * s * xi == t for s, t in zip(sources, targets)):
-            matches += 1
-    return matches
 
 
 def _cmd_optimal_gcr(args) -> int:

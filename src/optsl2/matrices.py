@@ -10,6 +10,7 @@ loops run on plain ints to keep grid sweeps fast.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .errors import BudgetError, DomainError
 from .scalars import Domain, Fp, FpDomain, QQ
@@ -512,22 +513,67 @@ def same_span(vs, ws) -> bool:
 
 # -- exhaustive enumeration --------------------------------------------
 
-def enumerate_group(n: int, p: int, predicate=None, budget: int = DEFAULT_BUDGET):
-    """Yield every g in GL_n(F_p) with predicate(g), exactly once.
+def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
+    """Yield every g in GL_n(F_p) exactly once.
 
-    Candidates are scanned in lexicographic entry order (row-major), so
-    the stream is deterministic and restartable.  Raises BudgetError up
-    front when p^(n*n) exceeds the budget.
+    The stream equals the scan of all p^(n*n) matrices in lexicographic
+    entry order (row-major) that keeps those of rank n, so it is
+    deterministic and restartable.  It is built row by row: a matrix is
+    invertible exactly when no row lies in the span of the rows above
+    it, and that span is kept as the set of its p^k vectors, grown by
+    one row at a time, so no candidate is eliminated.  Raises
+    BudgetError up front when p^(n*n) exceeds the budget.
     """
     dom = Fp(p)
     total = p ** (n * n)
     if total > budget:
         raise BudgetError("enumeration of %d candidate matrices exceeds "
                           "budget %d" % (total, budget))
-    for entries in itertools.product(range(p), repeat=n * n):
-        M = Mat(dom, n, n, entries)
-        if rank(M) == n and (predicate is None or predicate(M)):
-            yield M
+    if n == 0:
+        yield Mat(dom, 0, 0, ())
+        return
+    vectors = list(itertools.product(range(p), repeat=n))
+
+    def completions(prefix, span, rows_left):
+        for v in vectors:
+            if v in span:
+                continue
+            if rows_left == 1:
+                yield Mat(dom, n, n, prefix + v)
+            else:
+                wider = {tuple((a + c * b) % p for a, b in zip(s, v))
+                         for s in span for c in range(p)}
+                yield from completions(prefix + v, wider, rows_left - 1)
+
+    yield from completions((), {vectors[0]}, n)
+
+
+def commutes(a: Mat, b: Mat) -> bool:
+    """Whether ab = ba, for square matrices of one size and domain.
+
+    Compares ab and ba entry by entry on the flat tuples, stopping at
+    the first difference, without building either product: over F_p
+    the difference of the two entry sums is reduced mod p, over Q it
+    is compared exactly.  Raises DomainError on mixed domains or shapes.
+    """
+    a._check(b, same_shape=True)
+    if not a.is_square():
+        raise DomainError("square matrices expected")
+    n = a.rows
+    p = a.domain.p
+    x, y = a.data, b.data
+    x_cols = [x[j::n] for j in range(n)]
+    y_cols = [y[j::n] for j in range(n)]
+    for i in range(n):
+        x_row, y_row = x[i * n:(i + 1) * n], y[i * n:(i + 1) * n]
+        for j in range(n):
+            diff = sum(map(mul, x_row, y_cols[j])) \
+                - sum(map(mul, y_row, x_cols[j]))
+            if p is not None:
+                diff %= p
+            if diff:
+                return False
+    return True
 
 
 def det(M: Mat):

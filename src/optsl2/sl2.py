@@ -22,7 +22,7 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
                      PreconditionError)
 from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
-                       bracket, conj_operator, det, devectorize,
+                       bracket, commutes, conj_operator, det, devectorize,
                        enumerate_group, inverse, mul_operator, rank_nullspace,
                        same_span, vstack)
 from .orbits import block_weights, is_associated
@@ -468,22 +468,45 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     if p ** len(basis) > budget:
         raise BudgetError("radical has %d^%d elements, budget %d"
                           % (p, len(basis), budget))
-    n = phi1.n
-    ident = Mat.identity(dom, n)
     weights = sorted(set(psi1.weights))
     projections = [(psi1.weight_projection(w), psi2.weight_projection(w))
                    for w in weights]
     found = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        N = Mat.zero(dom, n)
-        for c, B in zip(coeffs, basis):
-            if c:
-                N = N + B.scale(c)
-        x = ident + N
+    for x in radical_elements(dom, phi1.n, basis):
         xi = inverse(x)
         if all(x * Q1 * xi == Q2 for Q1, Q2 in projections):
             found.append(x)
     return found
+
+
+def radical_elements(domain, n: int, basis):
+    """Every x = 1 + c_1 B_1 + ... + c_k B_k with c in F_p^k, one per
+    coefficient vector, in itertools.product order of the coefficients.
+    For a basis of the positive commutant these are the F_p points of
+    the unipotent radical of C(X)."""
+    ident = Mat.identity(domain, n)
+    for coeffs in itertools.product(range(domain.p), repeat=len(basis)):
+        x = ident
+        for c, B in zip(coeffs, basis):
+            if c:
+                x = x + B.scale(c)
+        yield x
+
+
+def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
+                              basis) -> int:
+    """How many radical elements x (see radical_elements) satisfy
+    Int(x) o phi1 = phi2 on x1(1) and y1(1), which generate SL_2(F_p),
+    so agreement there pins the homomorphisms down everywhere."""
+    dom = phi1.domain
+    images = [(eval_hom(phi1, g), eval_hom(phi2, g))
+              for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))]
+    matches = 0
+    for x in radical_elements(dom, phi1.n, basis):
+        xi = inverse(x)
+        if all(x * a * xi == b for a, b in images):
+            matches += 1
+    return matches
 
 
 def hom_conjugators_agree(phi1, phi2, x, rnd=None, samples: int = 8) -> bool:
@@ -546,11 +569,11 @@ def exp_centralizer_check(X: Mat,
         group_agree = True
         group_size = 0
         for g in enumerate_group(n, p, budget=budget):
-            in_cx = g * X == X * g
+            in_cx = commutes(g, X)
             if in_cx:
                 group_size += 1
             for u in exps:
-                if (g * u == u * g) != in_cx:
+                if commutes(g, u) != in_cx:
                     group_agree = False
     return ExpCentralizerReport(p=p, n=n, nullspaces_agree=agree,
                                 group_checked=group_checked,
@@ -591,9 +614,9 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     equal = True
     size_l = size_r = 0
     for g in enumerate_group(n, p, budget=budget):
-        lhs = all(g * G == G * g for G in gens)
-        rhs = (g * X == X * g
-               and all(g * Q == Q * g for Q in projections))
+        lhs = all(commutes(g, G) for G in gens)
+        rhs = (commutes(g, X)
+               and all(commutes(g, Q) for Q in projections))
         size_l += lhs
         size_r += rhs
         if lhs != rhs:
@@ -648,20 +671,20 @@ def levi_containment_check(phi: OptimalSL2Hom, rnd=None,
     for _ in range(samples):
         gens.append(sl2_sample(dom, rnd))
 
-    commutes = True
+    torus_commutes = True
     dets_one = True
     for g in gens:
         img = eval_hom(phi, g)
         base = phi.conjugator_inv * img * phi.conjugator
         for dd in distinct:
-            if img * projectors[dd] != projectors[dd] * img:
-                commutes = False
+            if not commutes(img, projectors[dd]):
+                torus_commutes = False
             idx = indicator[dd]
             sub = Mat(dom, len(idx), len(idx),
                       [base[r, c] for r in idx for c in idx])
             if det(sub) != dom.one():
                 dets_one = False
-    return LeviContainmentReport(commutes_with_isotypic_torus=commutes,
+    return LeviContainmentReport(commutes_with_isotypic_torus=torus_commutes,
                                  dets_one_on_isotypic_blocks=dets_one)
 
 
@@ -677,7 +700,7 @@ class LimitHom:
             P1 = psi.weight_projection(w1)
             for w2 in set(gamma.weights):
                 P2 = gamma.weight_projection(w2)
-                if P1 * P2 != P2 * P1:
+                if not commutes(P1, P2):
                     raise PreconditionError(
                         "gamma does not centralize the torus image")
         X = d_hom(phi).X

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .jordan import jordan_block, nilpotent_jordan
-from .matrices import Mat, hstack, rank, solve
+from .matrices import Mat, commutes, hstack, rank, solve
 from .scalars import Domain, FpDomain
 
 
@@ -228,7 +228,7 @@ class AdditiveHom:
             if X.domain != domain or X.rows != n or X.cols != n:
                 raise DomainError("coefficients must share size and domain")
         for A, B in itertools.combinations(coeffs, 2):
-            if A * B != B * A:
+            if not commutes(A, B):
                 raise PreconditionError("coefficients do not commute")
         for combo in itertools.combinations_with_replacement(
                 range(len(coeffs)), domain.p):

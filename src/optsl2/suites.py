@@ -9,7 +9,6 @@ from the suite seed, making reports reproducible.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -23,9 +22,9 @@ from .orbits import (order_formula_report, rep_from_partition,
 from .partitions import admissible, conjugate, partitions_of
 from .scalars import Fp, QQ
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                  eval_hom, exp_centralizer_check, gcr_check, gcr_check_hom,
-                  hom_centralizer_check, hom_torus_cochar,
-                  positive_commutant_basis, sl2_x1, sl2_y1)
+                  count_radical_conjugators, eval_hom, exp_centralizer_check,
+                  gcr_check, gcr_check_hom, hom_centralizer_check,
+                  hom_torus_cochar, positive_commutant_basis, sl2_x1)
 from .springer import (AdditiveHom, SpringerCoeffs, additive_eval,
                        additive_untwist, eps_exp, orbit_bijection_check,
                        springer_apply, springer_invert)
@@ -195,19 +194,7 @@ def _suite_conjugacy(grid, seed, budget):
             if recovered != twist:
                 ok, note = False, "solver returned a different conjugator"
                 break
-            matches = 0
-            for coeffs in itertools.product(range(p), repeat=len(basis)):
-                M = Mat.zero(dom, n)
-                for c, B in zip(coeffs, basis):
-                    if c:
-                        M = M + B.scale(c)
-                x = ident + M
-                xi = inverse(x)
-                # agreement on the two unipotent generators pins down
-                # the homomorphism on all of SL_2(F_p)
-                if all(x * eval_hom(phi1, g) * xi == eval_hom(phi2, g)
-                       for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))):
-                    matches += 1
+            matches = count_radical_conjugators(phi1, phi2, basis)
             if matches != 1:
                 ok, note = False, "%d radical conjugators found" % matches
                 break
@@ -231,7 +218,7 @@ def _suite_centralizer(grid, seed, budget):
             instance={"partition": list(lam), "p": p},
             witness={"group_checked": rep.group_checked,
                      "group_size": rep.group_size},
-            verified=rep.nullspaces_agree and rep.group_agree is not False)
+            verified=rep.group_agree if rep.nullspaces_agree else False)
         phi = build_optimal(X)
         try:
             hrep = hom_centralizer_check(phi, budget=budget)

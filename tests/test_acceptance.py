@@ -96,3 +96,8 @@ def test_criterion_10_frobenius_untwist():
     for r in report.records:
         assert 0 <= r.instance["r"] <= 3
     print("criterion 10 (Frobenius untwist exact): PASS")
+
+
+def test_criterion_11_centralizer_brute_force():
+    _clean_suite("centralizer", 22, 60)
+    print("criterion 11 (C(X) = C(eps(tX)) = C(X) cap C(torus image)): PASS")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,11 +6,12 @@ import pytest
 
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
-                             ad_operator, bracket, conj_operator, det,
-                             devectorize, enumerate_group, hstack, in_span,
-                             inverse, mul_operator, random_invertible,
-                             random_mat, rank, rank_nullspace, rref,
-                             same_span, solve, span_rank, vstack)
+                             ad_operator, bracket, commutes, conj_operator,
+                             det, devectorize, enumerate_group, hstack,
+                             in_span, inverse, mul_operator,
+                             random_invertible, random_mat, rank,
+                             rank_nullspace, rref, same_span, solve,
+                             span_rank, vstack)
 from optsl2.scalars import Fp, QQ
 
 F2, F3, F5 = Fp(2), Fp(3), Fp(5)
@@ -177,6 +179,60 @@ def test_enumerate_group_order_and_determinism():
     with pytest.raises(BudgetError):
         list(enumerate_group(4, 3))
     assert 3 ** 16 > DEFAULT_BUDGET
+
+
+def _rank_filtered_scan(n, p):
+    """Reference enumeration: every n x n matrix over F_p in
+    lexicographic entry order, kept when it has rank n."""
+    dom = Fp(p)
+    for entries in itertools.product(range(p), repeat=n * n):
+        M = Mat(dom, n, n, entries)
+        if rank(M) == n:
+            yield M
+
+
+@pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (2, 2), (2, 3), (2, 5),
+                                  (3, 2), (3, 3), (4, 2)])
+def test_enumerate_group_equals_rank_filtered_scan(n, p):
+    # the order is part of the contract, so compare lists, not sets
+    assert list(enumerate_group(n, p)) == list(_rank_filtered_scan(n, p))
+
+
+def _bump(M, i, j):
+    """M with one to its (i, j) entry added."""
+    data = list(M.data)
+    data[i * M.cols + j] = M.domain.add(data[i * M.cols + j],
+                                        M.domain.one())
+    return Mat(M.domain, M.rows, M.cols, data)
+
+
+def test_commutes_matches_products():
+    rnd = random.Random(8)
+    for dom in (F2, F3, F5, QQ):
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                A = random_mat(dom, n, n, rnd, bound=3)
+                if not dom.is_fp:
+                    A = A.scale(Fraction(1, rnd.randint(1, 4)))
+                # polynomials in A commute with A
+                P = A * A + A.scale(dom.of(2)) + Mat.identity(dom, n)
+                B = random_mat(dom, n, n, rnd, bound=3)
+                Q = _bump(P, rnd.randrange(n), rnd.randrange(n))
+                for a, b in ((A, P), (P, A), (A, B), (A, Q), (Q, A)):
+                    assert commutes(a, b) == (a * b == b * a)
+                assert commutes(A, P)
+
+
+def test_commutes_rejects_mixed_domains_and_shapes():
+    rnd = random.Random(9)
+    A3, A5 = random_mat(F3, 2, 2, rnd), random_mat(F5, 2, 2, rnd)
+    AQ = random_mat(QQ, 2, 2, rnd)
+    for a, b in ((A3, A5), (A3, AQ), (AQ, A5), (A3, random_mat(F3, 3, 3, rnd)),
+                 (random_mat(F3, 2, 3, rnd), random_mat(F3, 2, 3, rnd))):
+        with pytest.raises(DomainError):
+            a * b == b * a
+        with pytest.raises(DomainError):
+            commutes(a, b)
 
 
 def test_mixed_domain_arithmetic_rejected():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from optsl2 import sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError, PreconditionError
 from optsl2.jordan import jordan_block
@@ -205,6 +206,30 @@ def test_hom_centralizer_agreement():
     rep = hom_centralizer_check(phi)
     assert rep.equal
     assert rep.image_centralizer_size == rep.pair_centralizer_size
+
+
+def test_planted_exp_fault_breaks_group_agreement(monkeypatch):
+    exact = sl2.eps_exp
+
+    def off_by_one(M):
+        u = exact(M)
+        data = list(u.data)
+        data[0] = u.domain.add(data[0], 1)
+        return Mat(u.domain, u.rows, u.cols, data)
+
+    monkeypatch.setattr(sl2, "eps_exp", off_by_one)
+    rep = exp_centralizer_check(rep_from_partition(F3, (2, 1)))
+    assert rep.group_checked
+    assert rep.group_agree is False
+
+
+def test_planted_torus_fault_breaks_hom_centralizer(monkeypatch):
+    phi = build_optimal(rep_from_partition(F2, (2,)))
+    monkeypatch.setattr(sl2, "hom_torus_cochar",
+                        lambda phi: Cocharacter(phi.conjugator, [0] * phi.n))
+    rep = hom_centralizer_check(phi)
+    assert rep.equal is False
+    assert (rep.image_centralizer_size, rep.pair_centralizer_size) == (1, 2)
 
 
 def test_levi_containment():

@@ -1,5 +1,6 @@
 import pytest
 
+from optsl2 import suites
 from optsl2.errors import DomainError, OptSL2Error
 from optsl2.suites import (CLOSURE_NOTES, DEFAULT_SEED, SUITE_NAMES,
                            run_suite)
@@ -67,3 +68,24 @@ def test_budget_produces_skips_not_failures():
     s = report.summary
     assert s["falsified"] == 0
     assert s["skipped"] > 0
+    # 3^4 fits the budget, 3^9 does not: the n = 3 group claims are skips
+    report = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
+    unchecked = [r for r in report.records
+                 if r.witness.get("group_checked") is False]
+    assert len(unchecked) == 3
+    assert all(r.verified is None for r in unchecked)
+    assert report.summary["falsified"] == 0
+
+
+def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch):
+    exact = suites.positive_commutant_basis
+
+    def with_repeat(X, psi):
+        basis = exact(X, psi)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(suites, "positive_commutant_basis", with_repeat)
+    report = run_suite("conjugacy", n_max=3, primes=(2,))
+    failures = [r.witness["failure"] for r in report.falsified]
+    assert failures
+    assert set(failures) == {"2 radical conjugators found"}
