@@ -3,17 +3,22 @@
 Entries are raw domain values (ints reduced mod p, or Fractions) in a
 flat row-major tuple, so Mat objects are immutable and hashable.  All
 elimination uses the same deterministic pivot rule: scan each column in
-order and take the first row with a nonzero entry.  Over F_p the hot
-loops run on plain ints to keep grid sweeps fast.
+order and take the first row with a nonzero entry.  The hot loops run
+on plain ints: over F_p on the reduced residues, over Q on integer
+numerators over a common denominator (a product writes each row of the
+left factor and each column of the right one over the lcm of its
+denominators), so each output entry is normalised by one Fraction
+construction instead of one per term.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from operator import mul
 
 from .errors import BudgetError, DomainError
-from .scalars import Domain, Fp, FpDomain, QQ
+from .scalars import Domain, Fp, FpDomain, integer_numerators
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -193,13 +198,12 @@ class Mat:
                         s += ai[t] * b[t * m + j]
                     out.append(s % p)
         else:
-            for i in range(n):
-                ai = a[i * k:(i + 1) * k]
-                for j in range(m):
-                    s = d.zero()
-                    for t in range(k):
-                        s = s + ai[t] * b[t * m + j]
-                    out.append(s)
+            rows = [integer_numerators(a[i * k:(i + 1) * k])
+                    for i in range(n)]
+            cols = [integer_numerators(b[j::m]) for j in range(m)]
+            for ai, la in rows:
+                for bj, lb in cols:
+                    out.append(Fraction(sum(map(mul, ai, bj)), la * lb))
         return Mat(d, n, m, out)
 
     def scale(self, c):

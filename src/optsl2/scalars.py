@@ -1,15 +1,19 @@
 """Exact scalar domains: prime fields F_p (p <= 251) and the rationals.
 
 A domain object owns the arithmetic; matrix code stores raw values
-(ints for F_p, Fraction for Q) and calls back into the domain.  F_p
-values are always reduced to 0..p-1, rationals are kept in lowest terms
-with positive denominator by the Fraction type itself.  No floats
-anywhere.
+(ints for F_p, Fraction for Q).  The hot kernels (matrix products,
+symmetric powers) do not call back into the domain per term: they
+compute in plain ints, reduced mod p over F_p, and over Q on integer
+numerators over a common denominator (`integer_numerators`), building
+one Fraction per result entry.  F_p values are always reduced to
+0..p-1, rationals are kept in lowest terms with positive denominator by
+the Fraction type itself.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 
@@ -167,6 +171,13 @@ def parse_rational(s: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError("bad rational literal %r" % s) from exc
     return f
+
+
+def integer_numerators(values):
+    """(integer numerators, common denominator) of a sequence of
+    rationals, written over the lcm of their denominators."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def format_rational(f: Fraction):

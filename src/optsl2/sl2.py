@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 from .cochar import Cocharacter, levi_limit, parabolic_data
 from .errors import (BudgetError, DomainError, InconsistencyError,
@@ -27,7 +28,7 @@ from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
                        same_span, vstack)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
-from .scalars import Fp, FpDomain
+from .scalars import Fp, FpDomain, integer_numerators
 from .springer import eps_exp
 
 # -- SL2 bookkeeping ----------------------------------------------------
@@ -44,18 +45,6 @@ def sl2_y1(domain, t) -> Mat:
 def sl2_torus(domain, t) -> Mat:
     t = domain.of(t)
     return Mat.diagonal(domain, [t, domain.inv(t)])
-
-
-def sl2_X1(domain) -> Mat:
-    return Mat.from_rows(domain, [[0, 1], [0, 0]])
-
-
-def sl2_Y1(domain) -> Mat:
-    return Mat.from_rows(domain, [[0, 0], [1, 0]])
-
-
-def sl2_H1(domain) -> Mat:
-    return Mat.diagonal(domain, [1, -1])
 
 
 def sl2_elements(p: int):
@@ -103,13 +92,6 @@ def sl2_sample(domain, rnd) -> Mat:
 
 # -- symmetric powers in the divided-power basis ------------------------
 
-def _power(domain, x, e: int):
-    v = domain.one()
-    for _ in range(e):
-        v = domain.mul(v, x)
-    return v
-
-
 def sym_power_rep(m: int, g: Mat) -> Mat:
     """Matrix of g on the degree-m symmetric power of the plane, in the
     divided-power basis e_j = v1^(m-j) v2^j / j!.
@@ -118,37 +100,47 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
     needs j! invertible, hence m <= p-1 over F_p.  Entry (i, j) is
     (i!/j!) * sum over k+l=i of C(m-j, k) C(j, l) a^(m-j-k) c^k
     b^(j-l) d^l for g = [[a, b], [c, d]].
+
+    Every term is homogeneous of degree m in a, b, c, d, so the sum s
+    is taken in integers: over Q on g scaled by the lcm `den` of its
+    denominators, over F_p on the residues with power tables reduced
+    mod p.  Only the last step depends on the domain: the entry is
+    Fraction(s i!, den^m j!) over Q and s i! (j!)^-1 mod p over F_p.
     """
     if m < 0:
         raise DomainError("negative symmetric power")
     if g.rows != 2 or g.cols != 2:
         raise DomainError("2x2 matrix expected")
     dom = g.domain
-    if isinstance(dom, FpDomain) and m > dom.p - 1:
+    p = dom.p
+    if p is not None and m > p - 1:
         raise PreconditionError(
             "degree %d needs %d! invertible, impossible for p = %d"
-            % (m, m, dom.p))
-    a, b = g[0, 0], g[0, 1]
-    c, d = g[1, 0], g[1, 1]
-    fact = [dom.one()]
-    for i in range(1, m + 1):
-        fact.append(dom.mul(fact[-1], dom.of(i)))
+            % (m, m, p))
+    if p is None:
+        (a, b, c, d), den = integer_numerators(g.data)
+    else:
+        a, b, c, d = g.data
+    tables = []
+    for x in (a, b, c, d):
+        t = [1]
+        for _ in range(m):
+            t.append(t[-1] * x if p is None else t[-1] * x % p)
+        tables.append(t)
+    pa, pb, pc, pd = tables
     data = []
     for i in range(m + 1):
         for j in range(m + 1):
-            s = dom.zero()
-            for k in range(0, min(i, m - j) + 1):
+            s = 0
+            for k in range(max(0, i - j), min(i, m - j) + 1):
                 l = i - k
-                if l > j:
-                    continue
-                term = dom.mul(dom.of(comb(m - j, k)), dom.of(comb(j, l)))
-                term = dom.mul(term, _power(dom, a, m - j - k))
-                term = dom.mul(term, _power(dom, c, k))
-                term = dom.mul(term, _power(dom, b, j - l))
-                term = dom.mul(term, _power(dom, d, l))
-                s = dom.add(s, term)
-            s = dom.mul(s, dom.mul(fact[i], dom.inv(fact[j])))
-            data.append(s)
+                s += (comb(m - j, k) * comb(j, l) * pa[m - j - k] * pc[k]
+                      * pb[j - l] * pd[l])
+            if p is None:
+                data.append(Fraction(s * factorial(i),
+                                     den ** m * factorial(j)))
+            else:
+                data.append(s * factorial(i) * pow(factorial(j), -1, p) % p)
     return Mat(dom, m + 1, m + 1, data)
 
 
@@ -336,19 +328,6 @@ def positive_commutant_basis(X: Mat, psi: Cocharacter):
             comp = psi.component(M, w)
             if not comp.is_zero() and span.add_mat(comp):
                 basis.append(comp)
-    return basis
-
-
-def weight_zero_commutant_basis(X: Mat, psi: Cocharacter):
-    n = X.rows
-    _, null = rank_nullspace(ad_operator(X))
-    span = IncrementalSpan(X.domain)
-    basis = []
-    for v in null:
-        M = devectorize(v, n)
-        comp = psi.component(M, 0)
-        if not comp.is_zero() and span.add_mat(comp):
-            basis.append(comp)
     return basis
 
 
@@ -806,7 +785,7 @@ class GcrReport:
     offending: Mat | None
 
 
-def gcr_check(generators, budget: int = 1 << 20) -> GcrReport:
+def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     """Semisimplicity of the natural module for the group generated by
     the given invertible matrices over F_p: every invariant subspace
     has an invariant complement, by exhaustive subspace enumeration."""
@@ -883,7 +862,8 @@ def gcr_check(generators, budget: int = 1 << 20) -> GcrReport:
                      offending=offending)
 
 
-def gcr_check_hom(phi: OptimalSL2Hom, budget: int = 1 << 20) -> GcrReport:
+def gcr_check_hom(phi: OptimalSL2Hom,
+                  budget: int = DEFAULT_BUDGET) -> GcrReport:
     dom = phi.domain
     gens = [eval_hom(phi, sl2_x1(dom, 1)), eval_hom(phi, sl2_y1(dom, 1))]
     if isinstance(dom, FpDomain) and dom.p > 2:

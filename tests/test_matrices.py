@@ -242,3 +242,49 @@ def test_mixed_domain_arithmetic_rejected():
         A + B
     with pytest.raises(DomainError):
         A * B
+
+
+def _schoolbook_product(A, B):
+    """Reference Q product: one Fraction operation per term."""
+    n, k, m = A.rows, A.cols, B.cols
+    out = []
+    for i in range(n):
+        for j in range(m):
+            s = Fraction(0)
+            for t in range(k):
+                s = s + A.data[i * k + t] * B.data[t * m + j]
+            out.append(s)
+    return Mat(QQ, n, m, out)
+
+
+def _random_rational(rnd, rows, cols, dens):
+    return Mat(QQ, rows, cols,
+               [Fraction(rnd.randint(-50, 50), rnd.choice(dens))
+                for _ in range(rows * cols)])
+
+
+def test_rational_product_matches_schoolbook():
+    rnd = random.Random(10)
+    small = (1, 2, 3, 4, 6)
+    large = (1, 7, 2 ** 61 - 1, 10 ** 12 + 39, 3 ** 30)
+    shapes = [(1, 1, 1), (2, 3, 4), (4, 3, 2), (5, 1, 5), (1, 5, 1),
+              (3, 0, 2), (0, 3, 2), (2, 3, 0), (6, 6, 6)]
+    for n, k, m in shapes:
+        for dens in (small, large):
+            for _ in range(4):
+                A = _random_rational(rnd, n, k, dens)
+                B = _random_rational(rnd, k, m, dens)
+                if n and k and rnd.random() < 0.5:  # a zero row
+                    A = Mat(QQ, n, k, [Fraction(0)] * k + list(A.data[k:]))
+                if k and m and rnd.random() < 0.5:  # a zero column
+                    data = list(B.data)
+                    for t in range(k):
+                        data[t * m] = Fraction(0)
+                    B = Mat(QQ, k, m, data)
+                P = A * B
+                assert P == _schoolbook_product(A, B)
+                assert all(type(x) is Fraction for x in P.data)
+    # inner dimension 0 gives the zero matrix, still of Fractions
+    Z = Mat(QQ, 2, 0, ()) * Mat(QQ, 0, 3, ())
+    assert Z == Mat.zero(QQ, 2, 3)
+    assert all(type(x) is Fraction for x in Z.data)

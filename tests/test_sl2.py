@@ -1,13 +1,17 @@
+import inspect
+import itertools
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
-from optsl2 import sl2
+from optsl2 import cli, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError, PreconditionError
 from optsl2.jordan import jordan_block
-from optsl2.matrices import (Mat, bracket, det, in_span, inverse,
-                             random_invertible)
+from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, in_span,
+                             inverse, random_invertible)
 from optsl2.orbits import associated_cocharacter, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
@@ -21,6 +25,7 @@ from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                         sym_power_dY, sym_power_rep, verify_limit,
                         verify_optimal)
 from optsl2.springer import eps_exp
+from optsl2.suites import run_suite
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -79,6 +84,112 @@ def test_sym_power_rep_is_multiplicative():
     g = sl2_sample(QQ, rnd)
     assert sym_power_rep(1, g) == g
     assert sym_power_rep(0, g) == Mat.identity(QQ, 1)
+
+
+def _sym_power_reference(m, g):
+    """Reference sym_power_rep: the per-entry formula in domain
+    arithmetic, one dom.mul per factor."""
+    dom = g.domain
+
+    def power(x, e):
+        v = dom.one()
+        for _ in range(e):
+            v = dom.mul(v, x)
+        return v
+
+    a, b, c, d = g.data
+    fact = [dom.one()]
+    for i in range(1, m + 1):
+        fact.append(dom.mul(fact[-1], dom.of(i)))
+    data = []
+    for i in range(m + 1):
+        for j in range(m + 1):
+            s = dom.zero()
+            for k in range(0, min(i, m - j) + 1):
+                l = i - k
+                if l > j:
+                    continue
+                term = dom.mul(dom.of(comb(m - j, k)), dom.of(comb(j, l)))
+                term = dom.mul(term, power(a, m - j - k))
+                term = dom.mul(term, power(c, k))
+                term = dom.mul(term, power(b, j - l))
+                term = dom.mul(term, power(d, l))
+                s = dom.add(s, term)
+            data.append(dom.mul(s, dom.mul(fact[i], dom.inv(fact[j]))))
+    return Mat(dom, m + 1, m + 1, data)
+
+
+def test_sym_power_rep_matches_reference_over_fp():
+    rnd = random.Random(44)
+    for p in (2, 3, 5, 7):
+        dom = Fp(p)
+        if p <= 3:  # every 2x2 matrix, singular ones included
+            gs = [Mat(dom, 2, 2, e)
+                  for e in itertools.product(range(p), repeat=4)]
+        else:
+            gs = [Mat(dom, 2, 2, [rnd.randrange(p) for _ in range(4)])
+                  for _ in range(30)]
+            gs.append(Mat.zero(dom, 2))
+            gs.append(Mat.from_rows(dom, [[1, 2], [2, 4]]))  # rank one
+        for m in range(p):
+            for g in gs:
+                assert sym_power_rep(m, g) == _sym_power_reference(m, g)
+
+
+def test_sym_power_rep_matches_reference_over_q():
+    rnd = random.Random(45)
+    gs = [Mat.zero(QQ, 2),
+          Mat.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 3)],
+                             [Fraction(3, 2), 1]]),  # singular
+          Mat.from_rows(QQ, [[Fraction(-7, 4), Fraction(5, 6)],
+                             [0, Fraction(2, 9)]]),
+          Mat.from_rows(QQ, [[Fraction(1, 10 ** 9 + 7), -3],
+                             [Fraction(-2, 5), Fraction(11, 12)]])]
+    for _ in range(12):
+        gs.append(Mat(QQ, 2, 2, [Fraction(rnd.randint(-9, 9),
+                                          rnd.randint(1, 12))
+                                 for _ in range(4)]))
+    for m in range(7):
+        for g in gs:
+            rep = sym_power_rep(m, g)
+            assert rep == _sym_power_reference(m, g)
+            assert all(type(x) is Fraction for x in rep.data)
+
+
+def _planted_sym_power_fault(monkeypatch):
+    """sym_power_rep with one added to entry (0, 0) for m >= 1."""
+    exact = sl2.sym_power_rep
+
+    def off_by_one(m, g):
+        rep = exact(m, g)
+        if m < 1:
+            return rep
+        data = list(rep.data)
+        data[0] = rep.domain.add(data[0], rep.domain.one())
+        return Mat(rep.domain, rep.rows, rep.cols, data)
+
+    monkeypatch.setattr(sl2, "sym_power_rep", off_by_one)
+
+
+def test_planted_sym_power_fault_is_caught(monkeypatch, capsys):
+    g = Mat.from_rows(QQ, [[1, Fraction(1, 2), 0], [0, 1, 0],
+                           [Fraction(-2, 3), 0, 1]])
+    X = g * rep_from_partition(QQ, (2, 1)) * inverse(g)
+    phi = build_optimal(X)
+    assert verify_optimal(phi, X).all_passed
+
+    _planted_sym_power_fault(monkeypatch)
+    assert not verify_optimal(phi, X).all_passed
+    report = run_suite("epsilon")
+    assert any(r.verified is False for r in report.records)
+    assert cli.main(["verify", "epsilon"]) == 1
+    capsys.readouterr()
+
+
+def test_gcr_checks_default_to_the_common_budget():
+    for fn in (gcr_check, gcr_check_hom):
+        budget = inspect.signature(fn).parameters["budget"].default
+        assert budget == DEFAULT_BUDGET
 
 
 def test_sym_power_rep_needs_small_degree():
