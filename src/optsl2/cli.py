@@ -29,7 +29,7 @@ from .partitions import partitions_of
 from .scalars import Fp, QQ, parse_rational
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                   count_radical_conjugators, gcr_check_hom, hom_torus_cochar,
-                  positive_commutant_basis, verify_optimal)
+                  positive_commutant_basis, radical_element, verify_optimal)
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -105,6 +105,8 @@ def _cmd_verify(args) -> int:
             report.suite, primes, report.seed)
         if "n_max" in report.grid:
             repro += " --n-max %d" % report.grid["n_max"]
+        if args.budget != DEFAULT_BUDGET:
+            repro += " --budget %d" % args.budget
         print(repro, file=sys.stderr)
         print("first falsified instance: %s" % _fmt_instance(first.instance),
               file=sys.stderr)
@@ -244,11 +246,8 @@ def _cmd_optimal_conjugacy(args) -> int:
             continue
         rnd = random.Random("%d|cli-conjugacy|%d|%s"
                             % (args.seed, args.p, lam))
-        n = X.rows
-        N = Mat.zero(dom, n)
-        for B in basis:
-            N = N + B.scale(rnd.randrange(args.p))
-        twist = Mat.identity(dom, n) + N
+        twist = radical_element(dom, X.rows, basis,
+                                [rnd.randrange(args.p) for _ in basis])
         phi2 = conjugate_hom(phi1, twist)
         recovered = conjugate_optimal(phi1, phi2)
         matches = count_radical_conjugators(phi1, phi2, basis)
@@ -304,7 +303,7 @@ def _cmd_springer(args) -> int:
         if args.p is None:
             raise DomainError("springer needs --p or --q")
         dom = Fp(args.p)
-        a = [int(x) for x in args.a.split(",")] if args.a else []
+        a = _parse_ints(args.a, "--a") if args.a else []
     lam = _parse_ints(args.partition, "--partition")
     n = sum(lam)
     if len(a) != max(0, n - 1):

@@ -13,13 +13,10 @@ rational points of G_m is trivial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError, PreconditionError
-from .matrices import (IncrementalSpan, Mat, ad_operator, bracket, inverse,
-                       rank_nullspace, same_span, vstack)
-from .scalars import Fp
+from .matrices import IncrementalSpan, Mat, bracket, inverse
 
 
 class Cocharacter:
@@ -135,11 +132,6 @@ class Cocharacter:
 
 def graded_decompose(gamma: Cocharacter, M: Mat) -> dict:
     return gamma.components(M)
-
-
-def graded_pieces(gamma: Cocharacter) -> dict:
-    """weight -> basis of the graded piece, for all occurring ad-weights."""
-    return {w: gamma.piece_basis(w) for w in gamma.ad_weight_values()}
 
 
 @dataclass
@@ -280,63 +272,3 @@ def radical_class(gamma: Cocharacter) -> int:
                     nxt.append(c)
         layer = nxt
     return cls
-
-
-@dataclass(frozen=True)
-class TorusCentralizerReport:
-    block_sizes: tuple
-    p: int
-    dim_group_conditions: int
-    dim_span_conditions: int
-    equal: bool
-
-
-def torus_lie_centralizer_check(p: int, block_sizes) -> TorusCentralizerReport:
-    """Compare the centralizer of a block-scalar torus with the
-    centralizer of its Lie algebra span, as matrix conditions over F_p.
-
-    The torus is diag(s_1 on the first block, s_2 on the next, ...); its
-    Lie algebra is spanned by the 0/1 block indicator diagonals.  Both
-    centralizers are cut out by linear conditions; the check computes
-    both condition spaces and compares them.  The span side enumerates
-    actual span elements when the span is small, rather than trusting
-    that basis conditions suffice.
-    """
-    block_sizes = tuple(int(b) for b in block_sizes)
-    if any(b <= 0 for b in block_sizes):
-        raise DomainError("block sizes must be positive")
-    dom = Fp(p)
-    n = sum(block_sizes)
-    indicators = []
-    pos = 0
-    for b in block_sizes:
-        diag = [1 if pos <= i < pos + b else 0 for i in range(n)]
-        indicators.append(Mat.diagonal(dom, diag))
-        pos += b
-
-    def centralizer_space(mats):
-        stacked = vstack([ad_operator(A) for A in mats])
-        _, basis = rank_nullspace(stacked)
-        return basis
-
-    group_side = centralizer_space(indicators)
-
-    k = len(indicators)
-    if p ** k <= 1024:
-        span_elements = []
-        for coeffs in itertools.product(range(p), repeat=k):
-            A = Mat.zero(dom, n)
-            for c, B in zip(coeffs, indicators):
-                A = A + B.scale(c)
-            if not A.is_zero():
-                span_elements.append(A)
-        span_side = centralizer_space(span_elements)
-    else:
-        span_side = centralizer_space(indicators)
-
-    equal = same_span(group_side, span_side)
-    return TorusCentralizerReport(
-        block_sizes=block_sizes, p=p,
-        dim_group_conditions=len(group_side),
-        dim_span_conditions=len(span_side),
-        equal=equal)

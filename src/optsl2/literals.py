@@ -1,21 +1,18 @@
-"""JSON literal formats shared by the CLI and the tests.
+"""JSON literal formats for scalars, domains and matrices.
 
-Matrices: {"domain": "Fp"|"Q", "p": <prime, Fp only>, "rows": R,
-"cols": C, "entries": [[..]]} with rationals written "a/b" (plain ints
-stay ints).  Cocharacters: {"weights": [..], "basis": matrix literal
-or "identity"}.  Springer coefficient families: {"p": prime or "Q",
-"a": [scalars]}.  Additive homomorphisms: list of matrix literals.
+Scalars: ints over F_p, and over Q rationals written "a/b" (plain ints
+stay ints).  Domains: {"domain": "Fp", "p": <prime>} or {"domain":
+"Q"}.  Matrices: a domain literal plus "rows": R, "cols": C and
+"entries": [[..]] of scalar literals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochar import Cocharacter
 from .errors import DomainError
 from .matrices import Mat
 from .scalars import Fp, FpDomain, QQ, format_rational, parse_rational
-from .springer import AdditiveHom, SpringerCoeffs
 
 
 def scalar_to_literal(domain, x):
@@ -71,51 +68,3 @@ def mat_from_literal(obj) -> Mat:
         raise DomainError("entry grid does not match rows x cols")
     data = [scalar_from_literal(dom, v) for row in entries for v in row]
     return Mat(dom, rows, cols, data)
-
-
-def cochar_to_literal(psi: Cocharacter) -> dict:
-    n = psi.n
-    if psi.basis == Mat.identity(psi.domain, n):
-        basis = "identity"
-    else:
-        basis = mat_to_literal(psi.basis)
-    return {"weights": list(psi.weights), "basis": basis}
-
-
-def cochar_from_literal(obj, domain=None) -> Cocharacter:
-    weights = obj["weights"]
-    basis = obj["basis"]
-    if basis == "identity":
-        if domain is None:
-            raise DomainError(
-                "cocharacter literal with identity basis needs a domain")
-        return Cocharacter.diagonal(domain, weights)
-    B = mat_from_literal(basis)
-    if domain is not None and B.domain != domain:
-        raise DomainError("basis domain disagrees with the requested one")
-    return Cocharacter(B, weights)
-
-
-def springer_to_literal(f: SpringerCoeffs) -> dict:
-    dom = f.domain
-    p = dom.p if isinstance(dom, FpDomain) else "Q"
-    return {"p": p, "a": [scalar_to_literal(dom, x) for x in f.a]}
-
-
-def springer_from_literal(obj) -> SpringerCoeffs:
-    p = obj["p"]
-    dom = QQ if p == "Q" else Fp(p)
-    return SpringerCoeffs(dom, [scalar_from_literal(dom, v)
-                                for v in obj["a"]])
-
-
-def additive_to_literal(h: AdditiveHom) -> list:
-    return [mat_to_literal(C) for C in h.coeffs]
-
-
-def additive_from_literal(obj) -> AdditiveHom:
-    if not isinstance(obj, list) or not obj:
-        raise DomainError("additive homomorphism literal must be a "
-                          "non-empty list of matrix literals")
-    mats = [mat_from_literal(o) for o in obj]
-    return AdditiveHom(mats[0].domain, mats)

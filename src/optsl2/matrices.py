@@ -638,29 +638,6 @@ def ad_operator(X: Mat) -> Mat:
     return Mat(d, N, N, data)
 
 
-def conj_operator(u: Mat, u_inv: Mat | None = None) -> Mat:
-    """Matrix of M -> u M u^-1 acting on vectorized n x n matrices."""
-    if not u.is_square():
-        raise DomainError("square matrix expected")
-    if u_inv is None:
-        u_inv = inverse(u)
-    n = u.rows
-    d = u.domain
-    N = n * n
-    data = [d.zero()] * (N * N)
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            for k in range(n):
-                uik = u[i, k]
-                if uik == d.zero():
-                    continue
-                for l in range(n):
-                    data[row * N + k * n + l] = d.add(
-                        data[row * N + k * n + l], d.mul(uik, u_inv[l, j]))
-    return Mat(d, N, N, data)
-
-
 def mul_operator(A: Mat, B: Mat) -> Mat:
     """Matrix of M -> A M B acting on vectorized n x n matrices."""
     if not (A.is_square() and B.is_square() and A.rows == B.rows):

@@ -23,9 +23,9 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
                      PreconditionError)
 from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
-                       bracket, commutes, conj_operator, det, devectorize,
-                       enumerate_group, inverse, mul_operator, rank_nullspace,
-                       same_span, vstack)
+                       bracket, commutes, det, devectorize, enumerate_group,
+                       inverse, mul_operator, rank_nullspace, same_span,
+                       vstack)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain, integer_numerators
@@ -70,6 +70,19 @@ def primitive_root(p: int) -> int:
         if len(seen) == p - 1:
             return g
     raise InconsistencyError("no primitive root found mod %d" % p)
+
+
+def sl2_generators(domain):
+    """x1(1), y1(1), then the torus element at a primitive root mod p
+    for p > 2, or at 2 over Q.  They generate SL_2(F_p) over F_p and a
+    Zariski-dense subgroup over Q, so two homomorphisms that agree on
+    them agree everywhere."""
+    gens = [sl2_x1(domain, 1), sl2_y1(domain, 1)]
+    if domain.p is None:
+        gens.append(sl2_torus(domain, 2))
+    elif domain.p > 2:
+        gens.append(sl2_torus(domain, primitive_root(domain.p)))
+    return gens
 
 
 def sl2_sample(domain, rnd) -> Mat:
@@ -416,16 +429,9 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
         raise InconsistencyError("conjugator does not centralize X")
     if not levi_limit(psi1, x).is_identity():
         raise InconsistencyError("conjugator has nontrivial Levi part")
-    gens = [sl2_x1(dom, 1), sl2_y1(dom, 1)]
-    if isinstance(dom, FpDomain) and dom.p > 2:
-        gens.append(sl2_torus(dom, primitive_root(dom.p)))
-    if not isinstance(dom, FpDomain):
-        gens.append(sl2_torus(dom, 2))
-    x_inv = inverse(x)
-    for g in gens:
-        if x * eval_hom(phi1, g) * x_inv != eval_hom(phi2, g):
-            raise InconsistencyError(
-                "transporter solution does not conjugate the homomorphisms")
+    if not hom_conjugators_agree(phi1, phi2, x, samples=0):
+        raise InconsistencyError(
+            "transporter solution does not conjugate the homomorphisms")
     return x
 
 
@@ -447,29 +453,36 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     if p ** len(basis) > budget:
         raise BudgetError("radical has %d^%d elements, budget %d"
                           % (p, len(basis), budget))
-    weights = sorted(set(psi1.weights))
     projections = [(psi1.weight_projection(w), psi2.weight_projection(w))
-                   for w in weights]
-    found = []
-    for x in radical_elements(dom, phi1.n, basis):
-        xi = inverse(x)
-        if all(x * Q1 * xi == Q2 for Q1, Q2 in projections):
-            found.append(x)
-    return found
+                   for w in sorted(set(psi1.weights))]
+    return list(radical_intertwiners(dom, phi1.n, basis, projections))
+
+
+def radical_element(domain, n: int, basis, coeffs) -> Mat:
+    """x = 1 + c_1 B_1 + ... + c_k B_k."""
+    x = Mat.identity(domain, n)
+    for c, B in zip(coeffs, basis):
+        if c:
+            x = x + B.scale(c)
+    return x
 
 
 def radical_elements(domain, n: int, basis):
-    """Every x = 1 + c_1 B_1 + ... + c_k B_k with c in F_p^k, one per
-    coefficient vector, in itertools.product order of the coefficients.
-    For a basis of the positive commutant these are the F_p points of
-    the unipotent radical of C(X)."""
-    ident = Mat.identity(domain, n)
+    """Every radical_element with c in F_p^k, one per coefficient
+    vector, in itertools.product order of the coefficients.  For a
+    basis of the positive commutant these are the F_p points of the
+    unipotent radical of C(X)."""
     for coeffs in itertools.product(range(domain.p), repeat=len(basis)):
-        x = ident
-        for c, B in zip(coeffs, basis):
-            if c:
-                x = x + B.scale(c)
-        yield x
+        yield radical_element(domain, n, basis, coeffs)
+
+
+def radical_intertwiners(domain, n: int, basis, pairs):
+    """The radical elements x (see radical_elements) with x A = B x for
+    every pair (A, B), in enumeration order.  Each x is 1 + nilpotent,
+    hence invertible, so this is x A x^-1 = B without the inverse."""
+    for x in radical_elements(domain, n, basis):
+        if all(x * A == B * x for A, B in pairs):
+            yield x
 
 
 def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
@@ -480,29 +493,19 @@ def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     dom = phi1.domain
     images = [(eval_hom(phi1, g), eval_hom(phi2, g))
               for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))]
-    matches = 0
-    for x in radical_elements(dom, phi1.n, basis):
-        xi = inverse(x)
-        if all(x * a * xi == b for a, b in images):
-            matches += 1
-    return matches
+    return sum(1 for _ in radical_intertwiners(dom, phi1.n, basis, images))
 
 
 def hom_conjugators_agree(phi1, phi2, x, rnd=None, samples: int = 8) -> bool:
-    """Whether Int(x) o phi1 = phi2 on generators and random samples."""
+    """Whether Int(x) o phi1 = phi2, tested as x phi1(g) = phi2(g) x for
+    invertible x, on sl2_generators and `samples` random elements."""
     if rnd is None:
         rnd = random.Random(11)
     dom = phi1.domain
-    xi = inverse(x)
-    gens = [sl2_x1(dom, 1), sl2_y1(dom, 1)]
-    if isinstance(dom, FpDomain):
-        if dom.p > 2:
-            gens.append(sl2_torus(dom, primitive_root(dom.p)))
-    else:
-        gens.append(sl2_torus(dom, 2))
+    gens = sl2_generators(dom)
     for _ in range(samples):
         gens.append(sl2_sample(dom, rnd))
-    return all(x * eval_hom(phi1, g) * xi == eval_hom(phi2, g) for g in gens)
+    return all(x * eval_hom(phi1, g) == eval_hom(phi2, g) * x for g in gens)
 
 
 # -- centralizer comparisons --------------------------------------------
@@ -537,7 +540,7 @@ def exp_centralizer_check(X: Mat,
     for t in range(1, p):
         u = eps_exp(X.scale(t))
         exps.append(u)
-        _, null_u = rank_nullspace(conj_operator(u) - ident_op)
+        _, null_u = rank_nullspace(mul_operator(u, inverse(u)) - ident_op)
         if not same_span(null_ad, null_u):
             agree = False
 
@@ -584,9 +587,7 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     if p ** (n * n) > budget:
         raise BudgetError("enumeration of %d matrices exceeds budget %d"
                           % (p ** (n * n), budget))
-    gens = [eval_hom(phi, sl2_x1(dom, 1)), eval_hom(phi, sl2_y1(dom, 1))]
-    if p > 2:
-        gens.append(eval_hom(phi, sl2_torus(dom, primitive_root(p))))
+    gens = [eval_hom(phi, g) for g in sl2_generators(dom)]
     X = d_hom(phi).X
     psi = hom_torus_cochar(phi)
     projections = [psi.weight_projection(w) for w in sorted(set(psi.weights))]
@@ -641,12 +642,7 @@ def levi_containment_check(phi: OptimalSL2Hom, rnd=None,
         projectors[dd] = phi.conjugator * Mat.diagonal(dom, diag) \
             * phi.conjugator_inv
 
-    gens = [sl2_x1(dom, 1), sl2_y1(dom, 1)]
-    if isinstance(dom, FpDomain):
-        if dom.p > 2:
-            gens.append(sl2_torus(dom, primitive_root(dom.p)))
-    else:
-        gens.append(sl2_torus(dom, 2))
+    gens = sl2_generators(dom)
     for _ in range(samples):
         gens.append(sl2_sample(dom, rnd))
 
@@ -864,8 +860,5 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
 
 def gcr_check_hom(phi: OptimalSL2Hom,
                   budget: int = DEFAULT_BUDGET) -> GcrReport:
-    dom = phi.domain
-    gens = [eval_hom(phi, sl2_x1(dom, 1)), eval_hom(phi, sl2_y1(dom, 1))]
-    if isinstance(dom, FpDomain) and dom.p > 2:
-        gens.append(eval_hom(phi, sl2_torus(dom, primitive_root(dom.p))))
+    gens = [eval_hom(phi, g) for g in sl2_generators(phi.domain)]
     return gcr_check(gens, budget=budget)

@@ -153,6 +153,19 @@ def orbit_bijection_check(ca: SpringerCoeffs, cb: SpringerCoeffs,
 
 # -- truncated exponential and logarithm --------------------------------
 
+def _series_terms(N: Mat, name: str) -> int:
+    """Upper end of the eps series in the nilpotent N: p over F_p,
+    where the class bound N^[p] = 0 is required, and n over Q."""
+    d = N.domain
+    if not isinstance(d, FpDomain):
+        return N.rows
+    if not (N ** d.p).is_zero():
+        raise PreconditionError(
+            "length-%d product %s^[%d] is nonzero, class bound fails"
+            % (d.p, name, d.p))
+    return d.p
+
+
 def eps_exp(X: Mat) -> Mat:
     """Truncated exponential sum_{i<p} X^i / i! over F_p, or the full
     nilpotent exponential over Q.  Over F_p the class bound X^[p] = 0
@@ -163,14 +176,7 @@ def eps_exp(X: Mat) -> Mat:
     n = X.rows
     if not (X ** n).is_zero():
         raise PreconditionError("matrix is not nilpotent")
-    if isinstance(d, FpDomain):
-        if not (X ** d.p).is_zero():
-            raise PreconditionError(
-                "length-%d product X^[%d] is nonzero, class bound fails"
-                % (d.p, d.p))
-        bound = d.p
-    else:
-        bound = n
+    bound = _series_terms(X, "X")
     acc = Mat.identity(d, n)
     power = Mat.identity(d, n)
     fact = d.one()
@@ -189,14 +195,7 @@ def eps_log(u: Mat) -> Mat:
     e = _unipotent_part(u)
     d = u.domain
     n = u.rows
-    if isinstance(d, FpDomain):
-        if not (e ** d.p).is_zero():
-            raise PreconditionError(
-                "length-%d product (u-1)^[%d] is nonzero, class bound fails"
-                % (d.p, d.p))
-        bound = d.p
-    else:
-        bound = n
+    bound = _series_terms(e, "(u-1)")
     acc = Mat.zero(d, n)
     power = Mat.identity(d, n)
     for i in range(1, bound):

@@ -24,7 +24,8 @@ from .scalars import Fp, QQ
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                   count_radical_conjugators, eval_hom, exp_centralizer_check,
                   gcr_check, gcr_check_hom, hom_centralizer_check,
-                  hom_torus_cochar, positive_commutant_basis, sl2_x1)
+                  hom_torus_cochar, positive_commutant_basis,
+                  radical_element, sl2_x1)
 from .springer import (AdditiveHom, SpringerCoeffs, additive_eval,
                        additive_untwist, eps_exp, orbit_bijection_check,
                        springer_apply, springer_invert)
@@ -180,15 +181,11 @@ def _suite_conjugacy(grid, seed, budget):
                 verified=None)
             continue
         rnd = _rng(seed, "conjugacy", p, lam)
-        n = X.rows
-        ident = Mat.identity(dom, n)
         ok = True
         note = None
         for k in range(grid["twists"]):
-            N = Mat.zero(dom, n)
-            for B in basis:
-                N = N + B.scale(rnd.randrange(p))
-            twist = ident + N
+            twist = radical_element(dom, X.rows, basis,
+                                    [rnd.randrange(p) for _ in basis])
             phi2 = conjugate_hom(phi1, twist)
             recovered = conjugate_optimal(phi1, phi2)
             if recovered != twist:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .matrices import Mat, conj_operator, rank_nullspace
+from .matrices import Mat, inverse, mul_operator, rank_nullspace
 from .orbits import block_weights, rep_from_partition
 from .partitions import admissible, check_partition, conjugate
 from .scalars import Fp
@@ -277,7 +277,7 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
     phi = build_optimal(rep_from_partition(dom, lam))
     u = eval_hom(phi, sl2_x1(dom, 1))
     n = sum(lam)
-    op = conj_operator(u) - Mat.identity(dom, n * n)
+    op = mul_operator(u, inverse(u)) - Mat.identity(dom, n * n)
     fix_p = n * n - rank_nullspace(op)[0]
 
     fix_0 = sum(m * m for m in conjugate(lam))

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from optsl2 import suites
 from optsl2.cli import main
 from optsl2.partitions import partitions_of
 
@@ -56,6 +58,21 @@ def test_verify_text_output(capsys):
     # text mode always carries per-record timings
     assert "s)" in out
     assert "FAIL" not in out
+
+
+def test_repro_line_carries_a_non_default_budget(capsys, monkeypatch):
+    exact = suites.weight_bound_check
+    monkeypatch.setattr(suites, "weight_bound_check", lambda p, lam: replace(
+        exact(p, lam), within_bound=False))
+    argv = ("verify", "weight-bound", "--n-max", "2", "--primes", "2")
+    code, _, err = run_cli(capsys, *argv, "--budget", "1000")
+    assert code == 1
+    assert "repro: optsl2 verify weight-bound --primes 2 --seed 7 " \
+        "--n-max 2 --budget 1000" in err
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "repro:" in err
+    assert "--budget" not in err
 
 
 def test_orbit_table_text(capsys):
@@ -150,6 +167,11 @@ def test_springer_subcommand(capsys):
                            "--partition", "2,1", "--a", "1")
     assert code == 2
     assert "coefficients" in err
+
+    code, _, err = run_cli(capsys, "springer", "--p", "3",
+                           "--partition", "2", "--a", "x")
+    assert code == 2
+    assert "--a" in err
 
 
 def test_demo_springer_tangent(capsys):

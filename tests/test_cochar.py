@@ -3,8 +3,7 @@ import random
 import pytest
 
 from optsl2.cochar import (Cocharacter, distinguished_check, graded_decompose,
-                           graded_pieces, levi_limit, parabolic_data,
-                           radical_class, torus_lie_centralizer_check)
+                           levi_limit, parabolic_data, radical_class)
 from optsl2.errors import DomainError, PreconditionError
 from optsl2.matrices import Mat, bracket, random_mat
 from optsl2.scalars import Fp, QQ
@@ -73,10 +72,13 @@ def test_graded_components_sum_and_multiply():
 
 def test_piece_basis_dimensions():
     gamma = Cocharacter.diagonal(QQ, (1, 0, -1))
-    pieces = graded_pieces(gamma)
+    pieces = {w: gamma.piece_basis(w) for w in gamma.ad_weight_values()}
     dims = {w: len(bs) for w, bs in pieces.items()}
     assert dims == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
     assert sum(dims.values()) == 9
+    for w, bs in pieces.items():
+        assert all(gamma.component(B, w) == B for B in bs)
+    assert gamma.piece_basis(3) == []
 
 
 def test_parabolic_membership_and_dims():
@@ -137,13 +139,3 @@ def test_radical_class():
         assert radical_class(gamma) == n - 1
     assert radical_class(Cocharacter.diagonal(F2, (1, 1, 0, 0))) == 1
     assert radical_class(Cocharacter.diagonal(F3, (0, 0))) == 0
-
-
-def test_torus_lie_centralizer_agreement():
-    for p in (2, 3, 5):
-        for blocks in ((1, 1), (2, 1), (2, 2), (3, 1, 1)):
-            rep = torus_lie_centralizer_check(p, blocks)
-            assert rep.equal
-            assert rep.dim_group_conditions == sum(b * b for b in blocks)
-    with pytest.raises(DomainError):
-        torus_lie_centralizer_check(3, (2, 0))

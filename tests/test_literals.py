@@ -3,18 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from optsl2.cochar import Cocharacter
 from optsl2.errors import DomainError
-from optsl2.jordan import jordan_block
-from optsl2.literals import (additive_from_literal, additive_to_literal,
-                             cochar_from_literal, cochar_to_literal,
-                             domain_from_literal, domain_to_literal,
+from optsl2.literals import (domain_from_literal, domain_to_literal,
                              mat_from_literal, mat_to_literal,
-                             scalar_from_literal, scalar_to_literal,
-                             springer_from_literal, springer_to_literal)
+                             scalar_from_literal, scalar_to_literal)
 from optsl2.matrices import Mat
 from optsl2.scalars import Fp, QQ
-from optsl2.springer import AdditiveHom, SpringerCoeffs
 
 F3 = Fp(3)
 F5 = Fp(5)
@@ -63,44 +57,3 @@ def test_matrix_literal_validation():
     with pytest.raises(DomainError):
         mat_from_literal({"domain": "Fp", "p": 3, "rows": 2, "cols": 2,
                           "entries": [[1, 2]]})
-
-
-def test_cochar_literal_round_trip():
-    diag = Cocharacter.diagonal(F3, (1, 0, -1))
-    lit = cochar_to_literal(diag)
-    assert lit == {"weights": [1, 0, -1], "basis": "identity"}
-    assert cochar_from_literal(lit, domain=F3) == diag
-    with pytest.raises(DomainError):
-        cochar_from_literal(lit)
-
-    basis = Mat.from_rows(QQ, [[1, 1], [0, 1]])
-    psi = Cocharacter(basis, (1, -1))
-    lit2 = cochar_to_literal(psi)
-    assert lit2["basis"]["entries"] == [[1, 1], [0, 1]]
-    back = cochar_from_literal(lit2)
-    assert back == psi
-    with pytest.raises(DomainError):
-        cochar_from_literal(lit2, domain=F3)
-
-
-def test_springer_literal_round_trip():
-    c = SpringerCoeffs(F5, (2, 0, 1))
-    lit = springer_to_literal(c)
-    assert lit == {"p": 5, "a": [2, 0, 1]}
-    assert springer_from_literal(lit) == c
-    cq = SpringerCoeffs(QQ, (1, "1/2"))
-    lit_q = springer_to_literal(cq)
-    assert lit_q == {"p": "Q", "a": [1, "1/2"]}
-    assert springer_from_literal(lit_q) == cq
-
-
-def test_additive_literal_round_trip():
-    N = jordan_block(F3, 3)
-    h = AdditiveHom(F3, (N, N * N))
-    lit = additive_to_literal(h)
-    assert isinstance(lit, list) and len(lit) == 2
-    assert additive_from_literal(lit) == h
-    with pytest.raises(DomainError):
-        additive_from_literal([])
-    with pytest.raises(DomainError):
-        additive_from_literal({"domain": "Fp"})

@@ -6,12 +6,11 @@ import pytest
 
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
-                             ad_operator, bracket, commutes, conj_operator,
-                             det, devectorize, enumerate_group, hstack,
-                             in_span, inverse, mul_operator,
-                             random_invertible, random_mat, rank,
-                             rank_nullspace, rref, same_span, solve,
-                             span_rank, vstack)
+                             ad_operator, bracket, commutes, det,
+                             devectorize, enumerate_group, hstack, in_span,
+                             inverse, mul_operator, random_invertible,
+                             random_mat, rank, rank_nullspace, rref,
+                             same_span, solve, span_rank, vstack)
 from optsl2.scalars import Fp, QQ
 
 F2, F3, F5 = Fp(2), Fp(3), Fp(5)
@@ -164,7 +163,8 @@ def test_operator_matrices_agree_with_direct_action():
         M = random_mat(dom, 3, 3, rnd, bound=2)
         v = M.vectorize()
         assert devectorize(ad_operator(X) * v, 3) == bracket(X, M)
-        assert devectorize(conj_operator(u) * v, 3) == u * M * inverse(u)
+        assert devectorize(mul_operator(u, inverse(u)) * v, 3) \
+            == u * M * inverse(u)
         assert devectorize(mul_operator(A, B) * v, 3) == A * M * B
 
 

@@ -15,17 +15,19 @@ from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, in_span,
 from optsl2.orbits import associated_cocharacter, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                        d_hom, deform_to_levi, eval_hom,
-                        exp_centralizer_check, gcr_check, gcr_check_hom,
-                        hom_centralizer_check, hom_conjugators_agree,
-                        hom_torus_cochar, levi_containment_check,
-                        positive_commutant_basis, primitive_root,
-                        radical_cochar_transporters, sl2_elements, sl2_sample,
-                        sl2_torus, sl2_x1, sl2_y1, sym_power_dH, sym_power_dX,
-                        sym_power_dY, sym_power_rep, verify_limit,
-                        verify_optimal)
+                        count_radical_conjugators, d_hom, deform_to_levi,
+                        eval_hom, exp_centralizer_check, gcr_check,
+                        gcr_check_hom, hom_centralizer_check,
+                        hom_conjugators_agree, hom_torus_cochar,
+                        levi_containment_check, positive_commutant_basis,
+                        primitive_root, radical_cochar_transporters,
+                        radical_element, radical_intertwiners, sl2_elements,
+                        sl2_generators, sl2_sample, sl2_torus, sl2_x1, sl2_y1,
+                        sym_power_dH, sym_power_dX, sym_power_dY,
+                        sym_power_rep, verify_limit, verify_optimal)
+from optsl2.partitions import admissible, partitions_of
 from optsl2.springer import eps_exp
-from optsl2.suites import run_suite
+from optsl2.suites import _SUITE_FUNCS, run_suite
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -61,6 +63,40 @@ def test_primitive_root_has_full_order():
             acc = acc * r % p
             order += 1
         assert order == p - 1
+
+
+def _closure(gens):
+    """The subgroup generated by finitely many invertible matrices of
+    finite order, by breadth-first multiplication."""
+    ident = Mat.identity(gens[0].domain, gens[0].rows)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = g * s
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def test_sl2_generators_generate_sl2_fp():
+    for p in (2, 3, 5, 7):
+        dom = Fp(p)
+        gens = sl2_generators(dom)
+        assert gens[:2] == [sl2_x1(dom, 1), sl2_y1(dom, 1)]
+        assert gens[2:] == ([sl2_torus(dom, primitive_root(p))]
+                            if p > 2 else [])
+        group = set(sl2_elements(p))
+        assert len(group) == p * (p * p - 1)
+        assert _closure(gens) == group
+        # count_radical_conjugators tests on x1(1) and y1(1) alone
+        assert _closure(gens[:2]) == group
+    assert sl2_generators(QQ) == [sl2_x1(QQ, 1), sl2_y1(QQ, 1),
+                                  sl2_torus(QQ, 2)]
 
 
 def test_sl2_sample():
@@ -269,6 +305,7 @@ def test_conjugate_optimal_recovers_radical_twist():
         x = conjugate_optimal(phi1, phi2)
         assert x == x_true
         assert hom_conjugators_agree(phi1, phi2, x)
+        assert not hom_conjugators_agree(phi1, phi2, Mat.identity(dom, n))
 
 
 def test_conjugate_optimal_identity_twist():
@@ -289,6 +326,58 @@ def test_radical_transporter_is_unique():
         phi2 = conjugate_hom(phi1, x_true)
         found = radical_cochar_transporters(phi1, phi2)
         assert found == [x_true]
+
+
+def _radical_search_reference(dom, n, basis, pairs):
+    """The radical search with an explicit inverse: every x = 1 + sum
+    c_i B_i, c in F_p^k in product order, with x A x^-1 = B for every
+    pair (A, B)."""
+    ident = Mat.identity(dom, n)
+    found = []
+    for coeffs in itertools.product(range(dom.p), repeat=len(basis)):
+        x = ident
+        for c, B in zip(coeffs, basis):
+            x = x + B.scale(c)
+        xi = inverse(x)
+        if all(x * A * xi == B for A, B in pairs):
+            found.append(x)
+    return found
+
+
+def test_radical_search_matches_inverse_reference():
+    grid = _SUITE_FUNCS["conjugacy"][1]
+    rnd = random.Random(46)
+    for p in grid["primes"]:
+        dom = Fp(p)
+        for n in range(1, 4):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                X = rep_from_partition(dom, lam)
+                phi1 = build_optimal(X)
+                psi1 = hom_torus_cochar(phi1)
+                basis = positive_commutant_basis(X, psi1)
+                twist = radical_element(dom, n, basis,
+                                        [rnd.randrange(p) for _ in basis])
+                phi2 = conjugate_hom(phi1, twist)
+                psi2 = hom_torus_cochar(phi2)
+                projections = [(psi1.weight_projection(w),
+                                psi2.weight_projection(w))
+                               for w in sorted(set(psi1.weights))]
+                images = [(eval_hom(phi1, g), eval_hom(phi2, g))
+                          for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))]
+                assert radical_cochar_transporters(phi1, phi2) == \
+                    _radical_search_reference(dom, n, basis, projections)
+                # the planted duplicate basis of the conjugacy suite's
+                # fault test reaches each element more than once
+                for b in (basis, basis + basis[:1]):
+                    expected = _radical_search_reference(dom, n, b, images)
+                    assert list(radical_intertwiners(dom, n, b, images)) \
+                        == expected
+                    assert count_radical_conjugators(phi1, phi2, b) \
+                        == len(expected)
+                    assert twist in expected
+                    assert len(expected) == (p if len(b) > len(basis) else 1)
 
 
 def test_radical_transporters_budget():
