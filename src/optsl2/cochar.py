@@ -230,11 +230,10 @@ class DistinguishedReport:
     is_distinguished: bool
 
 
-def distinguished_check(gamma: Cocharacter,
-                        center_dim: int = 1) -> DistinguishedReport:
-    """Distinguished parabolic test: dim P/U = dim U/(U,U) + dim Z.
+def distinguished_check(gamma: Cocharacter) -> DistinguishedReport:
+    """Distinguished parabolic test: dim P/U = dim U/(U,U) + dim Z,
+    where the center Z of GL_n has dimension 1.
 
-    center_dim is the dimension of the ambient center, 1 for GL_n.
     Commutators are computed on the Lie algebra of the radical, which in
     type A matches the group lower central series step.
     """
@@ -250,8 +249,8 @@ def distinguished_check(gamma: Cocharacter,
     return DistinguishedReport(
         dim_levi=dim_levi,
         dim_u_mod_comm=dim_u_mod,
-        dim_center=center_dim,
-        is_distinguished=(dim_levi == dim_u_mod + center_dim))
+        dim_center=1,
+        is_distinguished=(dim_levi == dim_u_mod + 1))
 
 
 def radical_class(gamma: Cocharacter) -> int:

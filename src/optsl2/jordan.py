@@ -1,6 +1,10 @@
 """Jordan form of nilpotent matrices over F_p or Q.
 
-The partition is read off the nullity sequence of powers, the basis is
+nilpotent_powers lists the nonzero powers N, N^2, ..., N^(k-1) of a
+nilpotent N of index k, one product each; it is the nilpotency test of
+the package, and every series in one nilpotent (the Springer maps, the
+truncated exponential and logarithm) is a sum over its list.  The
+partition is read off the nullity sequence of those powers, the basis is
 assembled from Jordan chains.  Both are deterministic: kernels come from
 the standard RREF nullspace bases, chain seeds are taken greedily in
 that order, and chains are sorted longest first.  The two routes
@@ -41,24 +45,38 @@ def jordan_form(domain, lam) -> Mat:
     return Mat.block_diag(domain, [jordan_block(domain, d) for d in lam])
 
 
-def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
-    if not X.is_square():
+def nilpotent_powers(N: Mat) -> list:
+    """The nonzero powers [N, N^2, ..., N^(k-1)] of a nilpotent N of
+    index k (N^k = 0, N^(k-1) != 0), at one product each.  The list is
+    empty for N = 0, including the 0x0 and 1x1 cases.  Raises DomainError
+    when N is not square or N^n != 0."""
+    if not N.is_square():
         raise DomainError("square matrix expected")
+    n = N.rows
+    powers = []
+    power = N
+    while not power.is_zero():
+        if len(powers) == n - 1:
+            raise DomainError("matrix is not nilpotent: X^%d still has "
+                              "rank %d" % (n, rank(power)))
+        powers.append(power)
+        power = power * N
+    return powers
+
+
+def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
+    powers = nilpotent_powers(X)
     n = X.rows
     d = X.domain
-
-    powers = [Mat.identity(d, n)]
-    while len(powers) <= n and not powers[-1].is_zero():
-        powers.append(powers[-1] * X)
-    if not powers[-1].is_zero():
-        raise DomainError("matrix is not nilpotent: X^%d still has rank %d"
-                          % (n, rank(powers[-1])))
-    m = len(powers) - 1  # nilpotency index, X^m = 0, X^(m-1) != 0
+    if n == 0:
+        return NilpotentJordanData(partition=(), basis=Mat.zero(d, 0, 0))
+    powers.append(Mat.zero(d, n))
+    m = len(powers)  # nilpotency index, X^m = 0, X^(m-1) != 0
 
     kernels = [[]]
     nullities = [0]
-    for i in range(1, m + 1):
-        _, ker = rank_nullspace(powers[i])
+    for power in powers:
+        _, ker = rank_nullspace(power)
         kernels.append(ker)
         nullities.append(len(ker))
     lam_conj = tuple(nullities[i] - nullities[i - 1] for i in range(1, m + 1))
@@ -84,12 +102,8 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
                 break
             if span.add_mat(v):
                 picked += 1
-                chain = []
-                w = v
-                for _ in range(L):
-                    chain.append(w)
-                    w = X * w
-                chain.reverse()  # X^(L-1) v first, seed last
+                # X^(L-1) v first, seed last
+                chain = [powers[i] * v for i in range(L - 2, -1, -1)] + [v]
                 chains.append((L, chain))
         if picked != count:
             raise InconsistencyError("chain extraction found %d seeds of "
@@ -102,10 +116,7 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
             "chain lengths %r disagree with nullity partition %r"
             % (chain_lengths, partition))
 
-    cols = [v for _, chain in chains for v in chain]
-    basis = hstack(cols) if cols else Mat.zero(d, n, 0)
-    if n == 0:
-        return NilpotentJordanData(partition=(), basis=Mat.zero(d, 0, 0))
+    basis = hstack([v for _, chain in chains for v in chain])
     if rank(basis) != n:
         raise InconsistencyError("Jordan chains do not form a basis")
     if inverse(basis) * X * basis != jordan_form(d, partition):

@@ -221,14 +221,17 @@ class Mat:
             raise DomainError("power of non-square matrix")
         if e < 0:
             return inverse(self) ** (-e)
-        result = Mat.identity(self.domain, self.rows)
+        if e == 0:
+            return Mat.identity(self.domain, self.rows)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def transpose(self):
         data = [self.data[i * self.cols + j]
@@ -260,6 +263,15 @@ class Mat:
 def bracket(a: Mat, b: Mat) -> Mat:
     """Lie bracket [a, b] = ab - ba."""
     return a * b - b * a
+
+
+def lin_comb(start: Mat, coeffs, mats) -> Mat:
+    """start + c_1 M_1 + c_2 M_2 + ... over zip(coeffs, mats), skipping
+    zero coefficients."""
+    for c, M in zip(coeffs, mats):
+        if c:
+            start = start + M.scale(c)
+    return start
 
 
 def hstack(mats):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .cochar import (Cocharacter, ParabolicData, parabolic_data,
                      radical_class)
 from .errors import InconsistencyError, PreconditionError
-from .jordan import NilpotentJordanData, jordan_form, nilpotent_jordan
+from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
+                     nilpotent_powers)
 from .matrices import (IncrementalSpan, Mat, ad_operator, bracket,
                        devectorize, hstack, inverse, rank_nullspace)
 from .partitions import admissible, check_partition, conjugate
@@ -129,7 +130,7 @@ def order_formula_report(p: int, lam) -> OrderFormulaReport:
     max_w = max(psi.ad_weight_values())
     cls = radical_class(psi)
     has_order_p = (u ** p).is_identity()
-    x_p_zero = (X ** p).is_zero()
+    x_p_zero = len(nilpotent_powers(X)) < p
     weights_below_2p = max_w < 2 * p
     class_below_p = cls < p
     flags = (has_order_p, x_p_zero, weights_below_2p, class_below_p)

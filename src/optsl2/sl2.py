@@ -24,8 +24,8 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
 from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
                        bracket, commutes, det, devectorize, enumerate_group,
-                       inverse, mul_operator, rank_nullspace, same_span,
-                       vstack)
+                       inverse, lin_comb, mul_operator, rank_nullspace,
+                       same_span, vstack)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain, integer_numerators
@@ -279,10 +279,11 @@ class OptimalVerifyReport:
                 and self.multiplicative)
 
 
-def verify_optimal(phi: OptimalSL2Hom, X: Mat, rnd=None,
-                   samples: int = 12) -> OptimalVerifyReport:
+def verify_optimal(phi: OptimalSL2Hom, X: Mat,
+                   rnd=None) -> OptimalVerifyReport:
     """Direct checks of optimality: tangent data, associated torus
-    restriction, exponential alignment, multiplicativity on samples."""
+    restriction, exponential alignment, multiplicativity on 12 random
+    pairs."""
     if rnd is None:
         rnd = random.Random(7)
     dom = phi.domain
@@ -306,7 +307,7 @@ def verify_optimal(phi: OptimalSL2Hom, X: Mat, rnd=None,
                       for t in ts)
 
     multiplicative = True
-    for _ in range(samples):
+    for _ in range(12):
         g = sl2_sample(dom, rnd)
         h = sl2_sample(dom, rnd)
         if eval_hom(phi, g * h) != eval_hom(phi, g) * eval_hom(phi, h):
@@ -358,18 +359,17 @@ def _cochar_transport_conditions(psi1: Cocharacter, psi2: Cocharacter):
     return rows
 
 
-def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
-                      rnd=None, attempts: int = 64) -> Mat:
+def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
     """The unique element of the unipotent radical of C(X) conjugating
     phi1 to phi2, for two optimal homomorphisms of the same X.
 
     Solves the linear transporter system (commute with X, map torus
     weight spaces across), picks an invertible solution, strips its
     weight-0 part with the Levi limit, and verifies the result on
-    generators.
+    generators.  The candidates are fixed sums of the null basis, then
+    64 seeded random combinations.
     """
-    if rnd is None:
-        rnd = random.Random(7)
+    rnd = random.Random(7)
     if phi1.domain != phi2.domain:
         raise DomainError("mixed domains")
     dom = phi1.domain
@@ -412,7 +412,7 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     M = None
     tried = 0
     for cand in itertools.chain(candidates,
-                                (random_candidate() for _ in range(attempts))):
+                                (random_candidate() for _ in range(64))):
         tried += 1
         candM = devectorize(cand, n)
         if candM.is_invertible():
@@ -425,7 +425,7 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     M0 = levi_limit(psi1, M)
     x = M * inverse(M0)
 
-    if bracket(x, X) != Mat.zero(dom, n):
+    if not commutes(x, X):
         raise InconsistencyError("conjugator does not centralize X")
     if not levi_limit(psi1, x).is_identity():
         raise InconsistencyError("conjugator has nontrivial Levi part")
@@ -460,11 +460,7 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
 
 def radical_element(domain, n: int, basis, coeffs) -> Mat:
     """x = 1 + c_1 B_1 + ... + c_k B_k."""
-    x = Mat.identity(domain, n)
-    for c, B in zip(coeffs, basis):
-        if c:
-            x = x + B.scale(c)
-    return x
+    return lin_comb(Mat.identity(domain, n), coeffs, basis)
 
 
 def radical_elements(domain, n: int, basis):
@@ -619,13 +615,12 @@ class LeviContainmentReport:
                 and self.dets_one_on_isotypic_blocks)
 
 
-def levi_containment_check(phi: OptimalSL2Hom, rnd=None,
-                           samples: int = 8) -> LeviContainmentReport:
+def levi_containment_check(phi: OptimalSL2Hom) -> LeviContainmentReport:
     """Image lies in the derived group of the Levi C(S): commutes with
     the block-scalar torus S of the centralizer (blocks grouped by
-    Jordan size) and has determinant 1 on each isotypic piece."""
-    if rnd is None:
-        rnd = random.Random(13)
+    Jordan size) and has determinant 1 on each isotypic piece, tested
+    on sl2_generators and 8 seeded random elements."""
+    rnd = random.Random(13)
     dom = phi.domain
     n = phi.n
     sizes = phi.block_sizes
@@ -643,7 +638,7 @@ def levi_containment_check(phi: OptimalSL2Hom, rnd=None,
             * phi.conjugator_inv
 
     gens = sl2_generators(dom)
-    for _ in range(samples):
+    for _ in range(8):
         gens.append(sl2_sample(dom, rnd))
 
     torus_commutes = True
@@ -713,15 +708,15 @@ def deform_to_levi(phi: OptimalSL2Hom, gamma: Cocharacter) -> LimitHom:
     return LimitHom(phi, gamma)
 
 
-def verify_limit(lim: LimitHom, rnd=None, samples: int = 10) -> LimitReport:
-    """The limit homomorphism is again a homomorphism, is aligned with
-    the truncated exponential of the weight-0 part X0, keeps the same
-    torus restriction, and that restriction is associated to X0."""
-    if rnd is None:
-        rnd = random.Random(17)
+def verify_limit(lim: LimitHom) -> LimitReport:
+    """The limit homomorphism is again a homomorphism (on 10 seeded
+    random pairs), is aligned with the truncated exponential of the
+    weight-0 part X0, keeps the same torus restriction, and that
+    restriction is associated to X0."""
+    rnd = random.Random(17)
     dom = lim.phi.domain
     multiplicative = True
-    for _ in range(samples):
+    for _ in range(10):
         g = sl2_sample(dom, rnd)
         h = sl2_sample(dom, rnd)
         if lim.eval(g * h) != lim.eval(g) * lim.eval(h):
@@ -746,12 +741,12 @@ def verify_limit(lim: LimitHom, rnd=None, samples: int = 10) -> LimitReport:
 
 # -- complete reducibility ----------------------------------------------
 
-def _subspaces(p: int, n: int, dims=None):
+def _subspaces(p: int, n: int):
     """All subspaces of F_p^n as reduced column echelon bases, by
     dimension, pivots lex.  Returns a list of (dim, list of column
     tuples)."""
     out = []
-    for k in (range(n + 1) if dims is None else dims):
+    for k in range(n + 1):
         if k == 0:
             out.append((0, []))
             continue
@@ -836,9 +831,6 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     for k, cols, ok in invariant:
         if not ok or k == 0 or k == n:
             continue
-        span = IncrementalSpan(dom)
-        for c in cols:
-            span.add(c)
         found = False
         for comp_cols in inv_by_dim.get(n - k, []):
             trial = IncrementalSpan(dom)

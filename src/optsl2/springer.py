@@ -7,16 +7,24 @@ construction, restricts to a bijection on unipotent/nilpotent cones,
 and induces the same map on orbits whatever the higher coefficients
 are.  The inverse is computed by reverting the defining power series
 modulo t^n, which is exact because e^n = 0.
+
+Every series here is a sum over jordan.nilpotent_powers of its one
+nilpotent, which is also the test that the input lies in the cone: a
+square matrix that is not nilpotent (not unipotent) fails the
+operation's hypothesis, a PreconditionError.  Over F_p the class bound
+X^[p] = 0 of the truncated exponential and logarithm is that the list
+has fewer than p powers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .jordan import jordan_block, nilpotent_jordan
-from .matrices import Mat, commutes, hstack, rank, solve
+from .jordan import jordan_block, nilpotent_jordan, nilpotent_powers
+from .matrices import Mat, commutes, hstack, lin_comb, rank, solve
 from .scalars import Domain, FpDomain
 
 
@@ -43,28 +51,31 @@ class SpringerCoeffs:
         return "SpringerCoeffs(%r, %r)" % (self.domain, list(self.a))
 
 
-def _unipotent_part(u: Mat) -> Mat:
-    if not u.is_square():
-        raise DomainError("square matrix expected")
-    e = u - Mat.identity(u.domain, u.rows)
-    if not (e ** u.rows).is_zero():
-        raise PreconditionError("matrix is not unipotent")
-    return e
+def _powers(N: Mat, what: str, name: str = None) -> list:
+    """nilpotent_powers(N), where a square N that is not nilpotent
+    raises PreconditionError("matrix is not <what>").  With a name, over
+    F_p, also the class bound N^[p] = 0: fewer than p nonzero powers."""
+    try:
+        powers = nilpotent_powers(N)
+    except DomainError:
+        if not N.is_square():
+            raise
+        raise PreconditionError("matrix is not %s" % what) from None
+    d = N.domain
+    if name and isinstance(d, FpDomain) and len(powers) >= d.p:
+        raise PreconditionError(
+            "length-%d product %s^[%d] is nonzero, class bound fails"
+            % (d.p, name, d.p))
+    return powers
 
 
 def springer_apply(coeffs: SpringerCoeffs, u: Mat) -> Mat:
     """Value a1 e + ... + a_{n-1} e^{n-1} at u = 1 + e."""
-    e = _unipotent_part(u)
+    powers = _powers(u - Mat.identity(u.domain, u.rows), "unipotent")
     if coeffs.n != u.rows:
         raise DomainError("coefficient system is for n = %d, got n = %d"
                           % (coeffs.n, u.rows))
-    d = u.domain
-    acc = Mat.zero(d, u.rows)
-    power = Mat.identity(d, u.rows)
-    for ai in coeffs.a:
-        power = power * e
-        acc = acc + power.scale(ai)
-    return acc
+    return lin_comb(Mat.zero(u.domain, u.rows), coeffs.a, powers)
 
 
 def _poly_mul_trunc(f, g, domain, trunc):
@@ -113,18 +124,12 @@ def springer_invert(coeffs: SpringerCoeffs, X: Mat) -> Mat:
     if coeffs.n != X.rows:
         raise DomainError("coefficient system is for n = %d, got n = %d"
                           % (coeffs.n, X.rows))
-    if not (X ** X.rows).is_zero():
-        raise PreconditionError("matrix is not nilpotent")
+    powers = _powers(X, "nilpotent")
     d = X.domain
     n = X.rows
     if n == 1:
         return Mat.identity(d, 1)
-    b = reversion(coeffs, n)
-    u = Mat.identity(d, n)
-    power = Mat.identity(d, n)
-    for bk in b:
-        power = power * X
-        u = u + power.scale(bk)
+    u = lin_comb(Mat.identity(d, n), reversion(coeffs, n), powers)
     if springer_apply(coeffs, u) != X:
         raise InconsistencyError("inverse image does not map back to X")
     return u
@@ -142,9 +147,9 @@ def orbit_bijection_check(ca: SpringerCoeffs, cb: SpringerCoeffs,
                           u: Mat) -> OrbitBijectionReport:
     """The induced orbit maps of two coefficient systems agree, and both
     preserve the Jordan type: partition(f(u)) = partition(u - 1)."""
-    e = _unipotent_part(u)
-    pu = nilpotent_jordan(e).partition
-    pa = nilpotent_jordan(springer_apply(ca, u)).partition
+    fa = springer_apply(ca, u)  # rejects u that is not unipotent
+    pu = nilpotent_jordan(u - Mat.identity(u.domain, u.rows)).partition
+    pa = nilpotent_jordan(fa).partition
     pb = nilpotent_jordan(springer_apply(cb, u)).partition
     return OrbitBijectionReport(partition_u=pu, partition_a=pa,
                                 partition_b=pb,
@@ -153,61 +158,24 @@ def orbit_bijection_check(ca: SpringerCoeffs, cb: SpringerCoeffs,
 
 # -- truncated exponential and logarithm --------------------------------
 
-def _series_terms(N: Mat, name: str) -> int:
-    """Upper end of the eps series in the nilpotent N: p over F_p,
-    where the class bound N^[p] = 0 is required, and n over Q."""
-    d = N.domain
-    if not isinstance(d, FpDomain):
-        return N.rows
-    if not (N ** d.p).is_zero():
-        raise PreconditionError(
-            "length-%d product %s^[%d] is nonzero, class bound fails"
-            % (d.p, name, d.p))
-    return d.p
-
-
 def eps_exp(X: Mat) -> Mat:
     """Truncated exponential sum_{i<p} X^i / i! over F_p, or the full
     nilpotent exponential over Q.  Over F_p the class bound X^[p] = 0
     is required, and then the sum is the whole exponential."""
-    if not X.is_square():
-        raise DomainError("square matrix expected")
+    powers = _powers(X, "nilpotent", "X")
     d = X.domain
-    n = X.rows
-    if not (X ** n).is_zero():
-        raise PreconditionError("matrix is not nilpotent")
-    bound = _series_terms(X, "X")
-    acc = Mat.identity(d, n)
-    power = Mat.identity(d, n)
-    fact = d.one()
-    for i in range(1, bound):
-        power = power * X
-        if power.is_zero():
-            break
-        fact = d.mul(fact, d.of(i))
-        acc = acc + power.scale(d.inv(fact))
-    return acc
+    coeffs = [d.inv(d.of(factorial(i))) for i in range(1, len(powers) + 1)]
+    return lin_comb(Mat.identity(d, X.rows), coeffs, powers)
 
 
 def eps_log(u: Mat) -> Mat:
     """Inverse of eps_exp: sum_{i<p} (-1)^(i+1) (u-1)^i / i, with the
     same class bound (u-1)^[p] = 0 over F_p."""
-    e = _unipotent_part(u)
     d = u.domain
-    n = u.rows
-    bound = _series_terms(e, "(u-1)")
-    acc = Mat.zero(d, n)
-    power = Mat.identity(d, n)
-    for i in range(1, bound):
-        power = power * e
-        if power.is_zero():
-            break
-        term = power.scale(d.inv(d.of(i)))
-        if i % 2 == 1:
-            acc = acc + term
-        else:
-            acc = acc - term
-    return acc
+    powers = _powers(u - Mat.identity(d, u.rows), "unipotent", "(u-1)")
+    coeffs = [d.inv(d.of(i if i % 2 else -i))
+              for i in range(1, len(powers) + 1)]
+    return lin_comb(Mat.zero(d, u.rows), coeffs, powers)
 
 
 # -- additive one-parameter subgroups -----------------------------------
@@ -231,8 +199,8 @@ class AdditiveHom:
                 raise PreconditionError("coefficients do not commute")
         for combo in itertools.combinations_with_replacement(
                 range(len(coeffs)), domain.p):
-            prod = Mat.identity(domain, n)
-            for i in combo:
+            prod = coeffs[combo[0]]
+            for i in combo[1:]:
                 prod = prod * coeffs[i]
             if not prod.is_zero():
                 raise PreconditionError(
@@ -301,36 +269,28 @@ def springer_tangent_experiment(coeffs: SpringerCoeffs) -> TangentReport:
 
     Directions Z run over c(u) = span(e, ..., e^(n-1)), the curve is
     the affine one v_s = u + s Z inside C(u), and the derivative is
-    extracted with dual-number bookkeeping (pairs (A, B) standing for
-    A + eps B with eps^2 = 0).  This is an experiment: the report
-    records whether the resulting endomorphism of c(u) is scalar, and
-    no particular outcome is asserted.
+    sum a_i B_i, read off (v_s - 1)^i = e^i + s B_i + O(s^2) with
+    B_i = e^(i-1) Z + B_(i-1) e (dual-number bookkeeping on the powers
+    of e).  This is an experiment: the report records whether the
+    resulting endomorphism of c(u) is scalar, and no particular outcome
+    is asserted.
     """
     d = coeffs.domain
     n = coeffs.n
     e = jordan_block(d, n)
-    u = Mat.identity(d, n) + e
-
-    def dual_mul(x, y):
-        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
+    powers = nilpotent_powers(e)  # e, e^2, ..., e^(n-1)
+    previous = [Mat.identity(d, n)] + powers  # e^(i-1) for i = 1, ..., n
+    zero = Mat.zero(d, n)
 
     columns = []
-    zero = Mat.zero(d, n)
-    for k in range(1, n):
-        Z = e ** k
-        v = (u, Z)  # u + eps Z, first order in eps
-        ev = (v[0] - Mat.identity(d, n), v[1])
-        acc = (zero, zero)
-        power = (Mat.identity(d, n), zero)
-        for ai in coeffs.a:
-            power = dual_mul(power, ev)
-            acc = (acc[0] + power[0].scale(ai), acc[1] + power[1].scale(ai))
-        image = acc[1]
+    for Z in powers:
+        image = B = zero
+        for ai, prev in zip(coeffs.a, previous):
+            B = prev * Z + B * e
+            image = image + B.scale(ai)
         # expand in the powers of e: coefficient of e^m sits at entry (0, m)
         coords = [image[0, m] for m in range(1, n)]
-        rebuilt = Mat.zero(d, n)
-        for m, c in enumerate(coords, start=1):
-            rebuilt = rebuilt + (e ** m).scale(c)
+        rebuilt = lin_comb(zero, coords, powers)
         if rebuilt != image:
             raise InconsistencyError("tangent image left the span of e^k")
         columns.append(coords)
@@ -345,20 +305,15 @@ def springer_tangent_experiment(coeffs: SpringerCoeffs) -> TangentReport:
 def springer_coeffs_from_value(v: Mat, X: Mat) -> SpringerCoeffs:
     """Recover the coefficient system from one regular value: solve
     a1 e + ... + a_{n-1} e^(n-1) = X for e = v - 1 regular unipotent."""
-    e = _unipotent_part(v)
+    powers = _powers(v - Mat.identity(v.domain, v.rows), "unipotent")
     n = v.rows
     if n == 1:
         if not X.is_zero():
             raise PreconditionError("X must vanish for n = 1")
         return SpringerCoeffs(v.domain, ())
-    if nilpotent_jordan(e).partition != (n,):
+    if len(powers) != n - 1:  # a nilpotent of index n is regular
         raise PreconditionError("v is not regular unipotent")
-    powers = []
-    power = Mat.identity(v.domain, n)
-    for _ in range(1, n):
-        power = power * e
-        powers.append(power.vectorize())
-    A = hstack(powers)
+    A = hstack([P.vectorize() for P in powers])
     sol = solve(A, X.vectorize())
     if sol is None:
         raise PreconditionError("X is not a polynomial in e")

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetError, OptSL2Error
-from .jordan import jordan_block
-from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, rank,
-                       random_invertible)
+from .jordan import jordan_block, nilpotent_powers
+from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
+                       rank, random_invertible)
 from .orbits import (order_formula_report, rep_from_partition,
                      weight_bound_check)
 from .partitions import admissible, conjugate, partitions_of
@@ -289,16 +289,13 @@ def _random_additive(dom, rnd):
     lam = choices[rnd.randrange(len(choices))]
     N = rep_from_partition(dom, lam)
     n = N.rows
+    powers = nilpotent_powers(N)
     m = rnd.randint(1, 3)
     coeffs = []
     for i in range(m):
         c1 = rnd.randrange(1, p) if i == 0 else rnd.randrange(p)
-        M = N.scale(c1)
-        power = N
-        for _ in range(2, n):
-            power = power * N
-            M = M + power.scale(rnd.randrange(p))
-        coeffs.append(M)
+        rest = [rnd.randrange(p) for _ in range(2, n)]
+        coeffs.append(lin_comb(N.scale(c1), rest, powers[1:]))
     r = rnd.randint(0, 3)
     zeros = [Mat.zero(dom, n)] * r
     return AdditiveHom(dom, zeros + coeffs), r

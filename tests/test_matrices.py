@@ -52,6 +52,31 @@ def test_power_is_repeated_multiplication():
     assert (A ** -2) * (A ** 2) == Mat.identity(F5, 2)
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    rnd = random.Random(9)
+    for dom in (F3, QQ):
+        A = random_invertible(dom, 3, rnd, bound=3)
+        expected = [Mat.identity(dom, 3)]
+        for _ in range(12):
+            expected.append(expected[-1] * A)
+        calls = [0]
+        exact = Mat.__mul__
+
+        def counted(a, b):
+            calls[0] += 1
+            return exact(a, b)
+
+        monkeypatch.setattr(Mat, "__mul__", counted)
+        for e, want in enumerate(expected):
+            calls[0] = 0
+            assert A ** e == want
+            # one squaring per bit after the first, one product per
+            # further set bit; nothing multiplies onto the identity
+            squarings = max(0, e.bit_length() - 1)
+            assert calls[0] == squarings + max(0, bin(e).count("1") - 1)
+        monkeypatch.undo()
+
+
 def test_block_diag_and_stacks():
     A = Mat.from_rows(F3, [[1, 2]])
     B = Mat.from_rows(F3, [[2]])

@@ -1,0 +1,303 @@
+"""nilpotent_powers and the series built on it, against the power loops
+they replaced.
+
+The reference functions below are the earlier implementations: the
+nilpotency and class-bound tests by `Mat.__pow__`, and each series
+recomputing the powers of its nilpotent from the identity.  Values and
+exception classes must agree on every input, accepted or rejected.
+"""
+
+import random
+
+import pytest
+
+from optsl2 import cli
+from optsl2 import springer
+from optsl2.errors import (DomainError, InconsistencyError,
+                           PreconditionError)
+from optsl2.jordan import jordan_block, nilpotent_jordan, nilpotent_powers
+from optsl2.matrices import (IncrementalSpan, Mat, hstack, inverse,
+                             random_invertible, rank_nullspace)
+from optsl2.orbits import rep_from_partition
+from optsl2.partitions import conjugate, partitions_of
+from optsl2.scalars import Fp, FpDomain, QQ
+from optsl2.springer import (SpringerCoeffs, eps_exp, eps_log, reversion,
+                             springer_apply, springer_invert)
+from optsl2.suites import run_suite
+
+DOMAINS = (Fp(2), Fp(3), Fp(5), QQ)
+
+
+# -- the replaced implementations ----------------------------------------
+
+def _ref_unipotent_part(u):
+    if not u.is_square():
+        raise DomainError("square matrix expected")
+    e = u - Mat.identity(u.domain, u.rows)
+    if not (e ** u.rows).is_zero():
+        raise PreconditionError("matrix is not unipotent")
+    return e
+
+
+def _ref_series_terms(N):
+    d = N.domain
+    if not isinstance(d, FpDomain):
+        return N.rows
+    if not (N ** d.p).is_zero():
+        raise PreconditionError("class bound fails")
+    return d.p
+
+
+def _ref_springer_apply(coeffs, u):
+    e = _ref_unipotent_part(u)
+    if coeffs.n != u.rows:
+        raise DomainError("size mismatch")
+    d = u.domain
+    acc = Mat.zero(d, u.rows)
+    power = Mat.identity(d, u.rows)
+    for ai in coeffs.a:
+        power = power * e
+        acc = acc + power.scale(ai)
+    return acc
+
+
+def _ref_springer_invert(coeffs, X):
+    if coeffs.n != X.rows:
+        raise DomainError("size mismatch")
+    if not (X ** X.rows).is_zero():
+        raise PreconditionError("matrix is not nilpotent")
+    d = X.domain
+    n = X.rows
+    if n == 1:
+        return Mat.identity(d, 1)
+    u = Mat.identity(d, n)
+    power = Mat.identity(d, n)
+    for bk in reversion(coeffs, n):
+        power = power * X
+        u = u + power.scale(bk)
+    if _ref_springer_apply(coeffs, u) != X:
+        raise InconsistencyError("inverse image does not map back to X")
+    return u
+
+
+def _ref_eps_exp(X):
+    if not X.is_square():
+        raise DomainError("square matrix expected")
+    d = X.domain
+    n = X.rows
+    if not (X ** n).is_zero():
+        raise PreconditionError("matrix is not nilpotent")
+    bound = _ref_series_terms(X)
+    acc = Mat.identity(d, n)
+    power = Mat.identity(d, n)
+    fact = d.one()
+    for i in range(1, bound):
+        power = power * X
+        if power.is_zero():
+            break
+        fact = d.mul(fact, d.of(i))
+        acc = acc + power.scale(d.inv(fact))
+    return acc
+
+
+def _ref_eps_log(u):
+    e = _ref_unipotent_part(u)
+    d = u.domain
+    n = u.rows
+    bound = _ref_series_terms(e)
+    acc = Mat.zero(d, n)
+    power = Mat.identity(d, n)
+    for i in range(1, bound):
+        power = power * e
+        if power.is_zero():
+            break
+        term = power.scale(d.inv(d.of(i)))
+        acc = acc + term if i % 2 == 1 else acc - term
+    return acc
+
+
+def _ref_nilpotent_jordan(X):
+    """(partition, basis) by the power loop from the identity and the
+    chain extraction that iterates X on each seed."""
+    if not X.is_square():
+        raise DomainError("square matrix expected")
+    n = X.rows
+    d = X.domain
+    powers = [Mat.identity(d, n)]
+    while len(powers) <= n and not powers[-1].is_zero():
+        powers.append(powers[-1] * X)
+    if not powers[-1].is_zero():
+        raise DomainError("matrix is not nilpotent")
+    m = len(powers) - 1
+    kernels = [[]] + [rank_nullspace(P)[1] for P in powers[1:]]
+    nullities = [len(k) for k in kernels]
+    lam_conj = tuple(nullities[i] - nullities[i - 1] for i in range(1, m + 1))
+    chains = []
+    for L in range(m, 0, -1):
+        count = lam_conj[L - 1] - (lam_conj[L] if L < m else 0)
+        span = IncrementalSpan(d)
+        for v in kernels[L - 1]:
+            span.add_mat(v)
+        if L < m:
+            for v in kernels[L + 1]:
+                span.add_mat(X * v)
+        picked = 0
+        for v in kernels[L]:
+            if picked == count:
+                break
+            if span.add_mat(v):
+                picked += 1
+                chain = []
+                w = v
+                for _ in range(L):
+                    chain.append(w)
+                    w = X * w
+                chains.extend(reversed(chain))
+    if n == 0:
+        return (), Mat.zero(d, 0, 0)
+    return conjugate(lam_conj), hstack(chains)
+
+
+def _outcome(fn, *args):
+    """("ok", value) or ("raises", exception class)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return "raises", type(exc)
+
+
+# -- inputs ---------------------------------------------------------------
+
+def _nilpotent_inputs(dom, rnd):
+    """0x0, zeros, regular blocks, conjugates of every partition with
+    n <= 5 (regular blocks up to p + 1, so the class bound fails too)."""
+    out = [Mat.zero(dom, 0, 0), Mat.zero(dom, 1, 1), Mat.zero(dom, 3, 3)]
+    top = 5 if dom is QQ else max(5, dom.p + 1)
+    out.extend(jordan_block(dom, d) for d in range(1, top + 1))
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            g = random_invertible(dom, n, rnd, bound=3)
+            out.append(g * rep_from_partition(dom, lam) * inverse(g))
+    return out
+
+
+def _other_inputs(dom):
+    """Square matrices that are not nilpotent (the last ones are the
+    companion matrices of t^n - 1), and a non-square one."""
+    out = [Mat.identity(dom, 1), Mat.diagonal(dom, [1, 0, 0]),
+           Mat.identity(dom, 2) + jordan_block(dom, 2), Mat.zero(dom, 2, 3)]
+    out.extend(jordan_block(dom, n) + Mat.unit(dom, n, n, n - 1, 0)
+               for n in (2, 3, 4))
+    return out
+
+
+def _springer_systems(dom, n, rnd):
+    """The systems for size n and, for the size checks, for n + 1."""
+    out = []
+    for size in (n, n + 1):
+        a = [2 if dom.of(2) else 1] + [rnd.randrange(3) for _ in range(size)]
+        out.append(SpringerCoeffs(dom, a[:size - 1]))
+    return out
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_series_and_jordan_match_the_power_loops(dom):
+    rnd = random.Random(41)
+    nilpotents = _nilpotent_inputs(dom, rnd)
+    others = _other_inputs(dom)
+    raised = set()
+    for X in nilpotents + others:
+        n = X.rows
+        u = X + (Mat.identity(dom, n) if X.is_square() else X)
+        for new, ref, arg in ((nilpotent_jordan, _ref_nilpotent_jordan, X),
+                              (eps_exp, _ref_eps_exp, X),
+                              (eps_log, _ref_eps_log, u)):
+            got, want = _outcome(new, arg), _outcome(ref, arg)
+            if new is nilpotent_jordan and got[0] == "ok":
+                got = ("ok", (got[1].partition, got[1].basis))
+            assert got == want, (new.__name__, X)
+            if got[0] == "raises":
+                raised.add((new.__name__, got[1]))
+        if n == 0:
+            continue
+        for c in _springer_systems(dom, n, rnd):
+            for new, ref, arg in ((springer_apply, _ref_springer_apply, u),
+                                  (springer_invert, _ref_springer_invert, X)):
+                got, want = _outcome(new, c, arg), _outcome(ref, c, arg)
+                assert got == want, (new.__name__, c, X)
+                if got[0] == "raises":
+                    raised.add((new.__name__, got[1]))
+    # every rejection the functions document did happen on this grid
+    assert ("nilpotent_jordan", DomainError) in raised
+    for name in ("eps_exp", "eps_log", "springer_apply", "springer_invert"):
+        assert (name, PreconditionError) in raised
+        assert (name, DomainError) in raised
+
+
+def test_nilpotent_powers_lists_the_nonzero_powers():
+    for dom in DOMAINS:
+        assert nilpotent_powers(Mat.zero(dom, 0, 0)) == []
+        assert nilpotent_powers(Mat.zero(dom, 1, 1)) == []
+        assert nilpotent_jordan(Mat.zero(dom, 0, 0)).partition == ()
+        for d in range(1, 6):
+            e = jordan_block(dom, d)
+            assert nilpotent_powers(e) == [e ** i for i in range(1, d)]
+        for bad in (Mat.identity(dom, 1), Mat.zero(dom, 2, 3),
+                    jordan_block(dom, 3) + Mat.unit(dom, 3, 3, 2, 0)):
+            with pytest.raises(DomainError):
+                nilpotent_powers(bad)
+
+
+def _count_products(monkeypatch):
+    calls = [0]
+    exact = Mat.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    return calls
+
+
+def test_series_make_one_product_per_power(monkeypatch):
+    rnd = random.Random(43)
+    cases = []
+    for dom in (Fp(5), QQ):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                g = random_invertible(dom, n, rnd, bound=3)
+                X = g * rep_from_partition(dom, lam) * inverse(g)
+                u = Mat.identity(dom, n) + X
+                c = SpringerCoeffs(dom, [1] * (n - 1))
+                cases.append((lam[0], X, u, c))
+    calls = _count_products(monkeypatch)
+    for k, X, u, c in cases:
+        calls[0] = 0
+        eps_exp(X)
+        assert calls[0] <= k - 1, ("eps_exp", X)
+        calls[0] = 0
+        springer_apply(c, u)
+        assert calls[0] <= k - 1, ("springer_apply", X)
+
+
+def test_planted_reversion_fault_is_caught(monkeypatch, capsys):
+    """One perturbed coefficient of the series reversion (the top one,
+    which only regular orbits see) stops the springer suite and the
+    CLI with an inconsistency."""
+    exact = springer.reversion
+
+    def off_by_one(coeffs, trunc):
+        b = exact(coeffs, trunc)
+        if not b:
+            return b
+        d = coeffs.domain
+        return b[:-1] + (d.add(b[-1], d.one()),)
+
+    assert run_suite("springer", n_max=3, primes=(3,)).records
+    monkeypatch.setattr(springer, "reversion", off_by_one)
+    with pytest.raises(InconsistencyError):
+        run_suite("springer", n_max=3, primes=(3,))
+    assert cli.main(["verify", "springer", "--n-max", "3",
+                     "--primes", "3"]) == 1
+    capsys.readouterr()
