@@ -2,8 +2,7 @@
 and optimal SL2-homomorphisms for GL_n over F_p and Q."""
 
 from .cochar import (Cocharacter, ParabolicData, distinguished_check,
-                     graded_decompose, levi_limit, parabolic_data,
-                     radical_class)
+                     levi_limit, radical_class)
 from .errors import (BudgetError, DomainError, InconsistencyError,
                      OptSL2Error, PreconditionError)
 from .jordan import (NilpotentJordanData, jordan_block, jordan_form,

@@ -2,11 +2,16 @@
 attached parabolic data.
 
 A cocharacter is stored as an eigenbasis (columns of an invertible
-matrix) together with integer weights.  Everything downstream is
-phrased through the induced grading: the component of M in degree i is
-the part of B^-1 M B supported on entry positions (r, c) with
-w_r - w_c = i, conjugated back.  Two cocharacters count as equal when
-they induce the same weight space projections, which is basis
+matrix B) together with integer weights.  The grading it induces is a
+mask on eigenbasis coordinates: `coords` writes M as B^-1 M B, whose
+entry (r, c) has degree w_r - w_c, and the degree mask is the one place
+that tests a degree, because in those coordinates every matrix unit
+E_rc is homogeneous.  A component, a piece basis, a parabolic membership
+test or a Levi limit is one coordinate change plus one mask.  The lower
+central series of Lie U(psi) runs on unit positions alone, because
+conjugation by B is a Lie algebra automorphism and the bracket of two
+units is a unit up to sign or zero.  Two cocharacters count as equal
+when they induce the same weight space projections, which is basis
 independent and works over any field, including F_2 where the group of
 rational points of G_m is trivial.
 """
@@ -16,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, PreconditionError
-from .matrices import IncrementalSpan, Mat, bracket, inverse
+from .matrices import Mat, inverse
+
+
+def _degree_mask(weights, keep) -> list:
+    """The coordinate positions (r, c), row-major, whose degree
+    w_r - w_c the predicate keep accepts."""
+    return [(r, c) for r, wr in enumerate(weights)
+            for c, wc in enumerate(weights) if keep(wr - wc)]
 
 
 class Cocharacter:
@@ -39,6 +51,31 @@ class Cocharacter:
     def n(self) -> int:
         return self.basis.rows
 
+    # -- eigenbasis coordinates ----------------------------------------
+
+    def coords(self, M: Mat) -> Mat:
+        """M in eigenbasis coordinates, B^-1 M B."""
+        if M.rows != self.n or M.cols != self.n:
+            raise DomainError("matrix size does not match cocharacter")
+        return self.basis_inv * M * self.basis
+
+    def from_coords(self, C: Mat) -> Mat:
+        """The matrix with eigenbasis coordinates C, B C B^-1."""
+        return self.basis * C * self.basis_inv
+
+    def mask(self, keep) -> list:
+        """The degree mask: coordinate positions (r, c), row-major, whose
+        degree w_r - w_c the predicate keep accepts."""
+        return _degree_mask(self.weights, keep)
+
+    def masked(self, C: Mat, keep) -> Mat:
+        """Coordinates C with every entry outside mask(keep) zeroed."""
+        n = self.n
+        data = [self.domain.zero()] * (n * n)
+        for r, c in self.mask(keep):
+            data[r * n + c] = C.data[r * n + c]
+        return Mat(self.domain, n, n, data)
+
     def at(self, t) -> Mat:
         """Value of the cocharacter at a nonzero field element t."""
         d = self.domain
@@ -57,18 +94,15 @@ class Cocharacter:
                 for _ in range(-w):
                     v = d.mul(v, t_inv)
             diag.append(v)
-        return self.basis * Mat.diagonal(d, diag) * self.basis_inv
+        return self.from_coords(Mat.diagonal(d, diag))
 
     # -- action on the natural module ----------------------------------
-
-    def weight_values(self):
-        return sorted(set(self.weights))
 
     def weight_projection(self, w: int) -> Mat:
         """Projection of k^n onto the weight-w eigenspace."""
         d = self.domain
         diag = [d.one() if wi == w else d.zero() for wi in self.weights]
-        return self.basis * Mat.diagonal(d, diag) * self.basis_inv
+        return self.from_coords(Mat.diagonal(d, diag))
 
     def __eq__(self, other):
         if not isinstance(other, Cocharacter):
@@ -94,44 +128,24 @@ class Cocharacter:
 
     def component(self, M: Mat, w: int) -> Mat:
         """Degree-w part of M in the grading of gl_n, ad-weight w."""
-        if M.rows != self.n or M.cols != self.n:
-            raise DomainError("matrix size does not match cocharacter")
-        C = self.basis_inv * M * self.basis
-        d = self.domain
-        z = d.zero()
-        data = list(C.data)
-        n = self.n
-        for r in range(n):
-            for c in range(n):
-                if self.weights[r] - self.weights[c] != w:
-                    data[r * n + c] = z
-        masked = Mat(d, n, n, data)
-        return self.basis * masked * self.basis_inv
+        return self.from_coords(self.masked(self.coords(M),
+                                            lambda e: e == w))
 
     def components(self, M: Mat) -> dict:
         """All nonzero graded components, as a weight -> Mat map."""
+        C = self.coords(M)
         out = {}
         for w in self.ad_weight_values():
-            comp = self.component(M, w)
-            if not comp.is_zero():
-                out[w] = comp
+            part = self.masked(C, lambda e: e == w)
+            if not part.is_zero():
+                out[w] = self.from_coords(part)
         return out
 
     def piece_basis(self, w: int):
         """Basis matrices of the degree-w graded piece of gl_n."""
-        out = []
         n = self.n
-        d = self.domain
-        for r in range(n):
-            for c in range(n):
-                if self.weights[r] - self.weights[c] == w:
-                    out.append(self.basis * Mat.unit(d, n, n, r, c)
-                               * self.basis_inv)
-        return out
-
-
-def graded_decompose(gamma: Cocharacter, M: Mat) -> dict:
-    return gamma.components(M)
+        return [self.from_coords(Mat.unit(self.domain, n, n, r, c))
+                for r, c in self.mask(lambda e: e == w)]
 
 
 @dataclass
@@ -142,73 +156,15 @@ class ParabolicData:
     dim_z: int = field(init=False)
 
     def __post_init__(self):
-        n = self.gamma.n
-        ws = self.gamma.weights
-        self.dim_z = sum(1 for r in range(n) for c in range(n)
-                         if ws[r] == ws[c])
-        self.dim_u = sum(1 for r in range(n) for c in range(n)
-                         if ws[r] > ws[c])
+        self.dim_z = len(self.gamma.mask(lambda e: e == 0))
+        self.dim_u = len(self.gamma.mask(lambda e: e > 0))
         self.dim_p = self.dim_z + self.dim_u
 
-    def _in_basis(self, g: Mat) -> Mat:
-        if g.rows != self.gamma.n or g.cols != self.gamma.n:
-            raise DomainError("matrix size does not match parabolic")
-        return self.gamma.basis_inv * g * self.gamma.basis
-
-    def contains(self, g: Mat) -> bool:
-        """Membership in P(gamma): no component of negative weight."""
-        C = self._in_basis(g)
-        ws = self.gamma.weights
-        z = g.domain.zero()
-        n = self.gamma.n
-        return all(C[r, c] == z for r in range(n) for c in range(n)
-                   if ws[r] < ws[c])
-
-    def levi_contains(self, g: Mat) -> bool:
-        """Membership in the Levi Z(gamma): purely weight-0."""
-        C = self._in_basis(g)
-        ws = self.gamma.weights
-        z = g.domain.zero()
-        n = self.gamma.n
-        return all(C[r, c] == z for r in range(n) for c in range(n)
-                   if ws[r] != ws[c])
-
-    def radical_contains(self, g: Mat) -> bool:
-        """Membership in U(gamma): in P with weight-0 part the identity."""
-        if not self.contains(g):
-            return False
-        zero_part = self.gamma.component(g, 0)
-        return zero_part.is_identity()
-
-    def lie_p_basis(self):
-        out = []
-        for w in self.gamma.ad_weight_values():
-            if w >= 0:
-                out.extend(self.gamma.piece_basis(w))
-        return out
-
-    def lie_u_basis(self):
-        out = []
-        for w in self.gamma.ad_weight_values():
-            if w > 0:
-                out.extend(self.gamma.piece_basis(w))
-        return out
-
-    def lie_z_basis(self):
-        return self.gamma.piece_basis(0)
-
-    def lie_contains(self, M: Mat) -> bool:
-        """Lie algebra membership: no negative graded component."""
-        C = self._in_basis(M)
-        ws = self.gamma.weights
-        z = M.domain.zero()
-        n = self.gamma.n
-        return all(C[r, c] == z for r in range(n) for c in range(n)
-                   if ws[r] < ws[c])
-
-
-def parabolic_data(gamma: Cocharacter) -> ParabolicData:
-    return ParabolicData(gamma)
+    def contains(self, M: Mat) -> bool:
+        """Membership of a group element in P(gamma), or of a matrix in
+        Lie P(gamma): no coordinate of negative degree."""
+        gamma = self.gamma
+        return gamma.masked(gamma.coords(M), lambda e: e < 0).is_zero()
 
 
 def levi_limit(gamma: Cocharacter, g: Mat) -> Mat:
@@ -217,9 +173,29 @@ def levi_limit(gamma: Cocharacter, g: Mat) -> Mat:
     Concretely the weight-0 component of g; the negative components must
     vanish for the limit to exist, positive ones are killed by it.
     """
-    if not parabolic_data(gamma).contains(g):
+    if not ParabolicData(gamma).contains(g):
         raise PreconditionError("element is not in P(gamma), no limit")
     return gamma.component(g, 0)
+
+
+def _radical_series(weights) -> list:
+    """Lower central series u, [u, u], [u, [u, u]], ... of Lie U(psi)
+    up to its last nonzero term, each term as the set of unit positions
+    (r, c) whose matrix units E_rc span it in eigenbasis coordinates.
+
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj, and for two units of positive
+    degree both deltas would give w_i > w_j > w_i, so each bracket is a
+    unit up to sign and every term is spanned by units, in every
+    characteristic.
+    """
+    u = _degree_mask(weights, lambda e: e > 0)
+    series = []
+    term = set(u)
+    while term:
+        series.append(term)
+        term = ({(i, l) for i, j in u for k, l in term if j == k}
+                | {(k, j) for i, j in u for k, l in term if l == i})
+    return series
 
 
 @dataclass(frozen=True)
@@ -237,13 +213,9 @@ def distinguished_check(gamma: Cocharacter) -> DistinguishedReport:
     Commutators are computed on the Lie algebra of the radical, which in
     type A matches the group lower central series step.
     """
-    pd = parabolic_data(gamma)
-    u_basis = pd.lie_u_basis()
-    comm = IncrementalSpan(gamma.domain)
-    for a in u_basis:
-        for b in u_basis:
-            comm.add_mat(bracket(a, b))
-    dim_comm = comm.dim
+    pd = ParabolicData(gamma)
+    series = _radical_series(gamma.weights)
+    dim_comm = len(series[1]) if len(series) > 1 else 0
     dim_levi = pd.dim_z
     dim_u_mod = pd.dim_u - dim_comm
     return DistinguishedReport(
@@ -254,20 +226,6 @@ def distinguished_check(gamma: Cocharacter) -> DistinguishedReport:
 
 
 def radical_class(gamma: Cocharacter) -> int:
-    """Nilpotence class of U(gamma) via the lower central series of its
-    Lie algebra of strictly positive weight matrices."""
-    pd = parabolic_data(gamma)
-    layer = pd.lie_u_basis()
-    full = layer
-    cls = 0
-    while layer:
-        cls += 1
-        span = IncrementalSpan(gamma.domain)
-        nxt = []
-        for a in full:
-            for b in layer:
-                c = bracket(a, b)
-                if span.add_mat(c):
-                    nxt.append(c)
-        layer = nxt
-    return cls
+    """Nilpotence class of U(gamma): the length of the lower central
+    series of its Lie algebra of strictly positive weight matrices."""
+    return len(_radical_series(gamma.weights))

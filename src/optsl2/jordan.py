@@ -70,15 +70,13 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
     d = X.domain
     if n == 0:
         return NilpotentJordanData(partition=(), basis=Mat.zero(d, 0, 0))
-    powers.append(Mat.zero(d, n))
-    m = len(powers)  # nilpotency index, X^m = 0, X^(m-1) != 0
+    m = len(powers) + 1  # nilpotency index, X^m = 0, X^(m-1) != 0
 
-    kernels = [[]]
-    nullities = [0]
-    for power in powers:
-        _, ker = rank_nullspace(power)
-        kernels.append(ker)
-        nullities.append(len(ker))
+    # ker X^m is all of k^n: its standard basis, the one rank_nullspace
+    # reads off the zero matrix
+    kernels = ([[]] + [rank_nullspace(power)[1] for power in powers]
+               + [[Mat.unit(d, n, 1, i, 0) for i in range(n)]])
+    nullities = [len(ker) for ker in kernels]
     lam_conj = tuple(nullities[i] - nullities[i - 1] for i in range(1, m + 1))
     partition = conjugate(lam_conj)
 

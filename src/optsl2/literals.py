@@ -61,6 +61,8 @@ def mat_to_literal(M: Mat) -> dict:
 
 
 def mat_from_literal(obj) -> Mat:
+    """Inverse of mat_to_literal; no command reads matrix literals, and
+    test_literals keeps it as the round-trip reference."""
     dom = domain_from_literal(obj)
     rows, cols = obj["rows"], obj["cols"]
     entries = obj["entries"]

@@ -93,21 +93,6 @@ class Mat:
             c0 += b.cols
         return Mat(domain, n, m, [x for row in out for x in row])
 
-    @staticmethod
-    def from_cols(domain, cols):
-        """Assemble a matrix from column vectors (k x 1 Mats or tuples)."""
-        vecs = []
-        for v in cols:
-            if isinstance(v, Mat):
-                if v.cols != 1:
-                    raise DomainError("column vector expected")
-                vecs.append(v.data)
-            else:
-                vecs.append(tuple(domain.of(x) for x in v))
-        n = len(vecs[0])
-        data = [vecs[j][i] for i in range(n) for j in range(len(vecs))]
-        return Mat(domain, n, len(vecs), data)
-
     # -- access ---------------------------------------------------------
 
     def __getitem__(self, rc):
@@ -232,11 +217,6 @@ class Mat:
             if not e:
                 return result
             base = base * base
-
-    def transpose(self):
-        data = [self.data[i * self.cols + j]
-                for j in range(self.cols) for i in range(self.rows)]
-        return Mat(self.domain, self.cols, self.rows, data)
 
     def trace(self):
         if not self.is_square():
@@ -494,9 +474,6 @@ class IncrementalSpan:
 
     def add_mat(self, M: Mat) -> bool:
         return self.add(M.data)
-
-    def contains_mat(self, M: Mat) -> bool:
-        return self.contains(M.data)
 
 
 def span_rank(vectors) -> int:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochar import (Cocharacter, ParabolicData, parabolic_data,
-                     radical_class)
+from .cochar import Cocharacter, ParabolicData, radical_class
 from .errors import InconsistencyError, PreconditionError
 from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
                      nilpotent_powers)
@@ -65,7 +64,7 @@ def instability_parabolic(X: Mat) -> InstabilityData:
     """P(psi) for the associated cocharacter psi; the optimal
     destabilising parabolic of the unstable vector X."""
     psi = associated_cocharacter(X).psi
-    return InstabilityData(psi=psi, parabolic=parabolic_data(psi))
+    return InstabilityData(psi=psi, parabolic=ParabolicData(psi))
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ def centralizer_report(X: Mat) -> CentralizerReport:
     rank_ad, null = rank_nullspace(ad_operator(X))
     dim_c = n * n - rank_ad
     formula = sum(c * c for c in conjugate(data.jordan.partition))
-    pd = parabolic_data(data.psi)
-    contained = all(pd.lie_contains(devectorize(v, n)) for v in null)
+    pd = ParabolicData(data.psi)
+    contained = all(pd.contains(devectorize(v, n)) for v in null)
     return CentralizerReport(partition=data.jordan.partition, dim_c=dim_c,
                              formula_dim=formula, rank_ad=rank_ad,
                              contained_in_p_psi=contained)
@@ -175,13 +174,14 @@ def weight_bound_check(p: int, lam) -> WeightBoundReport:
 def is_associated(psi: Cocharacter, Y: Mat) -> bool:
     """Whether psi is associated to the nilpotent Y: Y lies in degree 2
     and bracketing degree 0 against Y fills all of degree 2."""
-    if psi.component(Y, 2) != Y:
+    C = psi.coords(Y)
+    if psi.masked(C, lambda e: e == 2) != C:
         return False
-    target_dim = len(psi.piece_basis(2))
+    n = psi.n
     image = IncrementalSpan(psi.domain)
-    for b in psi.piece_basis(0):
-        image.add_mat(bracket(b, Y))
-    return image.dim == target_dim
+    for r, c in psi.mask(lambda e: e == 0):
+        image.add_mat(bracket(Mat.unit(psi.domain, n, n, r, c), C))
+    return image.dim == len(psi.mask(lambda e: e == 2))
 
 
 def regular_richardson_for_borel(psi: Cocharacter) -> Mat:
@@ -195,7 +195,7 @@ def regular_richardson_for_borel(psi: Cocharacter) -> Mat:
     Y = B * jordan_form(psi.domain, (n,)) * inverse(B)
     if nilpotent_jordan(Y).partition != (n,):
         raise InconsistencyError("constructed element is not regular")
-    if not parabolic_data(psi).lie_contains(Y):
+    if not ParabolicData(psi).contains(Y):
         raise InconsistencyError("element is outside Lie P(psi)")
     return Y
 

@@ -61,10 +61,6 @@ class Domain:
         """Coerce an int, string or Fraction into a domain value."""
         raise NotImplementedError
 
-    @property
-    def is_fp(self) -> bool:
-        return self.p is not None
-
 
 class FpDomain(Domain):
     def __init__(self, p: int):

@@ -63,11 +63,6 @@ class CharacterVector:
     def dim(self) -> int:
         return sum(self._mult.values())
 
-    @property
-    def top_weight(self) -> int:
-        """Largest weight; 0 for the empty character."""
-        return max(self._mult) if self._mult else 0
-
     def __add__(self, other):
         mult = dict(self._mult)
         for w, m in other._mult.items():

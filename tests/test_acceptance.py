@@ -1,7 +1,10 @@
 """End-to-end acceptance runs: each test drives one verification suite
 (or the direct instance checks) over its full grid, requires zero
-falsifications and zero skips, and enforces the wall-clock limit."""
+falsifications and zero skips, pins the digest of the records and
+enforces the wall-clock limit."""
 
+import hashlib
+import json
 import time
 
 from optsl2.jordan import nilpotent_jordan
@@ -11,6 +14,41 @@ from optsl2.orbits import (associated_cocharacter, parabolic_block_type,
 from optsl2.scalars import Fp
 from optsl2.suites import run_suite
 from optsl2.tilting import adjoint_descriptor, tilting_decompose
+
+
+# SHA-256 of the sorted-key JSON of every record's (claim, instance,
+# witness, verified) on the default grid and seed: the reports must stay
+# byte-identical unless a change alters verdicts on purpose and says so.
+REPORT_SHA = {
+    "centralizer":
+        "f5e2b18c16ddf93eb19508bca0018c060615083e3ae0ec3d9fd1d7a93dde64bb",
+    "conjugacy":
+        "ed6d08ad4bd1a3b774d65e967f9c99e92edd3814551c5e4344012164b2833395",
+    "epsilon":
+        "5fdaf9d08e30f9627405e1514e364f287e2a66e72de459527c59e74a947543d2",
+    "gcr":
+        "0967f4c20383f7db5c266060dfa43229f7aafe6b0ae71688388928b2ae53e6dd",
+    "order-formula":
+        "4b9464ca13648340aa4ec663d65f3487a2c933900b5c283b18470da77073dcd4",
+    "spaltenstein":
+        "905e2c15525bfc4b364c8b0e3f4644c31c1422be2f9d24ca719608c5d41aee6f",
+    "springer":
+        "6bbe009d3f99d2a72b238ef2332e7af0a0089753319602a8d577df444e449dae",
+    "tilting":
+        "004a3c693c330811e42c40703e5472fd3012bb7483e6bdaa195e06bea374a989",
+    "untwist":
+        "512b212f9eea0a05315deaf4be159b34e35ca4e2fb6d27a9b13172d2d45aa297",
+    "weight-bound":
+        "7b892fd9ae9caf1c1b8820c87f8a3f2d3c5c92f6b943ba7702a8927db193d80a",
+}
+
+
+def _record_sha(report):
+    blob = json.dumps([{"claim": r.claim, "instance": r.instance,
+                        "witness": r.witness, "verified": r.verified}
+                       for r in report.records],
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _clean_suite(name, instances, limit, **kw):
@@ -23,6 +61,7 @@ def _clean_suite(name, instances, limit, **kw):
     assert s["skipped"] == 0, s
     assert elapsed < limit, "suite %s took %.1fs, limit %ds" % (name, elapsed,
                                                                limit)
+    assert _record_sha(report) == REPORT_SHA[name], name
     return report
 
 

@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from optsl2.cochar import (Cocharacter, distinguished_check, graded_decompose,
-                           levi_limit, parabolic_data, radical_class)
+from optsl2 import cli, cochar
+from optsl2.cochar import (Cocharacter, ParabolicData, distinguished_check,
+                           levi_limit, radical_class)
 from optsl2.errors import DomainError, PreconditionError
-from optsl2.matrices import Mat, bracket, random_mat
+from optsl2.matrices import (IncrementalSpan, Mat, bracket, inverse,
+                             random_invertible, random_mat)
+from optsl2.orbits import is_associated, rep_from_partition
+from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ
+from optsl2.sl2 import build_optimal, hom_torus_cochar
+from optsl2.suites import run_suite
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -35,7 +41,7 @@ def test_diagonal_values():
 def test_weight_projections_resolve_identity():
     gamma = Cocharacter.diagonal(F3, (1, 1, 0, -2))
     total = Mat.zero(F3, 4, 4)
-    for w in gamma.weight_values():
+    for w in sorted(set(gamma.weights)):
         P = gamma.weight_projection(w)
         assert P * P == P
         total = total + P
@@ -57,7 +63,7 @@ def test_graded_components_sum_and_multiply():
     gamma = Cocharacter.diagonal(F5, (2, 0, 0, -1))
     for _ in range(10):
         M = random_mat(F5, 4, 4, rnd)
-        comps = graded_decompose(gamma, M)
+        comps = gamma.components(M)
         total = Mat.zero(F5, 4, 4)
         for w, part in comps.items():
             assert gamma.component(part, w) == part
@@ -83,22 +89,17 @@ def test_piece_basis_dimensions():
 
 def test_parabolic_membership_and_dims():
     gamma = Cocharacter.diagonal(F3, (1, 0, -1))
-    pd = parabolic_data(gamma)
+    pd = ParabolicData(gamma)
     assert (pd.dim_z, pd.dim_u, pd.dim_p) == (3, 3, 6)
     upper = Mat.from_rows(F3, [[1, 2, 0], [0, 1, 1], [0, 0, 2]])
     lower = Mat.from_rows(F3, [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
     assert pd.contains(upper)
     assert not pd.contains(lower)
-    assert pd.levi_contains(Mat.diagonal(F3, [1, 2, 1]))
-    assert not pd.levi_contains(upper)
-    unip = Mat.from_rows(F3, [[1, 2, 1], [0, 1, 0], [0, 0, 1]])
-    assert pd.radical_contains(unip)
-    assert not pd.radical_contains(Mat.diagonal(F3, [2, 1, 1]))
-    assert pd.lie_contains(Mat.from_rows(F3, [[1, 1, 0], [0, 0, 2], [0, 0, 1]]))
-    assert not pd.lie_contains(lower)
-    assert len(pd.lie_p_basis()) == pd.dim_p
-    assert len(pd.lie_u_basis()) == pd.dim_u
-    assert len(pd.lie_z_basis()) == pd.dim_z
+    assert pd.contains(Mat.from_rows(F3, [[1, 1, 0], [0, 0, 2], [0, 0, 1]]))
+    # dimensions are the sizes of the graded pieces
+    pieces = {w: len(gamma.piece_basis(w)) for w in gamma.ad_weight_values()}
+    assert pd.dim_z == pieces[0]
+    assert pd.dim_u == sum(k for w, k in pieces.items() if w > 0)
 
 
 def test_levi_limit_kills_the_radical():
@@ -139,3 +140,164 @@ def test_radical_class():
         assert radical_class(gamma) == n - 1
     assert radical_class(Cocharacter.diagonal(F2, (1, 1, 0, 0))) == 1
     assert radical_class(Cocharacter.diagonal(F3, (0, 0))) == 0
+
+
+# -- the dense route of the parent design, kept as the reference --------
+
+def _dense_component(gamma, M, w):
+    B, B_inv = gamma.basis, inverse(gamma.basis)
+    C = B_inv * M * B
+    n, ws, z = gamma.n, gamma.weights, gamma.domain.zero()
+    data = [C[r, c] if ws[r] - ws[c] == w else z
+            for r in range(n) for c in range(n)]
+    return B * Mat(gamma.domain, n, n, data) * B_inv
+
+
+def _dense_contains(gamma, g):
+    C = inverse(gamma.basis) * g * gamma.basis
+    n, ws, z = gamma.n, gamma.weights, gamma.domain.zero()
+    return all(C[r, c] == z for r in range(n) for c in range(n)
+               if ws[r] < ws[c])
+
+
+def _dense_u_basis(gamma):
+    B, B_inv = gamma.basis, inverse(gamma.basis)
+    n, ws = gamma.n, gamma.weights
+    return [B * Mat.unit(gamma.domain, n, n, r, c) * B_inv
+            for w in gamma.ad_weight_values() if w > 0
+            for r in range(n) for c in range(n) if ws[r] - ws[c] == w]
+
+
+def _dense_radical_class(gamma):
+    layer = full = _dense_u_basis(gamma)
+    cls = 0
+    while layer:
+        cls += 1
+        span = IncrementalSpan(gamma.domain)
+        nxt = []
+        for a in full:
+            for b in layer:
+                c = bracket(a, b)
+                if span.add_mat(c):
+                    nxt.append(c)
+        layer = nxt
+    return cls
+
+
+def _dense_distinguished(gamma):
+    u_basis = _dense_u_basis(gamma)
+    comm = IncrementalSpan(gamma.domain)
+    for a in u_basis:
+        for b in u_basis:
+            comm.add_mat(bracket(a, b))
+    ws = gamma.weights
+    dim_levi = sum(1 for a in ws for b in ws if a == b)
+    dim_u_mod = len(u_basis) - comm.dim
+    return dim_levi, dim_u_mod, dim_levi == dim_u_mod + 1
+
+
+def _dense_is_associated(psi, Y):
+    if _dense_component(psi, Y, 2) != Y:
+        return False
+    B, B_inv = psi.basis, inverse(psi.basis)
+    n, ws = psi.n, psi.weights
+    pieces = {w: [B * Mat.unit(psi.domain, n, n, r, c) * B_inv
+                  for r in range(n) for c in range(n)
+                  if ws[r] - ws[c] == w] for w in (0, 2)}
+    image = IncrementalSpan(psi.domain)
+    for b in pieces[0]:
+        image.add_mat(bracket(b, Y))
+    return image.dim == len(pieces[2])
+
+
+def _random_cochars(rnd):
+    """Cocharacters on seeded random bases over F_2, F_3, F_5 and Q,
+    n <= 5, with weights drawn with and without repeats."""
+    for dom in (F2, F3, F5, QQ):
+        for n in range(1, 6):
+            for repeats in (False, True):
+                if repeats:
+                    ws = [rnd.randint(-2, 2) for _ in range(n)]
+                else:
+                    ws = rnd.sample(range(-4, 5), n)
+                yield Cocharacter(random_invertible(dom, n, rnd, bound=3), ws)
+
+
+def _optimal_cochars(rnd):
+    """(hom_torus_cochar(build_optimal(X')), X') for seeded random
+    conjugates X' = g X g^-1 of every admissible partition, n <= 5."""
+    for dom in (F2, F3, F5, QQ):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                if dom.p is not None and not admissible(lam, dom.p):
+                    continue
+                g = random_invertible(dom, n, rnd, bound=3)
+                X = g * rep_from_partition(dom, lam) * inverse(g)
+                yield hom_torus_cochar(build_optimal(X)), X
+
+
+def _check_against_dense(gamma, rnd):
+    d, n = gamma.domain, gamma.n
+    assert radical_class(gamma) == _dense_radical_class(gamma)
+    rep = distinguished_check(gamma)
+    assert (rep.dim_levi, rep.dim_u_mod_comm, rep.is_distinguished) \
+        == _dense_distinguished(gamma)
+    pd = ParabolicData(gamma)
+    M = random_mat(d, n, n, rnd, bound=3)
+    comps = gamma.components(M)
+    for w in gamma.ad_weight_values():
+        dense = _dense_component(gamma, M, w)
+        assert gamma.component(M, w) == dense
+        assert comps.get(w, Mat.zero(d, n)) == dense
+    # a random matrix, its part of nonnegative degree, and that part
+    # plus one unit of the lowest degree (negative unless the weights
+    # are all equal)
+    in_p = Mat.zero(d, n)
+    for w, part in comps.items():
+        if w >= 0:
+            in_p = in_p + part
+    lowest = gamma.piece_basis(min(gamma.ad_weight_values()))
+    candidates = [M, in_p, in_p + lowest[0]]
+    for g in candidates:
+        assert pd.contains(g) == _dense_contains(gamma, g)
+    assert pd.contains(in_p)
+
+
+def test_grading_matches_dense_reference_on_random_cochars():
+    rnd = random.Random(61)
+    for gamma in _random_cochars(rnd):
+        _check_against_dense(gamma, rnd)
+
+
+def test_grading_matches_dense_reference_on_optimal_cochars():
+    rnd = random.Random(62)
+    verdicts_in_degree_2 = set()
+    for psi, X in _optimal_cochars(rnd):
+        _check_against_dense(psi, rnd)
+        d, n = psi.domain, psi.n
+        degree_2 = psi.piece_basis(2)
+        ys = [X, X + Mat.identity(d, n), Mat.zero(d, n)] + degree_2[:1]
+        if degree_2:
+            ys.append(X + degree_2[-1])
+            ys.append(random_mat(d, n, n, rnd, bound=3))
+        for Y in ys:
+            verdict = is_associated(psi, Y)
+            assert verdict == _dense_is_associated(psi, Y), (psi, Y)
+            if psi.component(Y, 2) == Y:
+                verdicts_in_degree_2.add(verdict)
+        assert is_associated(psi, X)
+    # degree-2 elements that are and are not associated both occurred
+    assert verdicts_in_degree_2 == {True, False}
+
+
+def test_planted_radical_series_fault_is_caught(monkeypatch, capsys):
+    """Dropping the last term of the lower central series lowers every
+    nonzero radical class by one, which the order-formula suite reports
+    as falsified records and the CLI as exit status 1."""
+    exact = cochar._radical_series
+    monkeypatch.setattr(cochar, "_radical_series",
+                        lambda weights: exact(weights)[:-1])
+    report = run_suite("order-formula")
+    assert report.summary["falsified"] > 0
+    assert cli.main(["verify", "order-formula"]) == 1
+    capsys.readouterr()

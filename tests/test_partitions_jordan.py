@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from optsl2 import jordan
 from optsl2.errors import DomainError
-from optsl2.jordan import jordan_block, jordan_form, nilpotent_jordan
-from optsl2.matrices import Mat, inverse, random_invertible
+from optsl2.jordan import (jordan_block, jordan_form, nilpotent_jordan,
+                           nilpotent_powers)
+from optsl2.matrices import Mat, inverse, random_invertible, rank_nullspace
 from optsl2.partitions import (admissible, check_partition, conjugate,
                                partitions_of)
 from optsl2.scalars import Fp, QQ
@@ -107,3 +109,27 @@ def test_nilpotent_jordan_is_deterministic():
         second = nilpotent_jordan(X)
         assert first.basis == second.basis
         assert first.partition == second.partition
+
+
+def test_nilpotent_jordan_eliminates_only_nonzero_powers(monkeypatch):
+    """ker X^m = k^n is the standard basis, the one rank_nullspace reads
+    off the zero matrix, so only the nonzero powers are eliminated."""
+    for dom in (F2, QQ):
+        for n in range(1, 5):
+            assert rank_nullspace(Mat.zero(dom, n))[1] == \
+                [Mat.unit(dom, n, 1, i, 0) for i in range(n)]
+    calls = [0]
+
+    def counting(M):
+        calls[0] += 1
+        return rank_nullspace(M)
+
+    monkeypatch.setattr(jordan, "rank_nullspace", counting)
+    rnd = random.Random(14)
+    for dom in (F3, QQ):
+        for lam in partitions_of(4):
+            g = random_invertible(dom, 4, rnd, bound=2)
+            X = g * jordan_form(dom, lam) * inverse(g)
+            calls[0] = 0
+            assert nilpotent_jordan(X).partition == lam
+            assert calls[0] == len(nilpotent_powers(X)) == lam[0] - 1

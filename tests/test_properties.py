@@ -24,7 +24,7 @@ nonzero_rationals = st.builds(Fraction, st.integers(1, 9)
 
 def scalars(dom):
     """Strategies for (all, nonzero) values of a domain."""
-    if dom.is_fp:
+    if dom.p is not None:
         return st.integers(0, dom.p - 1), st.integers(1, dom.p - 1)
     return rationals, nonzero_rationals
 
@@ -54,7 +54,7 @@ def nilpotent_conjugate(draw, dom, n_max):
     only partitions with parts at most p."""
     n = draw(st.integers(1, n_max))
     lams = [lam for lam in partitions_of(n)
-            if not dom.is_fp or admissible(lam, dom.p)]
+            if dom.p is None or admissible(lam, dom.p)]
     lam = draw(st.sampled_from(lams))
     g = draw(invertible(dom, n))
     return g * rep_from_partition(dom, lam) * inverse(g)

@@ -10,11 +10,9 @@ from optsl2.tilting import (CharacterVector, ModuleDescriptor,
 def test_character_vector_basics():
     c = CharacterVector({2: 1, 0: 2, -2: 1})
     assert c.dim == 4
-    assert c.top_weight == 2
     assert c.mult(0) == 2 and c.mult(4) == 0
     assert c.support == [2, 0, -2]
     assert CharacterVector({1: 0}) == CharacterVector({})
-    assert CharacterVector({}).top_weight == 0
     assert CharacterVector.from_weights([1, -1, 1, -1]).mult(1) == 2
 
 
