@@ -25,14 +25,12 @@ from .jordan import nilpotent_jordan
 from .literals import mat_to_literal, scalar_to_literal
 from .matrices import DEFAULT_BUDGET, Mat
 from .orbits import orbit_summary, rep_from_partition
-from .partitions import partitions_of
+from .partitions import admissible, check_partition, partitions_of
 from .scalars import Fp, QQ, parse_rational
-from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                  count_radical_conjugators, gcr_check_hom, hom_torus_cochar,
-                  positive_commutant_basis, radical_element, verify_optimal)
+from .sl2 import build_optimal, hom_torus_cochar, verify_optimal
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
-from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .suites import _SUITE_FUNCS, DEFAULT_SEED, SUITE_NAMES, run_suite
 from .tilting import adjoint_descriptor, tilting_decompose
 
 SCHEMA = 1
@@ -62,6 +60,30 @@ def _fmt_mat(M: Mat) -> str:
                      for row in cells)
 
 
+def _fmt_record(r: dict) -> str:
+    """One text line per record, plus the witness of a falsified one."""
+    status = {True: "ok  ", False: "FAIL", None: "skip"}[r["verified"]]
+    line = "%s %s  %s" % (status, r["claim"], _fmt_instance(r["instance"]))
+    if r.get("runtime") is not None:
+        line += "  (%.3fs)" % r["runtime"]
+    if r["verified"] is False:
+        line += "\n     witness: %s" % r["witness"]
+    return line
+
+
+def _suite_records(suite, grid, args, keep) -> list:
+    """The records of one suite's checks at the instances keep accepts,
+    run directly on the given grid; a raise ends the command."""
+    func = _SUITE_FUNCS[suite][0]
+    records = []
+    for claim, instance, check in func(grid, args.seed, args.budget):
+        if keep(instance):
+            witness, verified = check()
+            records.append({"claim": claim, "instance": instance,
+                            "witness": witness, "verified": verified})
+    return records
+
+
 # -- verify -------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
@@ -69,16 +91,16 @@ def _cmd_verify(args) -> int:
                        seed=args.seed, budget=args.budget,
                        timings=args.timings or args.format == "text")
     summary = report.summary
+    records = [{"claim": r.claim, "instance": r.instance,
+                "witness": r.witness, "verified": r.verified,
+                "runtime": r.runtime} for r in report.records]
     if args.format == "json":
         obj = {
             "schema": SCHEMA,
             "suite": report.suite,
             "grid": report.grid,
             "seed": report.seed,
-            "records": [{"claim": r.claim, "instance": r.instance,
-                         "witness": r.witness, "verified": r.verified,
-                         "runtime": r.runtime if args.timings else None}
-                        for r in report.records],
+            "records": records,
             "summary": summary,
             "metadata": report.metadata,
         }
@@ -87,14 +109,8 @@ def _cmd_verify(args) -> int:
         print("suite: %s" % report.suite)
         print("grid: %s" % _fmt_instance(report.grid))
         print("seed: %d" % report.seed)
-        for r in report.records:
-            status = {True: "ok  ", False: "FAIL", None: "skip"}[r.verified]
-            line = "%s %s  %s" % (status, r.claim, _fmt_instance(r.instance))
-            if r.runtime is not None:
-                line += "  (%.3fs)" % r.runtime
-            print(line)
-            if r.verified is False:
-                print("     witness: %s" % r.witness)
+        for r in records:
+            print(_fmt_record(r))
         print("summary: %(instances)d instances, %(verified)d verified, "
               "%(falsified)d falsified, %(skipped)d skipped" % summary)
         print("note: %s" % report.metadata["closure_note"])
@@ -228,69 +244,42 @@ def _cmd_optimal_build(args) -> int:
 
 
 def _cmd_optimal_conjugacy(args) -> int:
-    dom = Fp(args.p)
-    records = []
-    for lam in partitions_of(args.n):
-        if lam[0] > args.p:
-            continue
-        X = rep_from_partition(dom, lam)
-        phi1 = build_optimal(X)
-        basis = positive_commutant_basis(X, hom_torus_cochar(phi1))
-        instance = {"partition": list(lam), "p": args.p}
-        if args.p ** len(basis) > args.budget:
-            records.append({"claim": "radical-conjugator-unique",
-                            "instance": instance,
-                            "witness": {"radical_size":
-                                        "%d^%d" % (args.p, len(basis))},
-                            "verified": None})
-            continue
-        rnd = random.Random("%d|cli-conjugacy|%d|%s"
-                            % (args.seed, args.p, lam))
-        twist = radical_element(dom, X.rows, basis,
-                                [rnd.randrange(args.p) for _ in basis])
-        phi2 = conjugate_hom(phi1, twist)
-        recovered = conjugate_optimal(phi1, phi2)
-        matches = count_radical_conjugators(phi1, phi2, basis)
-        verified = recovered == twist and matches == 1
-        records.append({"claim": "radical-conjugator-unique",
-                        "instance": instance,
-                        "witness": {"recovered_equals_twist":
-                                    recovered == twist,
-                                    "radical_conjugators": matches},
-                        "verified": verified})
+    """The conjugacy suite's check, one twist, for every admissible
+    partition of n."""
+    Fp(args.p)
+    if args.n < 1:
+        raise DomainError("--n must be at least 1, got %d" % args.n)
+    grid = {"n_max": args.n, "primes": (args.p,), "twists": 1}
+    records = _suite_records("conjugacy", grid, args,
+                             lambda i: sum(i["partition"]) == args.n)
     ok = all(r["verified"] is not False for r in records)
     if args.format == "json":
         print(_dump({"schema": SCHEMA, "n": args.n, "p": args.p,
                      "seed": args.seed, "records": records}))
     else:
         for r in records:
-            status = {True: "ok  ", False: "FAIL", None: "skip"}[r["verified"]]
-            print("%s %s  %s" % (status, r["claim"],
-                                 _fmt_instance(r["instance"])))
+            print(_fmt_record(r))
     return 0 if ok else 1
 
 
 def _cmd_optimal_gcr(args) -> int:
-    lam = _parse_ints(args.partition, "--partition")
-    phi = build_optimal(rep_from_partition(Fp(args.p), lam))
-    rep = gcr_check_hom(phi, budget=args.budget)
-    obj = {
-        "schema": SCHEMA,
-        "claim": "optimal-image-semisimple",
-        "instance": {"partition": list(lam), "p": args.p},
-        "witness": {"subspaces": rep.n_subspaces,
-                    "invariant": rep.n_invariant},
-        "verified": rep.semisimple,
-    }
+    lam = check_partition(_parse_ints(args.partition, "--partition"))
+    if not admissible(lam, args.p):
+        raise PreconditionError("largest part %d exceeds p = %d, no optimal "
+                                "homomorphism" % (lam[0], args.p))
+    instance = {"partition": list(lam), "p": args.p}
+    grid = {"n_max": sum(lam), "primes": (args.p,)}
+    [obj] = _suite_records("gcr", grid, args, lambda i: i == instance)
+    witness = obj["witness"]
     if args.format == "json":
-        print(_dump(obj))
+        print(_dump(dict(obj, schema=SCHEMA)))
     else:
         print("natural module under the optimal image, partition %s, F_%d"
               % (tuple(lam), args.p))
         print("  subspaces checked: %d (invariant: %d)"
-              % (rep.n_subspaces, rep.n_invariant))
-        print("semisimple: %s" % rep.semisimple)
-    return 0 if rep.semisimple else 1
+              % (witness["subspaces"], witness["invariant"]))
+        print("semisimple: %s" % obj["verified"])
+    return 0 if obj["verified"] else 1
 
 
 # -- springer -----------------------------------------------------------

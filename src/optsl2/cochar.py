@@ -173,9 +173,10 @@ def levi_limit(gamma: Cocharacter, g: Mat) -> Mat:
     Concretely the weight-0 component of g; the negative components must
     vanish for the limit to exist, positive ones are killed by it.
     """
-    if not ParabolicData(gamma).contains(g):
+    C = gamma.coords(g)
+    if not gamma.masked(C, lambda e: e < 0).is_zero():
         raise PreconditionError("element is not in P(gamma), no limit")
-    return gamma.component(g, 0)
+    return gamma.from_coords(gamma.masked(C, lambda e: e == 0))
 
 
 def _radical_series(weights) -> list:

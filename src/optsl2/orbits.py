@@ -17,7 +17,7 @@ from .errors import InconsistencyError, PreconditionError
 from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
                      nilpotent_powers)
 from .matrices import (IncrementalSpan, Mat, ad_operator, bracket,
-                       devectorize, hstack, inverse, rank_nullspace)
+                       devectorize, hstack, inverse, rank, rank_nullspace)
 from .partitions import admissible, check_partition, conjugate
 from .scalars import Fp
 
@@ -208,17 +208,20 @@ def parabolic_block_type(psi: Cocharacter) -> tuple:
 
 
 def orbit_summary(p: int, lam) -> dict:
-    """One orbit-table row, assembled from the exact computations."""
+    """One orbit-table row, assembled from the exact computations.  The
+    standard basis is a Jordan basis of the representative, so the
+    associated cocharacter is diagonal with the block weights."""
     lam = check_partition(lam)
     dom = Fp(p)
     X = rep_from_partition(dom, lam)
-    creport = centralizer_report(X)
+    n = X.rows
     oreport = order_formula_report(p, lam)
-    psi = associated_cocharacter(X).psi
+    weights = block_weights(lam)
+    psi = Cocharacter.diagonal(dom, weights)
     return {
         "partition": list(lam),
-        "dim_c": creport.dim_c,
-        "psi_weights": list(block_weights(lam)),
+        "dim_c": n * n - rank(ad_operator(X)),
+        "psi_weights": list(weights),
         "max_ad_weight": oreport.max_ad_weight,
         "unip_order": oreport.unip_order,
         "x_p_zero": oreport.x_p_zero,

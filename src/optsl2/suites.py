@@ -1,10 +1,14 @@
 """Verification suites behind the command line driver.
 
-Each suite sweeps a parameter grid and emits one record per instance
-with the claim id, the instance data, a small witness, and the
-verdict.  Suites are generators so the driver can time records
-individually; all randomness comes from per-instance seeds derived
-from the suite seed, making reports reproducible.
+Each suite sweeps a parameter grid and yields, per instance, the claim
+id, the instance data and a check: a zero-argument callable returning
+a small witness and the verdict.  run_suite alone turns checks into
+records.  A record's runtime times its check alone, so draws that fix
+the instance itself (the untwist suite's r) fall outside it.  A check
+that raises a library error other than BudgetError becomes one
+falsified record whose witness carries the error text, and the suite
+goes on.  All randomness comes from per-instance seeds derived from the
+suite seed, making reports reproducible.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import BudgetError, OptSL2Error
+from .errors import BudgetError, DomainError, OptSL2Error
 from .jordan import jordan_block, nilpotent_powers
 from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
                        rank, random_invertible)
@@ -79,31 +84,37 @@ def _admissible_grid(n_max, primes):
 
 # -- the ten suites -----------------------------------------------------
 
+def _instance(lam, p) -> dict:
+    return {"partition": list(lam), "p": p}
+
+
 def _suite_order_formula(grid, seed, budget):
     for p in grid["primes"]:
         for n in range(1, grid["n_max"] + 1):
-            rep = order_formula_report(p, (n,))
-            yield Record(
-                claim="order-conditions-agree",
-                instance={"partition": [n], "p": p},
-                witness={"unip_order": rep.unip_order,
-                         "max_ad_weight": rep.max_ad_weight,
-                         "radical_class": rep.radical_class,
-                         "conditions": [rep.has_order_p, rep.x_p_zero,
-                                        rep.weights_below_2p,
-                                        rep.class_below_p]},
-                verified=rep.all_agree)
+            yield ("order-conditions-agree", _instance((n,), p),
+                   partial(_order_formula, p, n))
+
+
+def _order_formula(p, n):
+    rep = order_formula_report(p, (n,))
+    return ({"unip_order": rep.unip_order,
+             "max_ad_weight": rep.max_ad_weight,
+             "radical_class": rep.radical_class,
+             "conditions": [rep.has_order_p, rep.x_p_zero,
+                            rep.weights_below_2p, rep.class_below_p]},
+            rep.all_agree)
 
 
 def _suite_weight_bound(grid, seed, budget):
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        rep = weight_bound_check(p, lam)
-        yield Record(
-            claim="ad-weights-within-2p-2",
-            instance={"partition": list(lam), "p": p},
-            witness={"min": rep.min_ad_weight, "max": rep.max_ad_weight,
-                     "bound": 2 * p - 2},
-            verified=rep.within_bound)
+        yield ("ad-weights-within-2p-2", _instance(lam, p),
+               partial(_weight_bound, p, lam))
+
+
+def _weight_bound(p, lam):
+    rep = weight_bound_check(p, lam)
+    return ({"min": rep.min_ad_weight, "max": rep.max_ad_weight,
+             "bound": 2 * p - 2}, rep.within_bound)
 
 
 def _random_springer(dom, n, rnd) -> SpringerCoeffs:
@@ -114,169 +125,151 @@ def _random_springer(dom, n, rnd) -> SpringerCoeffs:
 
 
 def _suite_springer(grid, seed, budget):
-    pairs = grid["pairs"]
     for p in grid["primes"]:
-        dom = Fp(p)
         for n in range(1, grid["n_max"] + 1):
             for lam in partitions_of(n):
-                rnd = _rng(seed, "springer", p, lam)
-                X = rep_from_partition(dom, lam)
-                u = Mat.identity(dom, n) + X
-                ok = True
-                note = None
-                for k in range(pairs):
-                    ca = _random_springer(dom, n, rnd)
-                    cb = _random_springer(dom, n, rnd)
-                    bij = orbit_bijection_check(ca, cb, u)
-                    if not bij.partitions_agree or bij.partition_u != lam:
-                        ok, note = False, "orbit map moved the partition"
-                        break
-                    fa = springer_apply(ca, u)
-                    if springer_invert(ca, fa) != u:
-                        ok, note = False, "round trip failed"
-                        break
-                    g = random_invertible(dom, n, rnd)
-                    gi = inverse(g)
-                    if springer_apply(ca, g * u * gi) != g * fa * gi:
-                        ok, note = False, "equivariance failed"
-                        break
-                yield Record(
-                    claim="springer-family-orbit-map",
-                    instance={"partition": list(lam), "p": p},
-                    witness={"coefficient_pairs": pairs,
-                             "failure": note},
-                    verified=ok)
+                yield ("springer-family-orbit-map", _instance(lam, p),
+                       partial(_springer, p, lam, grid["pairs"],
+                               _rng(seed, "springer", p, lam)))
+
+
+def _springer(p, lam, pairs, rnd):
+    dom = Fp(p)
+    n = sum(lam)
+    u = Mat.identity(dom, n) + rep_from_partition(dom, lam)
+    note = None
+    for _ in range(pairs):
+        ca = _random_springer(dom, n, rnd)
+        cb = _random_springer(dom, n, rnd)
+        bij = orbit_bijection_check(ca, cb, u)
+        if not bij.partitions_agree or bij.partition_u != lam:
+            note = "orbit map moved the partition"
+            break
+        fa = springer_apply(ca, u)
+        if springer_invert(ca, fa) != u:
+            note = "round trip failed"
+            break
+        g = random_invertible(dom, n, rnd)
+        gi = inverse(g)
+        if springer_apply(ca, g * u * gi) != g * fa * gi:
+            note = "equivariance failed"
+            break
+    return {"coefficient_pairs": pairs, "failure": note}, note is None
 
 
 def _suite_epsilon(grid, seed, budget):
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        dom = Fp(p)
-        X = rep_from_partition(dom, lam)
-        phi = build_optimal(X)
-        aligned = all(eval_hom(phi, sl2_x1(dom, t)) == eps_exp(X.scale(t))
-                      for t in range(p))
-        # budget 1 keeps this to the Lie-level kernels; the group
-        # enumeration lives in the centralizer suite
-        kernels = exp_centralizer_check(X, budget=1).nullspaces_agree
-        yield Record(
-            claim="exp-alignment-and-kernels",
-            instance={"partition": list(lam), "p": p},
-            witness={"t_values": p, "exp_aligned": aligned,
-                     "kernels_agree": kernels},
-            verified=aligned and kernels)
+        yield ("exp-alignment-and-kernels", _instance(lam, p),
+               partial(_epsilon, p, lam))
+
+
+def _epsilon(p, lam):
+    dom = Fp(p)
+    X = rep_from_partition(dom, lam)
+    phi = build_optimal(X)
+    aligned = all(eval_hom(phi, sl2_x1(dom, t)) == eps_exp(X.scale(t))
+                  for t in range(p))
+    # budget 1 keeps this to the Lie-level kernels; the group
+    # enumeration lives in the centralizer suite
+    kernels = exp_centralizer_check(X, budget=1).nullspaces_agree
+    return ({"t_values": p, "exp_aligned": aligned,
+             "kernels_agree": kernels}, aligned and kernels)
 
 
 def _suite_conjugacy(grid, seed, budget):
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        dom = Fp(p)
-        X = rep_from_partition(dom, lam)
-        phi1 = build_optimal(X)
-        psi = hom_torus_cochar(phi1)
-        basis = positive_commutant_basis(X, psi)
-        if p ** len(basis) > budget:
-            yield Record(
-                claim="radical-conjugator-unique",
-                instance={"partition": list(lam), "p": p},
-                witness={"radical_size": "%d^%d" % (p, len(basis))},
-                verified=None)
-            continue
-        rnd = _rng(seed, "conjugacy", p, lam)
-        ok = True
-        note = None
-        for k in range(grid["twists"]):
-            twist = radical_element(dom, X.rows, basis,
-                                    [rnd.randrange(p) for _ in basis])
-            phi2 = conjugate_hom(phi1, twist)
-            recovered = conjugate_optimal(phi1, phi2)
-            if recovered != twist:
-                ok, note = False, "solver returned a different conjugator"
-                break
-            matches = count_radical_conjugators(phi1, phi2, basis)
-            if matches != 1:
-                ok, note = False, "%d radical conjugators found" % matches
-                break
-        yield Record(
-            claim="radical-conjugator-unique",
-            instance={"partition": list(lam), "p": p},
-            witness={"twists": grid["twists"],
-                     "radical_size": "%d^%d" % (p, len(basis)),
-                     "failure": note},
-            verified=ok)
+        yield ("radical-conjugator-unique", _instance(lam, p),
+               partial(_conjugacy, p, lam, grid["twists"],
+                       _rng(seed, "conjugacy", p, lam), budget))
+
+
+def _conjugacy(p, lam, twists, rnd, budget):
+    dom = Fp(p)
+    X = rep_from_partition(dom, lam)
+    phi1 = build_optimal(X)
+    basis = positive_commutant_basis(X, hom_torus_cochar(phi1))
+    size = "%d^%d" % (p, len(basis))
+    if p ** len(basis) > budget:
+        return {"radical_size": size}, None
+    note = None
+    for _ in range(twists):
+        twist = radical_element(dom, X.rows, basis,
+                                [rnd.randrange(p) for _ in basis])
+        phi2 = conjugate_hom(phi1, twist)
+        if conjugate_optimal(phi1, phi2) != twist:
+            note = "solver returned a different conjugator"
+            break
+        matches = count_radical_conjugators(phi1, phi2, basis)
+        if matches != 1:
+            note = "%d radical conjugators found" % matches
+            break
+    return ({"twists": twists, "radical_size": size, "failure": note},
+            note is None)
 
 
 def _suite_centralizer(grid, seed, budget):
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        dom = Fp(p)
-        X = rep_from_partition(dom, lam)
-        n = X.rows
-        rep = exp_centralizer_check(X, budget=budget)
-        yield Record(
-            claim="exp-centralizer-equals-x-centralizer",
-            instance={"partition": list(lam), "p": p},
-            witness={"group_checked": rep.group_checked,
-                     "group_size": rep.group_size},
-            verified=rep.group_agree if rep.nullspaces_agree else False)
-        phi = build_optimal(X)
-        try:
-            hrep = hom_centralizer_check(phi, budget=budget)
-        except BudgetError:
-            yield Record(
-                claim="image-centralizer-intersection",
-                instance={"partition": list(lam), "p": p},
-                witness={"matrices": "%d^%d" % (p, n * n)},
-                verified=None)
-            continue
-        yield Record(
-            claim="image-centralizer-intersection",
-            instance={"partition": list(lam), "p": p},
-            witness={"centralizer_size": hrep.image_centralizer_size},
-            verified=hrep.equal)
+        yield ("exp-centralizer-equals-x-centralizer", _instance(lam, p),
+               partial(_exp_centralizer, p, lam, budget))
+        yield ("image-centralizer-intersection", _instance(lam, p),
+               partial(_image_centralizer, p, lam, budget))
+
+
+def _exp_centralizer(p, lam, budget):
+    rep = exp_centralizer_check(rep_from_partition(Fp(p), lam),
+                                budget=budget)
+    return ({"group_checked": rep.group_checked,
+             "group_size": rep.group_size},
+            rep.group_agree if rep.nullspaces_agree else False)
+
+
+def _image_centralizer(p, lam, budget):
+    n = sum(lam)
+    if p ** (n * n) > budget:
+        return {"matrices": "%d^%d" % (p, n * n)}, None
+    rep = hom_centralizer_check(build_optimal(rep_from_partition(Fp(p), lam)),
+                                budget=budget)
+    return {"centralizer_size": rep.image_centralizer_size}, rep.equal
 
 
 def _suite_gcr(grid, seed, budget):
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        rep = gcr_check_hom(build_optimal(rep_from_partition(Fp(p), lam)),
-                            budget=budget)
-        yield Record(
-            claim="optimal-image-semisimple",
-            instance={"partition": list(lam), "p": p},
-            witness={"subspaces": rep.n_subspaces,
-                     "invariant": rep.n_invariant},
-            verified=rep.semisimple)
-    dom = Fp(2)
-    control = gcr_check([Mat.identity(dom, 3) + jordan_block(dom, 3)],
+        yield ("optimal-image-semisimple", _instance(lam, p),
+               partial(_gcr, p, lam, budget))
+    yield ("non-semisimple-control-flagged", {"generator": "1 + J3", "p": 2},
+           partial(_gcr_control, budget))
+
+
+def _gcr(p, lam, budget):
+    rep = gcr_check_hom(build_optimal(rep_from_partition(Fp(p), lam)),
                         budget=budget)
-    yield Record(
-        claim="non-semisimple-control-flagged",
-        instance={"generator": "1 + J3", "p": 2},
-        witness={"invariant": control.n_invariant},
-        verified=not control.semisimple)
+    return ({"subspaces": rep.n_subspaces, "invariant": rep.n_invariant},
+            rep.semisimple)
+
+
+def _gcr_control(budget):
+    dom = Fp(2)
+    rep = gcr_check([Mat.identity(dom, 3) + jordan_block(dom, 3)],
+                    budget=budget)
+    return {"invariant": rep.n_invariant}, not rep.semisimple
+
+
+_TILTING_GOLDENS = {((2,), 2): "T(2)", ((3,), 3): "T(4) + L(2)"}
 
 
 def _suite_tilting(grid, seed, budget):
-    goldens = {((2,), 2): "T(2)", ((3,), 3): "T(4) + L(2)"}
     for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        desc = adjoint_descriptor(lam, p)
-        try:
-            dec = tilting_decompose(desc, p)
-        except OptSL2Error as exc:
-            yield Record(
-                claim="adjoint-module-tilting",
-                instance={"partition": list(lam), "p": p},
-                witness={"error": str(exc)},
-                verified=False)
-            continue
-        expected_fix = sum(m * m for m in conjugate(lam))
-        ok = desc.fix_p == desc.fix_0 == expected_fix
-        golden = goldens.get((lam, p))
-        if golden is not None:
-            ok = ok and str(dec) == golden
-        yield Record(
-            claim="adjoint-module-tilting",
-            instance={"partition": list(lam), "p": p},
-            witness={"decomposition": str(dec), "fix_p": desc.fix_p,
-                     "fix_0": desc.fix_0},
-            verified=ok)
+        yield ("adjoint-module-tilting", _instance(lam, p),
+               partial(_tilting, p, lam))
+
+
+def _tilting(p, lam):
+    desc = adjoint_descriptor(lam, p)
+    dec = str(tilting_decompose(desc, p))
+    ok = (desc.fix_p == desc.fix_0 == sum(m * m for m in conjugate(lam))
+          and dec == _TILTING_GOLDENS.get((lam, p), dec))
+    return ({"decomposition": dec, "fix_p": desc.fix_p,
+             "fix_0": desc.fix_0}, ok)
 
 
 def _random_additive(dom, rnd):
@@ -303,41 +296,43 @@ def _random_additive(dom, rnd):
 
 def _suite_untwist(grid, seed, budget):
     for p in grid["primes"]:
-        dom = Fp(p)
         for i in range(grid["count"]):
-            rnd = _rng(seed, "untwist", p, i)
-            h, r = _random_additive(dom, rnd)
-            h2, r2 = additive_untwist(h)
-            ok = (r2 == r
-                  and h2.coeffs == h.coeffs[r:]
-                  and not h2.coeffs[0].is_zero()
-                  and all(additive_eval(h, s) == additive_eval(h2, s)
-                          for s in range(p)))
-            yield Record(
-                claim="frobenius-untwist-exact",
-                instance={"p": p, "index": i, "r": r},
-                witness={"coefficients": len(h.coeffs), "n": h.n},
-                verified=ok)
+            # the draw fixes r, which is part of the instance
+            h, r = _random_additive(Fp(p), _rng(seed, "untwist", p, i))
+            yield ("frobenius-untwist-exact", {"p": p, "index": i, "r": r},
+                   partial(_untwist, h, r))
+
+
+def _untwist(h, r):
+    h2, r2 = additive_untwist(h)
+    ok = (r2 == r
+          and h2.coeffs == h.coeffs[r:]
+          and not h2.coeffs[0].is_zero()
+          and all(additive_eval(h, s) == additive_eval(h2, s)
+                  for s in range(h.domain.p)))
+    return {"coefficients": len(h.coeffs), "n": h.n}, ok
 
 
 def _suite_spaltenstein(grid, seed, budget):
-    rational_dims = {}
+    rational_dims = {}  # one rational rank per partition, across primes
     for p in grid["primes"]:
         for n in range(1, grid["n_max"] + 1):
             for lam in partitions_of(n):
-                if lam not in rational_dims:
-                    XQ = rep_from_partition(QQ, lam)
-                    rational_dims[lam] = n * n - rank(ad_operator(XQ))
-                Xp = rep_from_partition(Fp(p), lam)
-                dim_p = n * n - rank(ad_operator(Xp))
-                dim_0 = rational_dims[lam]
-                formula = sum(m * m for m in conjugate(lam))
-                yield Record(
-                    claim="centralizer-dim-characteristic-free",
-                    instance={"partition": list(lam), "p": p},
-                    witness={"dim_p": dim_p, "dim_0": dim_0,
-                             "formula": formula},
-                    verified=dim_p == dim_0 == formula)
+                yield ("centralizer-dim-characteristic-free",
+                       _instance(lam, p),
+                       partial(_spaltenstein, p, lam, rational_dims))
+
+
+def _spaltenstein(p, lam, rational_dims):
+    n = sum(lam)
+    if lam not in rational_dims:
+        XQ = rep_from_partition(QQ, lam)
+        rational_dims[lam] = n * n - rank(ad_operator(XQ))
+    dim_p = n * n - rank(ad_operator(rep_from_partition(Fp(p), lam)))
+    dim_0 = rational_dims[lam]
+    formula = sum(m * m for m in conjugate(lam))
+    return ({"dim_p": dim_p, "dim_0": dim_0, "formula": formula},
+            dim_p == dim_0 == formula)
 
 
 CLOSURE_NOTES = {
@@ -394,9 +389,11 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
               timings: bool = False) -> SuiteReport:
     """Run one suite over its grid and assemble the report.
 
-    n_max and primes override the suite defaults where applicable;
-    timings adds wall-clock seconds per record (off by default so that
-    reports are byte-reproducible).
+    n_max and primes override the suite defaults where applicable; a
+    grid that checks nothing (n_max below 1, no prime) or checks an
+    instance twice (a repeated prime) is a DomainError.  timings adds
+    wall-clock seconds per record (off by default so that reports are
+    byte-reproducible).
     """
     if name not in _SUITE_FUNCS:
         raise OptSL2Error("unknown suite %r; choose from %s"
@@ -406,23 +403,28 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
     if n_max is not None:
         if "n_max" not in grid:
             raise OptSL2Error("suite %r does not take n_max" % name)
+        if n_max < 1:
+            raise DomainError("n_max must be at least 1, got %d" % n_max)
         grid["n_max"] = n_max
     if primes is not None:
         grid["primes"] = tuple(primes)
+    if not grid["primes"] or len(set(grid["primes"])) < len(grid["primes"]):
+        raise DomainError("primes must be distinct and at least one, got %s"
+                          % list(grid["primes"]))
     for p in grid["primes"]:
         Fp(p)  # validates primality before any work happens
 
     records = []
-    gen = func(grid, seed, budget)
-    while True:
+    for claim, instance, check in func(grid, seed, budget):
         t0 = time.perf_counter()
         try:
-            rec = next(gen)
-        except StopIteration:
-            break
-        if timings:
-            rec.runtime = time.perf_counter() - t0
-        records.append(rec)
+            witness, verified = check()
+        except BudgetError:
+            raise
+        except OptSL2Error as exc:
+            witness, verified = {"error": str(exc)}, False
+        runtime = time.perf_counter() - t0 if timings else None
+        records.append(Record(claim, instance, witness, verified, runtime))
     grid["primes"] = list(grid["primes"])
     return SuiteReport(suite=name, grid=grid, seed=seed, records=records,
                        metadata={"closure_note": CLOSURE_NOTES[name]})

@@ -134,9 +134,19 @@ def test_optimal_conjugacy(capsys):
                            "--p", "2", "--format", "json")
     assert code == 0
     obj = json.loads(out)
-    assert obj["records"]
+    assert [r["instance"]["partition"] for r in obj["records"]] == \
+        [[2, 1], [1, 1, 1]]
     for r in obj["records"]:
-        assert r["verified"] is not False
+        assert r["claim"] == "radical-conjugator-unique"
+        assert r["verified"] is True
+        assert r["witness"]["twists"] == 1
+        assert r["witness"]["failure"] is None
+    code, out, _ = run_cli(capsys, "optimal", "conjugacy", "--n", "4",
+                           "--p", "3", "--budget", "10")
+    assert code == 0
+    assert out.count("skip radical-conjugator-unique") == 3
+    assert run_cli(capsys, "optimal", "conjugacy", "--n", "0",
+                   "--p", "2")[0] == 2
 
 
 def test_optimal_gcr(capsys):
@@ -203,6 +213,11 @@ def test_exit_codes(capsys):
                            "--primes", "2", "--budget", "3")
     assert code == 3
     assert "budget" in err
+    # a grid that checks nothing, or checks an instance twice
+    for argv in (("epsilon", "--n-max", "0"), ("untwist", "--primes", "3,3")):
+        code, _, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "error" in err
     # unknown suite is rejected by argparse itself
     with pytest.raises(SystemExit) as exc:
         main(["verify", "frobnicate"])

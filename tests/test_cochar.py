@@ -113,6 +113,25 @@ def test_levi_limit_kills_the_radical():
         levi_limit(gamma, Mat.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
 
 
+def test_levi_limit_changes_coordinates_once(monkeypatch):
+    gamma = Cocharacter(random_invertible(F5, 3, random.Random(3)),
+                        (1, 1, 0))
+    g = gamma.from_coords(Mat.from_rows(F5, [[2, 1, 4], [3, 1, 1],
+                                             [0, 0, 3]]))
+    calls = [0]
+    exact = Mat.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    limit = levi_limit(gamma, g)
+    assert calls[0] == 4
+    monkeypatch.setattr(Mat, "__mul__", exact)
+    assert limit == gamma.component(g, 0)
+
+
 def test_levi_limit_matches_conjugation_at_values():
     # over Q the limit agrees with gamma(t) g gamma(t)^-1 after the
     # positive-weight entries are scaled down; spot check at t = 1/2

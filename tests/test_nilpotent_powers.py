@@ -283,8 +283,9 @@ def test_series_make_one_product_per_power(monkeypatch):
 
 def test_planted_reversion_fault_is_caught(monkeypatch, capsys):
     """One perturbed coefficient of the series reversion (the top one,
-    which only regular orbits see) stops the springer suite and the
-    CLI with an inconsistency."""
+    which only regular orbits see) falsifies the springer records it
+    reaches, each with the inconsistency's text, while the other
+    records come out as in the clean run and the CLI exits 1."""
     exact = springer.reversion
 
     def off_by_one(coeffs, trunc):
@@ -294,10 +295,21 @@ def test_planted_reversion_fault_is_caught(monkeypatch, capsys):
         d = coeffs.domain
         return b[:-1] + (d.add(b[-1], d.one()),)
 
-    assert run_suite("springer", n_max=3, primes=(3,)).records
+    clean = run_suite("springer", n_max=3, primes=(3,)).records
     monkeypatch.setattr(springer, "reversion", off_by_one)
-    with pytest.raises(InconsistencyError):
-        run_suite("springer", n_max=3, primes=(3,))
+    planted = run_suite("springer", n_max=3, primes=(3,)).records
+    assert [r.instance for r in planted] == [r.instance for r in clean]
+    falsified = [r.instance["partition"] for r in planted
+                 if r.verified is False]
+    assert falsified == [[2], [3]]
+    for r, c in zip(planted, clean):
+        if r.instance["partition"] in falsified:
+            assert r.witness == {"error": "inverse image does not map "
+                                          "back to X"}
+        else:
+            assert r == c
     assert cli.main(["verify", "springer", "--n-max", "3",
                      "--primes", "3"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "repro: optsl2 verify springer --primes 3 --seed 7 --n-max 3" \
+        in err

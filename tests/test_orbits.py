@@ -136,3 +136,26 @@ def test_orbit_summary_row():
     reg = orbit_summary(2, (4,))
     assert reg["distinguished"] is True
     assert reg["unip_order"] == 4
+
+
+def test_orbit_summary_builds_one_jordan_basis_per_row(monkeypatch):
+    from optsl2 import orbits
+    calls = [0]
+    exact = orbits.nilpotent_jordan
+
+    def counted(X):
+        calls[0] += 1
+        return exact(X)
+
+    monkeypatch.setattr(orbits, "nilpotent_jordan", counted)
+    for p in (2, 3):
+        for lam in partitions_of(5):
+            calls[0] = 0
+            row = orbit_summary(p, lam)
+            assert calls[0] == 1, (p, lam)
+            # the reference route: a Jordan basis per invariant
+            X = rep_from_partition(Fp(p), lam)
+            psi = associated_cocharacter(X).psi
+            assert row["dim_c"] == centralizer_report(X).dim_c
+            assert row["parabolic_block_type"] == \
+                list(parabolic_block_type(psi))

@@ -1,7 +1,8 @@
 import pytest
 
 from optsl2 import suites
-from optsl2.errors import DomainError, OptSL2Error
+from optsl2.cli import main
+from optsl2.errors import DomainError, InconsistencyError, OptSL2Error
 from optsl2.suites import (CLOSURE_NOTES, DEFAULT_SEED, SUITE_NAMES,
                            run_suite)
 
@@ -27,6 +28,10 @@ def test_grid_overrides_validated():
     with pytest.raises(OptSL2Error):
         # untwist runs on a fixed count, not an n ladder
         run_suite("untwist", n_max=3)
+    # a grid that checks nothing, or checks an instance twice
+    for kw in ({"n_max": 0}, {"primes": ()}, {"primes": (3, 2, 3)}):
+        with pytest.raises(DomainError):
+            run_suite("epsilon", **kw)
 
 
 def test_report_shape_and_summary():
@@ -77,7 +82,27 @@ def test_budget_produces_skips_not_failures():
     assert report.summary["falsified"] == 0
 
 
-def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch):
+def test_a_raising_check_is_one_falsified_record(monkeypatch):
+    clean = run_suite("weight-bound", n_max=3, primes=(2, 3)).records
+    exact = suites.weight_bound_check
+
+    def raising(p, lam):
+        if (p, lam) == (3, (2, 1)):
+            raise InconsistencyError("planted")
+        return exact(p, lam)
+
+    monkeypatch.setattr(suites, "weight_bound_check", raising)
+    records = run_suite("weight-bound", n_max=3, primes=(2, 3)).records
+    assert len(records) == len(clean)
+    for r, c in zip(records, clean):
+        if r.instance == {"partition": [2, 1], "p": 3}:
+            assert (r.claim, r.verified) == (c.claim, False)
+            assert r.witness == {"error": "planted"}
+        else:
+            assert r == c
+
+
+def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
     exact = suites.positive_commutant_basis
 
     def with_repeat(X, psi):
@@ -89,3 +114,6 @@ def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch):
     failures = [r.witness["failure"] for r in report.falsified]
     assert failures
     assert set(failures) == {"2 radical conjugators found"}
+    # the command line runs the same check
+    assert main(["optimal", "conjugacy", "--n", "3", "--p", "2"]) == 1
+    assert "2 radical conjugators found" in capsys.readouterr().out
