@@ -10,7 +10,7 @@ which terminates because e is nilpotent.
 import random
 
 from optsl2 import (Fp, Mat, QQ, SpringerCoeffs, inverse, jordan_block,
-                    nilpotent_jordan, orbit_bijection_check,
+                    nilpotent_partition, orbit_bijection_check,
                     partitions_of, rep_from_partition, springer_apply,
                     springer_coeffs_from_value, springer_invert)
 from optsl2.matrices import random_invertible
@@ -65,5 +65,5 @@ for lam in partitions_of(5):
     dom = Fp(3)
     up = Mat.identity(dom, 5) + rep_from_partition(dom, lam)
     c = SpringerCoeffs(dom, (1, 2, 0, 2))
-    ok = ok and nilpotent_jordan(springer_apply(c, up)).partition == lam
+    ok = ok and nilpotent_partition(springer_apply(c, up)) == lam
 print("  partition(f(u)) == partition(u - 1) everywhere:", ok)

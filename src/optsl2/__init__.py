@@ -6,7 +6,7 @@ from .cochar import (Cocharacter, ParabolicData, distinguished_check,
 from .errors import (BudgetError, DomainError, InconsistencyError,
                      OptSL2Error, PreconditionError)
 from .jordan import (NilpotentJordanData, jordan_block, jordan_form,
-                     nilpotent_jordan)
+                     nilpotent_jordan, nilpotent_partition)
 from .matrices import Mat, bracket, det, inverse, rank, rank_nullspace, solve
 from .orbits import (associated_cocharacter, block_weights,
                      centralizer_report, instability_parabolic,

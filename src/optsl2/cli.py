@@ -21,7 +21,7 @@ import sys
 
 from .errors import (BudgetError, DomainError, InconsistencyError,
                      OptSL2Error, PreconditionError)
-from .jordan import nilpotent_jordan
+from .jordan import nilpotent_partition
 from .literals import mat_to_literal, scalar_to_literal
 from .matrices import DEFAULT_BUDGET, Mat
 from .orbits import orbit_summary, rep_from_partition
@@ -303,7 +303,7 @@ def _cmd_springer(args) -> int:
     u = Mat.identity(dom, n) + X
     fu = springer_apply(coeffs, u)
     back = springer_invert(coeffs, fu)
-    preserved = nilpotent_jordan(fu).partition == lam
+    preserved = nilpotent_partition(fu) == lam
     verified = back == u and preserved
     obj = {
         "schema": SCHEMA,

@@ -1,15 +1,19 @@
-"""Jordan form of nilpotent matrices over F_p or Q.
+"""Jordan type and Jordan basis of nilpotent matrices over F_p or Q.
 
 nilpotent_powers lists the nonzero powers N, N^2, ..., N^(k-1) of a
 nilpotent N of index k, one product each; it is the nilpotency test of
 the package, and every series in one nilpotent (the Springer maps, the
-truncated exponential and logarithm) is a sum over its list.  The
-partition is read off the nullity sequence of those powers, the basis is
-assembled from Jordan chains.  Both are deterministic: kernels come from
-the standard RREF nullspace bases, chain seeds are taken greedily in
-that order, and chains are sorted longest first.  The two routes
-(nullity counting and chain extraction) are compared at the end, and the
-change of basis is verified to conjugate X into the block form exactly.
+truncated exponential and logarithm) is a sum over its list.
+
+There are two routes.  nilpotent_partition returns the Jordan type
+alone, read off the ranks of those powers: the conjugate partition is
+lam'_i = rank N^(i-1) - rank N^i.  nilpotent_jordan also returns a
+Jordan basis, assembled from Jordan chains.  The basis is deterministic:
+kernels come from the standard RREF nullspace bases, chain seeds are
+taken greedily in that order, and chains are sorted longest first.  Its
+partition comes from the nullities of the same kernels through the same
+rank differences, is compared with the chain lengths, and the change of
+basis is verified to conjugate X into the block form exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +68,24 @@ def nilpotent_powers(N: Mat) -> list:
     return powers
 
 
+def _conjugate_type(ranks) -> tuple:
+    """The conjugate Jordan type lam' of a nilpotent N of index m from
+    ranks = [rank N^0, rank N^1, ..., rank N^m = 0]:
+    lam'_i = rank N^(i-1) - rank N^i."""
+    return tuple(ranks[i - 1] - ranks[i] for i in range(1, len(ranks)))
+
+
+def nilpotent_partition(N: Mat) -> tuple:
+    """Jordan type of a nilpotent N, from the ranks of the powers that
+    nilpotent_powers returns; no basis is built.  Raises DomainError
+    when N is not square or not nilpotent, as nilpotent_powers does."""
+    powers = nilpotent_powers(N)
+    if N.rows == 0:
+        return ()
+    return conjugate(_conjugate_type(
+        [N.rows] + [rank(power) for power in powers] + [0]))
+
+
 def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
     powers = nilpotent_powers(X)
     n = X.rows
@@ -76,8 +98,7 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
     # reads off the zero matrix
     kernels = ([[]] + [rank_nullspace(power)[1] for power in powers]
                + [[Mat.unit(d, n, 1, i, 0) for i in range(n)]])
-    nullities = [len(ker) for ker in kernels]
-    lam_conj = tuple(nullities[i] - nullities[i - 1] for i in range(1, m + 1))
+    lam_conj = _conjugate_type([n - len(ker) for ker in kernels])
     partition = conjugate(lam_conj)
 
     # Chain seeds at level L span a complement of ker X^(L-1) + X ker X^(L+1)

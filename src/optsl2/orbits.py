@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cochar import Cocharacter, ParabolicData, radical_class
 from .errors import InconsistencyError, PreconditionError
 from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
-                     nilpotent_powers)
+                     nilpotent_partition, nilpotent_powers)
 from .matrices import (IncrementalSpan, Mat, ad_operator, bracket,
                        devectorize, hstack, inverse, rank, rank_nullspace)
 from .partitions import admissible, check_partition, conjugate
@@ -193,7 +193,7 @@ def regular_richardson_for_borel(psi: Cocharacter) -> Mat:
     order = sorted(range(n), key=lambda i: -psi.weights[i])
     B = hstack([psi.basis.col(i) for i in order])
     Y = B * jordan_form(psi.domain, (n,)) * inverse(B)
-    if nilpotent_jordan(Y).partition != (n,):
+    if nilpotent_partition(Y) != (n,):
         raise InconsistencyError("constructed element is not regular")
     if not ParabolicData(psi).contains(Y):
         raise InconsistencyError("element is outside Lie P(psi)")

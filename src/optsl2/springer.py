@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .jordan import jordan_block, nilpotent_jordan, nilpotent_powers
+from .jordan import jordan_block, nilpotent_partition, nilpotent_powers
 from .matrices import Mat, commutes, hstack, lin_comb, rank, solve
 from .scalars import Domain, FpDomain
 
@@ -146,11 +146,13 @@ class OrbitBijectionReport:
 def orbit_bijection_check(ca: SpringerCoeffs, cb: SpringerCoeffs,
                           u: Mat) -> OrbitBijectionReport:
     """The induced orbit maps of two coefficient systems agree, and both
-    preserve the Jordan type: partition(f(u)) = partition(u - 1)."""
+    preserve the Jordan type: partition(f(u)) = partition(u - 1).  Each
+    partition is read off the ranks of the powers of its nilpotent
+    (jordan.nilpotent_partition); no Jordan basis is built."""
     fa = springer_apply(ca, u)  # rejects u that is not unipotent
-    pu = nilpotent_jordan(u - Mat.identity(u.domain, u.rows)).partition
-    pa = nilpotent_jordan(fa).partition
-    pb = nilpotent_jordan(springer_apply(cb, u)).partition
+    pu = nilpotent_partition(u - Mat.identity(u.domain, u.rows))
+    pa = nilpotent_partition(fa)
+    pb = nilpotent_partition(springer_apply(cb, u))
     return OrbitBijectionReport(partition_u=pu, partition_a=pa,
                                 partition_b=pb,
                                 partitions_agree=(pu == pa == pb))

@@ -5,17 +5,22 @@ The reference functions below are the earlier implementations: the
 nilpotency and class-bound tests by `Mat.__pow__`, and each series
 recomputing the powers of its nilpotent from the identity.  Values and
 exception classes must agree on every input, accepted or rejected.
+The Jordan type read off the ranks of the powers (nilpotent_partition)
+has the chain route's partition (nilpotent_jordan) as its reference.
 """
 
 import random
+import sys
 
 import pytest
 
 from optsl2 import cli
+from optsl2 import jordan
 from optsl2 import springer
 from optsl2.errors import (DomainError, InconsistencyError,
                            PreconditionError)
-from optsl2.jordan import jordan_block, nilpotent_jordan, nilpotent_powers
+from optsl2.jordan import (jordan_block, nilpotent_jordan,
+                           nilpotent_partition, nilpotent_powers)
 from optsl2.matrices import (IncrementalSpan, Mat, hstack, inverse,
                              random_invertible, rank_nullspace)
 from optsl2.orbits import rep_from_partition
@@ -234,6 +239,21 @@ def test_series_and_jordan_match_the_power_loops(dom):
         assert (name, DomainError) in raised
 
 
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_nilpotent_partition_matches_the_jordan_basis_route(dom):
+    """The rank route gives the chain route's partition on every
+    nilpotent input, and rejects every other input with the DomainError
+    of nilpotent_powers, message included."""
+    for X in _nilpotent_inputs(dom, random.Random(41)):
+        assert nilpotent_partition(X) == nilpotent_jordan(X).partition, X
+    for X in _other_inputs(dom):
+        with pytest.raises(DomainError) as want:
+            nilpotent_powers(X)
+        with pytest.raises(DomainError) as got:
+            nilpotent_partition(X)
+        assert str(got.value) == str(want.value), X
+
+
 def test_nilpotent_powers_lists_the_nonzero_powers():
     for dom in DOMAINS:
         assert nilpotent_powers(Mat.zero(dom, 0, 0)) == []
@@ -310,6 +330,52 @@ def test_planted_reversion_fault_is_caught(monkeypatch, capsys):
             assert r == c
     assert cli.main(["verify", "springer", "--n-max", "3",
                      "--primes", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "repro: optsl2 verify springer --primes 3 --seed 7 --n-max 3" \
+        in err
+
+
+def _count_jordan_bases(monkeypatch):
+    """Count nilpotent_jordan calls through every binding of it in the
+    package."""
+    calls = [0]
+    exact = jordan.nilpotent_jordan
+
+    def counted(X):
+        calls[0] += 1
+        return exact(X)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "optsl2" or name.startswith("optsl2.")) and \
+                getattr(module, "nilpotent_jordan", None) is exact:
+            monkeypatch.setattr(module, "nilpotent_jordan", counted)
+    return calls
+
+
+def test_planted_partition_fault_is_caught(monkeypatch, capsys):
+    """nilpotent_partition without its final conjugate(...) returns the
+    conjugate type lam', which falsifies exactly the springer records of
+    the partitions that are not self-conjugate, and the CLI exits 1.  The
+    suite reads every partition off ranks: no Jordan basis is built."""
+    calls = _count_jordan_bases(monkeypatch)
+    clean = run_suite("springer", n_max=3, primes=(3,)).records
+    assert calls[0] == 0
+    assert all(r.verified for r in clean)
+    monkeypatch.setattr(jordan, "conjugate", tuple)
+    planted = run_suite("springer", n_max=3, primes=(3,)).records
+    assert calls[0] == 0
+    assert [r.instance for r in planted] == [r.instance for r in clean]
+    falsified = [r.instance["partition"] for r in planted
+                 if r.verified is False]
+    assert falsified == [[2], [1, 1], [3], [1, 1, 1]]
+    for r, c in zip(planted, clean):
+        if r.instance["partition"] in falsified:
+            assert r.witness["failure"] == "orbit map moved the partition"
+        else:
+            assert r == c
+    assert cli.main(["verify", "springer", "--n-max", "3",
+                     "--primes", "3"]) == 1
+    assert calls[0] == 0
     err = capsys.readouterr().err
     assert "repro: optsl2 verify springer --primes 3 --seed 7 --n-max 3" \
         in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from optsl2.jordan import nilpotent_jordan, nilpotent_partition
 from optsl2.matrices import Mat, inverse
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import admissible, partitions_of
@@ -86,3 +87,15 @@ def test_springer_invert_undoes_apply_on_rational_conjugates(data):
 def test_eps_log_undoes_eps_exp(data, dom):
     X = data.draw(nilpotent_conjugate(dom, 5))
     assert eps_log(eps_exp(X)) == X
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([Fp(2), Fp(3), Fp(5)]))
+def test_partition_of_a_random_fp_conjugate(data, dom):
+    """Both routes read the Jordan type of g X g^-1 as that of X, for
+    every partition of n <= 5, admissible or not."""
+    n = data.draw(st.integers(1, 5))
+    lam = data.draw(st.sampled_from(list(partitions_of(n))))
+    g = data.draw(invertible(dom, n))
+    Y = g * rep_from_partition(dom, lam) * inverse(g)
+    assert nilpotent_partition(Y) == lam == nilpotent_jordan(Y).partition
