@@ -9,6 +9,11 @@ numerators over a common denominator (a product writes each row of the
 left factor and each column of the right one over the lcm of its
 denominators), so each output entry is normalised by one Fraction
 construction instead of one per term.
+
+The brute-force checks test many matrices x against one fixed pair
+(A, B): intertwiner_test compiles the pair once into the linear forms
+of x A - B x and returns a predicate on x's flat tuple, so no product
+is built per element.  commutes is the one-off case of the same test.
 """
 
 from __future__ import annotations
@@ -541,32 +546,69 @@ def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
     yield from completions((), {vectors[0]}, n)
 
 
-def commutes(a: Mat, b: Mat) -> bool:
-    """Whether ab = ba, for square matrices of one size and domain.
+def intertwiner_test(A: Mat, B: Mat):
+    """Predicate on the flat row-major tuple x of an n x n matrix: whether
+    x A == B x, for square A and B of one size and domain.
 
-    Compares ab and ba entry by entry on the flat tuples, stopping at
-    the first difference, without building either product: over F_p
-    the difference of the two entry sums is reduced mod p, over Q it
-    is compared exactly.  Raises DomainError on mixed domains or shapes.
+    Each entry (xA - Bx)_ij is a linear form in the entries of x, with
+    terms x[i n + k] A[k, j] and -B[i, k] x[k n + j].  The forms are
+    built here, once, in O(n^3): terms at the shared index i n + j are
+    merged, coefficients reduced mod p (kept exact over Q) and forms that
+    vanish identically dropped.  Each call evaluates the forms in order
+    and stops at the first nonzero one, so testing many x against one
+    (A, B) pays the compile step once.  Raises DomainError on mixed
+    domains or shapes.
     """
-    a._check(b, same_shape=True)
-    if not a.is_square():
+    A._check(B, same_shape=True)
+    if not A.is_square():
         raise DomainError("square matrices expected")
-    n = a.rows
-    p = a.domain.p
-    x, y = a.data, b.data
-    x_cols = [x[j::n] for j in range(n)]
-    y_cols = [y[j::n] for j in range(n)]
+    n = A.rows
+    p = A.domain.p
+    a, b = A.data, B.data
+    forms = []
     for i in range(n):
-        x_row, y_row = x[i * n:(i + 1) * n], y[i * n:(i + 1) * n]
         for j in range(n):
-            diff = sum(map(mul, x_row, y_cols[j])) \
-                - sum(map(mul, y_row, x_cols[j]))
+            coeffs = {}
+            for k in range(n):
+                if a[k * n + j]:
+                    t = i * n + k
+                    coeffs[t] = coeffs.get(t, 0) + a[k * n + j]
+                if b[i * n + k]:
+                    t = k * n + j
+                    coeffs[t] = coeffs.get(t, 0) - b[i * n + k]
             if p is not None:
-                diff %= p
-            if diff:
-                return False
-    return True
+                coeffs = {t: c % p for t, c in coeffs.items()}
+            form = tuple((t, c) for t, c in coeffs.items() if c)
+            if form:
+                forms.append(form)
+
+    if p is None:
+        def test(x):
+            for form in forms:
+                s = 0
+                for t, c in form:
+                    s += x[t] * c
+                if s:
+                    return False
+            return True
+    else:
+        def test(x):
+            for form in forms:
+                s = 0
+                for t, c in form:
+                    s += x[t] * c
+                if s % p:
+                    return False
+            return True
+    return test
+
+
+def commutes(a: Mat, b: Mat) -> bool:
+    """Whether ab = ba, for square matrices of one size and domain: the
+    forms of intertwiner_test(b, b), built for this one call, evaluated
+    on a's entries.  Raises DomainError on mixed domains or shapes."""
+    a._check(b, same_shape=True)
+    return intertwiner_test(b, b)(a.data)
 
 
 def det(M: Mat):

@@ -46,3 +46,37 @@ def admissible(lam, p: int) -> bool:
     """Largest part at most p, the existence condition for optimal maps."""
     lam = check_partition(lam)
     return not lam or lam[0] <= p
+
+
+def _multiplicities(lam) -> list:
+    """The multiplicities m_i of the distinct parts of lam, largest part
+    first."""
+    lam = check_partition(lam)
+    return [lam.count(part) for part in sorted(set(lam), reverse=True)]
+
+
+def _gl_order(m: int, q: int) -> int:
+    """|GL_m(F_q)| = (q^m - 1)(q^m - q) ... (q^m - q^(m-1))."""
+    order = 1
+    for i in range(m):
+        order *= q ** m - q ** i
+    return order
+
+
+def centralizer_order(lam, q: int) -> int:
+    """|C_GL_n(F_q)(X)| for X nilpotent of Jordan type lam:
+    q^(sum lam'_j^2 - sum m_i^2) * prod |GL_m_i(F_q)|, m_i the
+    multiplicity of part i (the reductive part is prod GL_m_i, the
+    unipotent radical an affine space of the remaining dimension)."""
+    unipotent = (sum(c * c for c in conjugate(lam))
+                 - sum(m * m for m in _multiplicities(lam)))
+    return q ** unipotent * image_centralizer_order(lam, q)
+
+
+def image_centralizer_order(lam, q: int) -> int:
+    """|C_GL_n(F_q)(image of phi)| for an optimal phi of Jordan type lam:
+    prod |GL_m_i(F_q)|, the reductive part of the centralizer of X."""
+    order = 1
+    for m in _multiplicities(lam):
+        order *= _gl_order(m, q)
+    return order

@@ -24,8 +24,8 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
 from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
                        bracket, commutes, det, devectorize, enumerate_group,
-                       inverse, lin_comb, mul_operator, rank_nullspace,
-                       same_span, vstack)
+                       intertwiner_test, inverse, lin_comb, mul_operator,
+                       rank_nullspace, same_span, vstack)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain, integer_numerators
@@ -236,11 +236,27 @@ def build_optimal(X: Mat) -> OptimalSL2Hom:
 
 
 def eval_hom(phi: OptimalSL2Hom, g: Mat) -> Mat:
-    if g.domain != phi.domain:
-        raise DomainError("mixed domains")
-    blocks = [sym_power_rep(dd - 1, g) for dd in phi.block_sizes]
-    return phi.conjugator * Mat.block_diag(phi.domain, blocks) \
-        * phi.conjugator_inv
+    return _hom_images([phi], [g])[0][0]
+
+
+def _hom_images(phis, gens):
+    """[[phi(g) for phi in phis] for g in gens].  The block-diagonal
+    symmetric-power image of g is built once per partition among the
+    phis, so a homomorphism and its twists Int(x) o phi share it."""
+    out = []
+    for g in gens:
+        blocks = {}
+        row = []
+        for phi in phis:
+            if g.domain != phi.domain:
+                raise DomainError("mixed domains")
+            sizes = phi.block_sizes
+            if sizes not in blocks:
+                blocks[sizes] = Mat.block_diag(
+                    phi.domain, [sym_power_rep(dd - 1, g) for dd in sizes])
+            row.append(phi.conjugator * blocks[sizes] * phi.conjugator_inv)
+        out.append(row)
+    return out
 
 
 def d_hom(phi: OptimalSL2Hom) -> Sl2Triple:
@@ -459,40 +475,45 @@ def radical_element(domain, n: int, basis, coeffs) -> Mat:
     return lin_comb(Mat.identity(domain, n), coeffs, basis)
 
 
-def radical_elements(domain, n: int, basis):
-    """Every radical_element with c in F_p^k, one per coefficient
-    vector, in itertools.product order of the coefficients.  For a
-    basis of the positive commutant these are the F_p points of the
-    unipotent radical of C(X)."""
-    for coeffs in itertools.product(range(domain.p), repeat=len(basis)):
-        yield radical_element(domain, n, basis, coeffs)
-
-
 def radical_intertwiners(domain, n: int, basis, pairs):
-    """The radical elements x (see radical_elements) with x A = B x for
-    every pair (A, B), in enumeration order.  Each x is 1 + nilpotent,
-    hence invertible, so this is x A x^-1 = B without the inverse."""
-    for x in radical_elements(domain, n, basis):
-        if all(x * A == B * x for A, B in pairs):
-            yield x
+    """Every radical_element x with c in F_p^k, one per coefficient
+    vector in itertools.product order of the coefficients, that has
+    x A = B x for every pair (A, B).  For a basis of the positive
+    commutant the candidates are the F_p points of the unipotent radical
+    of C(X).  Each x is 1 + nilpotent, hence invertible, so this is
+    x A x^-1 = B without the inverse.
+
+    Each pair is compiled once by intertwiner_test; each x is built as
+    a flat tuple of residues mod p and becomes a Mat only when it
+    matches.  An empty basis leaves the identity as the one candidate.
+    """
+    p = domain.p
+    tests = [intertwiner_test(A, B) for A, B in pairs]
+    ident = Mat.identity(domain, n).data
+    # multiples[i][c] is the flat tuple of c B_i, so the product over
+    # the multiples runs through the coefficients in product order
+    multiples = [[B.scale(c).data for c in range(p)] for B in basis]
+    for terms in itertools.product(*multiples):
+        x = tuple(map(p.__rmod__, map(sum, zip(ident, *terms))))
+        if all(test(x) for test in tests):
+            yield Mat(domain, n, n, x)
 
 
 def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
                               basis) -> int:
-    """How many radical elements x (see radical_elements) satisfy
+    """How many radical elements x (see radical_intertwiners) satisfy
     Int(x) o phi1 = phi2 on x1(1) and y1(1), which generate SL_2(F_p),
     so agreement there pins the homomorphisms down everywhere."""
     dom = phi1.domain
-    images = [(eval_hom(phi1, g), eval_hom(phi2, g))
-              for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))]
+    images = _hom_images([phi1, phi2], [sl2_x1(dom, 1), sl2_y1(dom, 1)])
     return sum(1 for _ in radical_intertwiners(dom, phi1.n, basis, images))
 
 
 def hom_conjugators_agree(phi1, phi2, x) -> bool:
     """Whether Int(x) o phi1 = phi2, tested as x phi1(g) = phi2(g) x for
     invertible x on sl2_generators."""
-    return all(x * eval_hom(phi1, g) == eval_hom(phi2, g) * x
-               for g in sl2_generators(phi1.domain))
+    return all(x * A == B * x for A, B in
+               _hom_images([phi1, phi2], sl2_generators(phi1.domain)))
 
 
 # -- centralizer comparisons --------------------------------------------
@@ -514,6 +535,8 @@ def exp_centralizer_check(X: Mat,
     Always compares the Lie-level fixed spaces (kernel of ad X against
     kernel of Ad(eps(tX)) - 1 for every t in F_p^*); when p^(n^2) fits
     the budget also compares the finite group centralizers elementwise.
+    X and each eps(tX) are compiled by intertwiner_test before the
+    enumeration, and every g is tested on its flat tuple.
     """
     dom = X.domain
     if not isinstance(dom, FpDomain):
@@ -537,12 +560,14 @@ def exp_centralizer_check(X: Mat,
     if group_checked:
         group_agree = True
         group_size = 0
+        x_test = intertwiner_test(X, X)
+        exp_tests = [intertwiner_test(u, u) for u in exps]
         for g in enumerate_group(n, p, budget=budget):
-            in_cx = commutes(g, X)
+            in_cx = x_test(g.data)
             if in_cx:
                 group_size += 1
-            for u in exps:
-                if commutes(g, u) != in_cx:
+            for test in exp_tests:
+                if test(g.data) != in_cx:
                     group_agree = False
     return ExpCentralizerReport(p=p, n=n, nullspaces_agree=agree,
                                 group_checked=group_checked,
@@ -564,7 +589,10 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     """C(image of phi) = C(X) cap C(torus image), elementwise over F_p.
 
     The right side treats the torus image scheme-theoretically: g
-    centralizes it when g commutes with every weight projection.
+    centralizes it when g commutes with every weight projection.  The
+    generator images, X and the projections are compiled by
+    intertwiner_test before the enumeration, and every g is tested on
+    its flat tuple.
     """
     dom = phi.domain
     if not isinstance(dom, FpDomain):
@@ -578,12 +606,15 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     X = d_hom(phi).X
     psi = hom_torus_cochar(phi)
     projections = [psi.weight_projection(w) for w in sorted(set(psi.weights))]
+    gen_tests = [intertwiner_test(G, G) for G in gens]
+    x_test = intertwiner_test(X, X)
+    projection_tests = [intertwiner_test(Q, Q) for Q in projections]
     equal = True
     size_l = size_r = 0
     for g in enumerate_group(n, p, budget=budget):
-        lhs = all(commutes(g, G) for G in gens)
-        rhs = (commutes(g, X)
-               and all(commutes(g, Q) for Q in projections))
+        x = g.data
+        lhs = all(test(x) for test in gen_tests)
+        rhs = x_test(x) and all(test(x) for test in projection_tests)
         size_l += lhs
         size_r += rhs
         if lhs != rhs:

@@ -24,7 +24,8 @@ from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
                        rank, random_invertible)
 from .orbits import (order_formula_report, rep_from_partition,
                      weight_bound_check)
-from .partitions import admissible, conjugate, partitions_of
+from .partitions import (admissible, centralizer_order, conjugate,
+                         image_centralizer_order, partitions_of)
 from .scalars import Fp, QQ
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                   count_radical_conjugators, eval_hom, exp_centralizer_check,
@@ -215,12 +216,18 @@ def _suite_centralizer(grid, seed, budget):
                partial(_image_centralizer, p, lam, budget))
 
 
+# Both sides of each group comparison go through the same intertwiner
+# test, so a fault in it cancels there; the counted size is therefore
+# also held against its closed form from the partition.
+
 def _exp_centralizer(p, lam, budget):
     rep = exp_centralizer_check(rep_from_partition(Fp(p), lam),
                                 budget=budget)
+    verified = rep.group_agree if rep.nullspaces_agree else False
+    if rep.group_checked and rep.group_size != centralizer_order(lam, p):
+        verified = False
     return ({"group_checked": rep.group_checked,
-             "group_size": rep.group_size},
-            rep.group_agree if rep.nullspaces_agree else False)
+             "group_size": rep.group_size}, verified)
 
 
 def _image_centralizer(p, lam, budget):
@@ -229,7 +236,9 @@ def _image_centralizer(p, lam, budget):
         return {"matrices": "%d^%d" % (p, n * n)}, None
     rep = hom_centralizer_check(build_optimal(rep_from_partition(Fp(p), lam)),
                                 budget=budget)
-    return {"centralizer_size": rep.image_centralizer_size}, rep.equal
+    return ({"centralizer_size": rep.image_centralizer_size},
+            rep.equal and rep.image_centralizer_size
+            == image_centralizer_order(lam, p))
 
 
 def _suite_gcr(grid, seed, budget):

@@ -8,12 +8,13 @@ from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              ad_operator, bracket, commutes, det,
                              devectorize, enumerate_group, hstack, in_span,
-                             inverse, mul_operator, random_invertible,
+                             intertwiner_test, inverse, mul_operator,
+                             random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve, span_rank, vstack)
 from optsl2.scalars import Fp, QQ
 
-F2, F3, F5 = Fp(2), Fp(3), Fp(5)
+F2, F3, F5, F7 = Fp(2), Fp(3), Fp(5), Fp(7)
 
 
 def test_constructors_and_indexing():
@@ -255,6 +256,37 @@ def test_commutes_rejects_mixed_domains_and_shapes():
             a * b == b * a
         with pytest.raises(DomainError):
             commutes(a, b)
+
+
+def test_intertwiner_test_matches_products():
+    rnd = random.Random(10)
+    for dom in (F2, F3, F5, F7, QQ):
+        for n in range(5):
+            zero, one = Mat.zero(dom, n), Mat.identity(dom, n)
+            for _ in range(6):
+                A = random_mat(dom, n, n, rnd, bound=3)
+                g = random_invertible(dom, n, rnd, bound=3)
+                if dom.p is None:
+                    A = A.scale(Fraction(1, rnd.randint(1, 4)))
+                # g intertwines A with g A g^-1
+                conj = g * A * inverse(g)
+                pairs = ((A, A), (A, conj), (A, random_mat(dom, n, n, rnd)))
+                xs = (zero, one, g, random_mat(dom, n, n, rnd, bound=3))
+                for P, Q in pairs:
+                    test = intertwiner_test(P, Q)
+                    for x in xs:
+                        assert test(x.data) == (x * P == Q * x)
+                assert intertwiner_test(A, conj)(g.data)
+
+
+def test_intertwiner_test_rejects_mixed_domains_and_shapes():
+    rnd = random.Random(11)
+    A3, A5 = random_mat(F3, 2, 2, rnd), random_mat(F5, 2, 2, rnd)
+    for a, b in ((A3, A5), (A3, random_mat(QQ, 2, 2, rnd)),
+                 (A3, random_mat(F3, 3, 3, rnd)),
+                 (random_mat(F3, 2, 3, rnd), random_mat(F3, 2, 3, rnd))):
+        with pytest.raises(DomainError):
+            intertwiner_test(a, b)
 
 
 def test_mixed_domain_arithmetic_rejected():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from optsl2.jordan import nilpotent_jordan, nilpotent_partition
-from optsl2.matrices import Mat, inverse
+from optsl2.matrices import Mat, intertwiner_test, inverse
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ
@@ -99,3 +99,25 @@ def test_partition_of_a_random_fp_conjugate(data, dom):
     g = data.draw(invertible(dom, n))
     Y = g * rep_from_partition(dom, lam) * inverse(g)
     assert nilpotent_partition(Y) == lam == nilpotent_jordan(Y).partition
+
+
+@st.composite
+def square(draw, dom, n):
+    values, _ = scalars(dom)
+    return Mat(dom, n, n, draw(st.lists(values, min_size=n * n,
+                                        max_size=n * n)))
+
+
+@PROPERTY
+@given(st.data())
+def test_intertwiner_test_matches_products(data):
+    dom = data.draw(st.sampled_from((Fp(2), Fp(3), Fp(5), Fp(7), QQ)))
+    n = data.draw(st.integers(0, 4))
+    A = data.draw(square(dom, n))
+    g = data.draw(invertible(dom, n))
+    # B = A, a conjugate that g intertwines A with, or unrelated
+    B = data.draw(st.sampled_from((A, g * A * inverse(g),
+                                   data.draw(square(dom, n)))))
+    x = data.draw(st.sampled_from((Mat.zero(dom, n), Mat.identity(dom, n), g,
+                                   data.draw(square(dom, n)))))
+    assert intertwiner_test(A, B)(x.data) == (x * A == B * x)

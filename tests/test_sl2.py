@@ -25,7 +25,9 @@ from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                         sl2_generators, sl2_sample, sl2_torus, sl2_x1, sl2_y1,
                         sym_power_dH, sym_power_dX, sym_power_dY,
                         sym_power_rep, verify_limit, verify_optimal)
-from optsl2.partitions import admissible, partitions_of
+from optsl2.matrices import enumerate_group
+from optsl2.partitions import (admissible, centralizer_order,
+                               image_centralizer_order, partitions_of)
 from optsl2.springer import eps_exp
 from optsl2.suites import _SUITE_FUNCS, run_suite
 
@@ -378,6 +380,49 @@ def test_radical_search_matches_inverse_reference():
                         == len(expected)
                     assert twist in expected
                     assert len(expected) == (p if len(b) > len(basis) else 1)
+
+
+def test_radical_intertwiners_with_empty_basis_yield_the_identity():
+    for dom in (F2, F3, F5):
+        for n in (1, 2, 3):
+            A = rep_from_partition(dom, (n,))
+            ident = Mat.identity(dom, n)
+            assert list(radical_intertwiners(dom, n, [], [])) == [ident]
+            assert list(radical_intertwiners(dom, n, [], [(A, A)])) == [ident]
+            if n > 1:
+                shifted = A + ident
+                assert list(radical_intertwiners(dom, n, [],
+                                                 [(A, shifted)])) == []
+        # partition [1]: the radical is trivial and the identity is the
+        # one conjugator of phi to itself
+        X = rep_from_partition(dom, (1,))
+        phi = build_optimal(X)
+        basis = positive_commutant_basis(X, hom_torus_cochar(phi))
+        assert basis == []
+        assert count_radical_conjugators(phi, phi, basis) == 1
+        assert radical_cochar_transporters(phi, phi) == [Mat.identity(dom, 1)]
+
+
+def test_centralizer_orders_match_literal_products():
+    for p, n_max in ((2, 3), (3, 2)):
+        dom = Fp(p)
+        for n in range(1, n_max + 1):
+            group = list(enumerate_group(n, p))
+            for lam in partitions_of(n):
+                X = rep_from_partition(dom, lam)
+                assert sum(1 for g in group if g * X == X * g) \
+                    == centralizer_order(lam, p)
+                if admissible(lam, p):
+                    gens = [eval_hom(build_optimal(X), h)
+                            for h in sl2_generators(dom)]
+                    assert sum(1 for g in group
+                               if all(g * G == G * g for G in gens)) \
+                        == image_centralizer_order(lam, p)
+    # GL_2(F_5) has 480 elements; the regular nilpotent's centralizer is
+    # {a + bX : a != 0}
+    assert centralizer_order((1, 1), 5) == image_centralizer_order((1, 1), 5)
+    assert centralizer_order((1, 1), 5) == 480
+    assert centralizer_order((2,), 5) == 20
 
 
 def test_radical_transporters_budget():

@@ -1,6 +1,6 @@
 import pytest
 
-from optsl2 import suites
+from optsl2 import sl2, suites
 from optsl2.cli import main
 from optsl2.errors import DomainError, InconsistencyError, OptSL2Error
 from optsl2.suites import (CLOSURE_NOTES, DEFAULT_SEED, SUITE_NAMES,
@@ -117,3 +117,21 @@ def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
     # the command line runs the same check
     assert main(["optimal", "conjugacy", "--n", "3", "--p", "2"]) == 1
     assert "2 radical conjugators found" in capsys.readouterr().out
+
+
+def test_planted_intertwiner_fault_falsifies_both_brute_force_suites(
+        monkeypatch):
+    exact = sl2.intertwiner_test
+
+    def blind_to_last_entry(A, B):
+        test = exact(A, B)
+        return lambda x: test(x[:-1] + (0,))
+
+    monkeypatch.setattr(sl2, "intertwiner_test", blind_to_last_entry)
+    assert run_suite("conjugacy").falsified
+    # both sides of each centralizer comparison see the same fault, so
+    # only the closed-form orders catch it
+    report = run_suite("centralizer")
+    assert report.falsified
+    assert all("error" not in r.witness for r in report.falsified)
+    assert main(["verify", "centralizer"]) == 1
