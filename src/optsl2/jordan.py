@@ -3,7 +3,14 @@
 nilpotent_powers lists the nonzero powers N, N^2, ..., N^(k-1) of a
 nilpotent N of index k, one product each; it is the nilpotency test of
 the package, and every series in one nilpotent (the Springer maps, the
-truncated exponential and logarithm) is a sum over its list.
+truncated exponential and logarithm) is a sum over its list.  The same
+nilpotent comes back many times (a Springer check applies, partitions
+and inverts through one u - 1), so the lists are memoised by matrix
+value in a process-local least-recently-used cache of _POWERS_CACHE_SIZE
+entries.  Mat is immutable and hashable, and its equality includes the
+domain, so equal residues over different F_p never share an entry.  The
+cache holds tuples and every call returns a fresh list; a raise is not
+cached, so a rejected input raises again on every call.
 
 There are two routes.  nilpotent_partition returns the Jordan type
 alone, read off the ranks of those powers: the conjugate partition is
@@ -19,6 +26,7 @@ basis is verified to conjugate X into the block form exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, InconsistencyError
 from .matrices import (IncrementalSpan, Mat, hstack, inverse, rank,
@@ -49,11 +57,19 @@ def jordan_form(domain, lam) -> Mat:
     return Mat.block_diag(domain, [jordan_block(domain, d) for d in lam])
 
 
+_POWERS_CACHE_SIZE = 16
+
+
 def nilpotent_powers(N: Mat) -> list:
     """The nonzero powers [N, N^2, ..., N^(k-1)] of a nilpotent N of
-    index k (N^k = 0, N^(k-1) != 0), at one product each.  The list is
-    empty for N = 0, including the 0x0 and 1x1 cases.  Raises DomainError
-    when N is not square or N^n != 0."""
+    index k (N^k = 0, N^(k-1) != 0), at one product each the first time
+    a value is seen.  The list is empty for N = 0, including the 0x0 and
+    1x1 cases.  Raises DomainError when N is not square or N^n != 0."""
+    return list(_nilpotent_powers(N))
+
+
+@lru_cache(maxsize=_POWERS_CACHE_SIZE)
+def _nilpotent_powers(N: Mat) -> tuple:
     if not N.is_square():
         raise DomainError("square matrix expected")
     n = N.rows
@@ -65,7 +81,7 @@ def nilpotent_powers(N: Mat) -> list:
                               "rank %d" % (n, rank(power)))
         powers.append(power)
         power = power * N
-    return powers
+    return tuple(powers)
 
 
 def _conjugate_type(ranks) -> tuple:

@@ -8,7 +8,11 @@ on plain ints: over F_p on the reduced residues, over Q on integer
 numerators over a common denominator (a product writes each row of the
 left factor and each column of the right one over the lcm of its
 denominators), so each output entry is normalised by one Fraction
-construction instead of one per term.
+construction instead of one per term.  Q elimination runs on integer
+rows the same way: each row is scaled to its integer numerators and
+kept primitive while it is reduced, which leaves the row space and so
+the unique RREF unchanged, and the pivot rows are divided by their
+pivots into Fractions once, at the end.
 
 The brute-force checks test many matrices x against one fixed pair
 (A, B): intertwiner_test compiles the pair once into the linear forms
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import BudgetError, DomainError
@@ -293,7 +298,8 @@ def _rref_rows(rows, domain):
     """In-place reduced row echelon form; returns (rank, pivot columns).
 
     Pivot rule: first nonzero row in each column, scanning columns left
-    to right.  Specialised int path for F_p.
+    to right.  Both paths eliminate on plain ints: residues mod p over
+    F_p, integer numerators over Q.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -324,30 +330,41 @@ def _rref_rows(rows, domain):
             pivots.append(c)
             r += 1
     else:
-        zero = domain.zero()
+        # scaling a row keeps the row space, and so the unique RREF
+        for i in range(m):
+            rows[i] = _primitive(integer_numerators(rows[i])[0])
         for c in range(n):
             if r == m:
                 break
             pr = None
             for i in range(r, m):
-                if rows[i][c] != zero:
+                if rows[i][c]:
                     pr = i
                     break
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = domain.inv(rows[r][c])
-            if inv != domain.one():
-                rows[r] = [x * inv for x in rows[r]]
             rr = rows[r]
+            a = rr[c]
             for i in range(m):
                 f = rows[i][c]
-                if i != r and f != zero:
-                    ri = rows[i]
-                    rows[i] = [ri[k] - f * rr[k] for k in range(n)]
+                if i != r and f:
+                    rows[i] = _primitive([a * x - f * y
+                                          for x, y in zip(rows[i], rr)])
             pivots.append(c)
             r += 1
+        zero = domain.zero()
+        for i, c in enumerate(pivots):
+            a = rows[i][c]
+            rows[i] = [Fraction(x, a) if x else zero for x in rows[i]]
+        rows[r:] = [[zero] * n for _ in range(m - r)]
     return len(pivots), pivots
+
+
+def _primitive(row):
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def rref(M: Mat):

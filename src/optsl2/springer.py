@@ -199,14 +199,19 @@ class AdditiveHom:
         for A, B in itertools.combinations(coeffs, 2):
             if not commutes(A, B):
                 raise PreconditionError("coefficients do not commute")
-        for combo in itertools.combinations_with_replacement(
-                range(len(coeffs)), domain.p):
-            prod = coeffs[combo[0]]
-            for i in combo[1:]:
-                prod = prod * coeffs[i]
-            if not prod.is_zero():
-                raise PreconditionError(
-                    "length-%d product of coefficients is nonzero" % domain.p)
+        # The products over non-decreasing index tuples, one length at a
+        # time, each extending its prefix by one factor: (last index,
+        # product).  A zero prefix is dropped, as all its extensions are
+        # zero; a zero coefficient is never a factor, for the same reason.
+        nonzero = [i for i, X in enumerate(coeffs) if not X.is_zero()]
+        level = [(i, coeffs[i]) for i in nonzero]
+        for _ in range(domain.p - 1):
+            level = [(j, prod * coeffs[j]) for i, prod in level
+                     for j in nonzero if j >= i]
+            level = [(j, prod) for j, prod in level if not prod.is_zero()]
+        if level:
+            raise PreconditionError(
+                "length-%d product of coefficients is nonzero" % domain.p)
         self.domain = domain
         self.coeffs = coeffs
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from optsl2 import cli, matrices
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              ad_operator, bracket, commutes, det,
@@ -13,6 +14,7 @@ from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve, span_rank, vstack)
 from optsl2.scalars import Fp, QQ
+from optsl2.suites import run_suite
 
 F2, F3, F5, F7 = Fp(2), Fp(3), Fp(5), Fp(7)
 
@@ -342,3 +344,100 @@ def test_rational_product_matches_schoolbook():
     Z = Mat(QQ, 2, 0, ()) * Mat(QQ, 0, 3, ())
     assert Z == Mat.zero(QQ, 2, 3)
     assert all(type(x) is Fraction for x in Z.data)
+
+
+def _rref_reference(rows):
+    """Reference Q Gauss-Jordan, one Fraction operation per term, with
+    the same pivot rule: (rank, pivots, reduced rows)."""
+    rows = [list(row) for row in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return r, pivots, rows
+
+
+def test_rational_elimination_matches_fraction_gauss_jordan():
+    """The integer-row elimination gives the reference's rank, pivots and
+    reduced rows, every entry a Fraction, on full-rank, rank-deficient
+    (products through a narrower inner size), zero-row and empty
+    matrices, with small and large denominators."""
+    rnd = random.Random(11)
+    small = (1, 2, 3, 4, 6)
+    large = (1, 7, 2 ** 61 - 1, 10 ** 12 + 39, 3 ** 30)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 4), (4, 1), (3, 5),
+              (5, 3), (6, 6), (7, 7)]
+    cases = []
+    for rows, cols in shapes:
+        for dens in (small, large):
+            for _ in range(3):
+                cases.append(_random_rational(rnd, rows, cols, dens))
+                if rows and cols:
+                    k = rnd.randint(1, min(rows, cols))
+                    cases.append(_random_rational(rnd, rows, k, dens)
+                                 * _random_rational(rnd, k, cols, dens))
+                    i = rnd.randrange(rows)
+                    data = list(cases[-1].data)
+                    data[i * cols:(i + 1) * cols] = [Fraction(0)] * cols
+                    cases.append(Mat(QQ, rows, cols, data))
+    cases.append(Mat.zero(QQ, 3, 4))
+    deficient = 0
+    for M in cases:
+        rk, piv, R = rref(M)
+        want_rk, want_piv, want_rows = _rref_reference(M.to_lists())
+        assert (rk, piv, R.to_lists()) == (want_rk, want_piv, want_rows), M
+        assert all(type(x) is Fraction for x in R.data)
+        assert rank(M) == want_rk
+        deficient += want_rk < min(M.rows, M.cols)
+    assert deficient > 20
+
+
+def test_planted_integer_numerator_fault_falsifies_spaltenstein(
+        monkeypatch, capsys):
+    """Zeroing the first nonzero numerator of each row that the rational
+    elimination scales to integers changes the rational rank of ad X for
+    every nonzero nilpotent, so exactly those spaltenstein records are
+    falsified (dim_0 off, the F_p side intact) and the CLI exits 1."""
+    exact = matrices.integer_numerators
+
+    def drop_first(values):
+        nums, den = exact(values)
+        for i, x in enumerate(nums):
+            if x:
+                return nums[:i] + [0] + nums[i + 1:], den
+        return nums, den
+
+    clean = run_suite("spaltenstein", n_max=3, primes=(2,)).records
+    assert all(r.verified for r in clean)
+    monkeypatch.setattr(matrices, "integer_numerators", drop_first)
+    planted = run_suite("spaltenstein", n_max=3, primes=(2,)).records
+    assert [r.instance for r in planted] == [r.instance for r in clean]
+    falsified = [r.instance["partition"] for r in planted
+                 if r.verified is False]
+    assert falsified == [[2], [3], [2, 1]]
+    for r, c in zip(planted, clean):
+        if r.instance["partition"] in falsified:
+            assert r.witness["dim_p"] == c.witness["dim_p"]
+            assert r.witness["dim_0"] != c.witness["dim_0"]
+        else:
+            assert r == c
+    assert cli.main(["verify", "spaltenstein", "--n-max", "3",
+                     "--primes", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "repro: optsl2 verify spaltenstein --primes 2 --seed 7 " \
+        "--n-max 3" in err

@@ -379,3 +379,74 @@ def test_planted_partition_fault_is_caught(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "repro: optsl2 verify springer --primes 3 --seed 7 --n-max 3" \
         in err
+
+
+# -- the memo of nilpotent_powers ------------------------------------------
+
+def _ref_powers(N):
+    """The uncached product chain: N, N^2, ... while nonzero, DomainError
+    when N is not square or N^n != 0."""
+    if not N.is_square():
+        raise DomainError("square matrix expected")
+    powers = []
+    power = N
+    while not power.is_zero():
+        if len(powers) == N.rows - 1:
+            raise DomainError("matrix is not nilpotent")
+        powers.append(power)
+        power = power * N
+    return powers
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_memoised_powers_match_the_product_chain(dom):
+    """Repeated calls on random conjugates, in an order that revisits
+    values after others have been cached, give the reference list; a
+    list a caller mutates does not reach the next call."""
+    inputs = _nilpotent_inputs(dom, random.Random(47))
+    for X in inputs + inputs[::-1] + inputs:
+        assert nilpotent_powers(X) == _ref_powers(X), X
+    for X in inputs:
+        got = nilpotent_powers(X)
+        got.append(Mat.identity(dom, X.rows))
+        if got[:-1]:
+            got[0] = Mat.zero(dom, X.rows)
+        assert nilpotent_powers(X) == _ref_powers(X), X
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_rejected_inputs_raise_on_every_call(dom):
+    for X in _other_inputs(dom):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                nilpotent_powers(X)
+
+
+def test_equal_residues_over_different_primes_do_not_share_an_entry():
+    """J = all ones (2x2) squares to 2J: nilpotent over F_2, not over F_3;
+    whichever field is asked first, the other gets its own answer."""
+    ones = [[1, 1], [1, 1]]
+    for first, second in ((Fp(2), Fp(3)), (Fp(3), Fp(2))):
+        jordan._nilpotent_powers.cache_clear()
+        for dom in (first, second, first, second):
+            J = Mat.from_rows(dom, ones)
+            if dom.p == 2:
+                got = nilpotent_powers(J)
+                assert got == [J] and got[0].domain == dom
+            else:
+                with pytest.raises(DomainError):
+                    nilpotent_powers(J)
+
+
+def test_powers_cache_stays_within_its_fixed_bound():
+    bound = jordan._POWERS_CACHE_SIZE
+    cache = jordan._nilpotent_powers
+    assert cache.cache_info().maxsize == bound
+    cache.cache_clear()
+    rnd = random.Random(53)
+    for k in range(3 * bound):
+        dom = DOMAINS[k % len(DOMAINS)]
+        g = random_invertible(dom, 3, rnd, bound=3)
+        nilpotent_powers(g * jordan_block(dom, 3) * inverse(g))
+        assert cache.cache_info().currsize <= bound
+    assert cache.cache_info().currsize == bound

@@ -10,7 +10,7 @@ from optsl2.matrices import Mat, intertwiner_test, inverse
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ
-from optsl2.sl2 import sym_power_rep
+from optsl2.sl2 import build_optimal, sym_power_rep, verify_optimal
 from optsl2.springer import (SpringerCoeffs, eps_exp, eps_log,
                              springer_apply, springer_invert)
 
@@ -80,6 +80,30 @@ def test_springer_invert_undoes_apply_on_rational_conjugates(data):
     coeffs = SpringerCoeffs(QQ, a)
     u = Mat.identity(QQ, n) + X
     assert springer_invert(coeffs, springer_apply(coeffs, u)) == u
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([Fp(2), Fp(3), Fp(5)]))
+def test_springer_invert_undoes_apply_on_fp_conjugates(data, dom):
+    X = data.draw(nilpotent_conjugate(dom, 5))
+    n = X.rows
+    values, units = scalars(dom)
+    a = []
+    if n > 1:
+        a = [data.draw(units)] + data.draw(
+            st.lists(values, min_size=n - 2, max_size=n - 2))
+    coeffs = SpringerCoeffs(dom, a)
+    u = Mat.identity(dom, n) + X
+    assert springer_invert(coeffs, springer_apply(coeffs, u)) == u
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([Fp(2), Fp(3), Fp(5)]))
+def test_build_optimal_passes_verify_optimal_on_fp_conjugates(data, dom):
+    """Dense inputs over F_p: a random conjugate of an admissible
+    partition (parts at most p), not in Jordan form."""
+    X = data.draw(nilpotent_conjugate(dom, 5))
+    assert verify_optimal(build_optimal(X), X).all_passed
 
 
 @PROPERTY

@@ -5,10 +5,12 @@ import pytest
 
 from optsl2.errors import DomainError, PreconditionError
 from optsl2.jordan import jordan_block
-from optsl2.matrices import Mat, inverse, random_invertible
+from optsl2.matrices import (Mat, commutes, inverse, lin_comb,
+                             random_invertible)
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import partitions_of
 from optsl2.scalars import Fp, QQ
+from optsl2.suites import _random_additive
 from optsl2.springer import (AdditiveHom, SpringerCoeffs, additive_derivative,
                              additive_eval, additive_untwist, eps_exp,
                              eps_log, orbit_bijection_check, reversion,
@@ -134,6 +136,90 @@ def test_additive_hom_validation():
         AdditiveHom(F2, (jordan_block(F2, 3),))
     with pytest.raises(DomainError):
         AdditiveHom(F3, ())
+
+
+def _ref_additive_check(domain, coeffs):
+    """The earlier length-p test of AdditiveHom: every product over
+    combinations_with_replacement, each from scratch, after the commute
+    check."""
+    for A, B in itertools.combinations(coeffs, 2):
+        if not commutes(A, B):
+            raise PreconditionError("coefficients do not commute")
+    for combo in itertools.combinations_with_replacement(
+            range(len(coeffs)), domain.p):
+        prod = coeffs[combo[0]]
+        for i in combo[1:]:
+            prod = prod * coeffs[i]
+        if not prod.is_zero():
+            raise PreconditionError(
+                "length-%d product of coefficients is nonzero" % domain.p)
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _polynomial_family(dom, n, rnd):
+    """Leading zeros, then constant-free polynomials in one regular
+    nilpotent of size n (n > p, so some length-p products survive)."""
+    N = jordan_block(dom, n)
+    powers = [N ** k for k in range(1, n)]
+    zeros = [Mat.zero(dom, n)] * rnd.randint(0, 2)
+    coeffs = [lin_comb(Mat.zero(dom, n),
+                       [rnd.randrange(dom.p) if rnd.random() < 0.6 else 0
+                        for _ in powers], powers)
+              for _ in range(rnd.randint(1, 3))]
+    return zeros + coeffs
+
+
+def test_length_p_products_match_the_full_enumeration():
+    """The level-by-level products over shared prefixes accept and reject
+    exactly the families the full enumeration does, with its message:
+    seeded _random_additive families (some with leading zero
+    coefficients) and polynomial families in a nilpotent of index > p."""
+    outcomes = set()
+    leading_zeros = 0
+    for p in (2, 3, 5, 7):
+        dom = Fp(p)
+        rnd = random.Random(100 + p)
+        families = []
+        for _ in range(15):
+            h, r = _random_additive(dom, rnd)
+            leading_zeros += r > 0
+            families.append(h.coeffs)
+        families += [_polynomial_family(dom, rnd.choice((p + 1, p + 2)), rnd)
+                     for _ in range(15)]
+        for coeffs in families:
+            want = _check_outcome(_ref_additive_check, dom, coeffs)
+            got = _check_outcome(AdditiveHom, dom, coeffs)
+            assert got == want, (p, coeffs)
+            outcomes.add(want)
+    assert leading_zeros > 0
+    assert "ok" in outcomes and len(outcomes) > 1
+
+
+def test_mixed_length_p_product_is_rejected():
+    """Multiplication by x and by y on F_2[x, y]/(x^2, y^2), basis
+    1, x, y, xy: the squares vanish, the only nonzero length-2 product
+    is xy, and both routes reject the pair."""
+    def mult(images):  # column j is the image of basis vector j
+        return Mat(F2, 4, 4, [1 if images[j] == i else 0
+                              for i in range(4) for j in range(4)])
+
+    x = mult([1, None, 3, None])
+    y = mult([2, 3, None, None])
+    assert commutes(x, y) and (x * x).is_zero() and (y * y).is_zero()
+    assert not (x * y).is_zero()
+    AdditiveHom(F2, (x,))
+    AdditiveHom(F2, (y,))
+    for check in (AdditiveHom, _ref_additive_check):
+        with pytest.raises(PreconditionError,
+                           match="length-2 product of coefficients"):
+            check(F2, (x, y))
 
 
 def test_additive_eval_is_a_homomorphism():
