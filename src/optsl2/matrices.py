@@ -17,7 +17,9 @@ pivots into Fractions once, at the end.
 The brute-force checks test many matrices x against one fixed pair
 (A, B): intertwiner_test compiles the pair once into the linear forms
 of x A - B x and returns a predicate on x's flat tuple, so no product
-is built per element.  commutes is the one-off case of the same test.
+is built per element, and enumerate_group streams GL_n(F_p) as those
+flat tuples, so no Mat is built per element either.  commutes is the
+one-off case of the same test.
 """
 
 from __future__ import annotations
@@ -529,7 +531,8 @@ def same_span(vs, ws) -> bool:
 # -- exhaustive enumeration --------------------------------------------
 
 def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
-    """Yield every g in GL_n(F_p) exactly once.
+    """Yield every g in GL_n(F_p) exactly once, as its flat row-major
+    tuple of residues, the input intertwiner_test's predicates read.
 
     The stream equals the scan of all p^(n*n) matrices in lexicographic
     entry order (row-major) that keeps those of rank n, so it is
@@ -539,13 +542,13 @@ def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
     one row at a time, so no candidate is eliminated.  Raises
     BudgetError up front when p^(n*n) exceeds the budget.
     """
-    dom = Fp(p)
+    Fp(p)  # validates p before anything is yielded
     total = p ** (n * n)
     if total > budget:
         raise BudgetError("enumeration of %d candidate matrices exceeds "
                           "budget %d" % (total, budget))
     if n == 0:
-        yield Mat(dom, 0, 0, ())
+        yield ()
         return
     vectors = list(itertools.product(range(p), repeat=n))
 
@@ -554,7 +557,7 @@ def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
             if v in span:
                 continue
             if rows_left == 1:
-                yield Mat(dom, n, n, prefix + v)
+                yield prefix + v
             else:
                 wider = {tuple((a + c * b) % p for a, b in zip(s, v))
                          for s in span for c in range(p)}
@@ -666,45 +669,58 @@ def det(M: Mat):
 # -- operators on gl_n, vectorized row-major ---------------------------
 
 def ad_operator(X: Mat) -> Mat:
-    """Matrix of M -> [X, M] acting on vectorized n x n matrices."""
+    """Matrix of M -> [X, M] acting on vectorized n x n matrices.
+
+    Row (i, j) holds X[i, k] at column (k, j) and -X[l, j] at column
+    (i, l); the two meet only at column (i, j).  Zero entries of X are
+    skipped, and the other entries are written straight from X.data.
+    """
     if not X.is_square():
         raise DomainError("square matrix expected")
     n = X.rows
     d = X.domain
-    z = d.zero()
-    data = [z] * (n * n * n * n)
+    x = X.data
     N = n * n
+    data = [d.zero()] * (N * N)
     for i in range(n):
         for j in range(n):
-            row = i * n + j
+            base = (i * n + j) * N
             for k in range(n):
-                data[row * N + k * n + j] = d.add(data[row * N + k * n + j],
-                                                  X[i, k])
+                v = x[i * n + k]
+                if v:
+                    data[base + k * n + j] = v
             for l in range(n):
-                data[row * N + i * n + l] = d.sub(data[row * N + i * n + l],
-                                                  X[l, j])
+                v = x[l * n + j]
+                if v:
+                    t = base + i * n + l
+                    data[t] = d.sub(data[t], v)
     return Mat(d, N, N, data)
 
 
 def mul_operator(A: Mat, B: Mat) -> Mat:
-    """Matrix of M -> A M B acting on vectorized n x n matrices."""
+    """Matrix of M -> A M B acting on vectorized n x n matrices.
+
+    Entry (i, j), (k, l) is the single term A[i, k] B[l, j], assigned
+    from A.data and B.data when both factors are nonzero.
+    """
     if not (A.is_square() and B.is_square() and A.rows == B.rows):
         raise DomainError("square matrices of equal size expected")
     n = A.rows
     d = A.domain
+    a, b = A.data, B.data
     N = n * n
-    z = d.zero()
-    data = [z] * (N * N)
+    data = [d.zero()] * (N * N)
     for i in range(n):
         for k in range(n):
-            aik = A[i, k]
-            if aik == z:
+            aik = a[i * n + k]
+            if not aik:
                 continue
             for j in range(n):
-                row = i * n + j
+                base = (i * n + j) * N + k * n
                 for l in range(n):
-                    data[row * N + k * n + l] = d.add(
-                        data[row * N + k * n + l], d.mul(aik, B[l, j]))
+                    blj = b[l * n + j]
+                    if blj:
+                        data[base + l] = d.mul(aik, blj)
     return Mat(d, N, N, data)
 
 

@@ -230,7 +230,7 @@ def build_optimal(X: Mat) -> OptimalSL2Hom:
     of X.  Over F_p all parts must be at most p."""
     jd = nilpotent_jordan(X)
     phi = OptimalSL2Hom(jd.partition, jd.basis)
-    if d_hom(phi).X != X:
+    if _d_part(phi, sym_power_dX) != X:
         raise InconsistencyError("construction does not differentiate to X")
     return phi
 
@@ -259,15 +259,20 @@ def _hom_images(phis, gens):
     return out
 
 
-def d_hom(phi: OptimalSL2Hom) -> Sl2Triple:
+def _d_part(phi: OptimalSL2Hom, block) -> Mat:
+    """One differential of phi: the block-diagonal matrix of
+    block(domain, d - 1) over the parts d, conjugated into place.  block
+    is sym_power_dX, sym_power_dH or sym_power_dY; a caller that reads
+    only X pays for X alone."""
     dom = phi.domain
-    bx = [sym_power_dX(dom, dd - 1) for dd in phi.block_sizes]
-    bh = [sym_power_dH(dom, dd - 1) for dd in phi.block_sizes]
-    by = [sym_power_dY(dom, dd - 1) for dd in phi.block_sizes]
-    C, Ci = phi.conjugator, phi.conjugator_inv
-    return Sl2Triple(X=C * Mat.block_diag(dom, bx) * Ci,
-                     H=C * Mat.block_diag(dom, bh) * Ci,
-                     Y=C * Mat.block_diag(dom, by) * Ci)
+    D = Mat.block_diag(dom, [block(dom, dd - 1) for dd in phi.block_sizes])
+    return phi.conjugator * D * phi.conjugator_inv
+
+
+def d_hom(phi: OptimalSL2Hom) -> Sl2Triple:
+    return Sl2Triple(X=_d_part(phi, sym_power_dX),
+                     H=_d_part(phi, sym_power_dH),
+                     Y=_d_part(phi, sym_power_dY))
 
 
 def hom_torus_cochar(phi: OptimalSL2Hom) -> Cocharacter:
@@ -385,8 +390,8 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
     if phi1.domain != phi2.domain:
         raise DomainError("mixed domains")
     dom = phi1.domain
-    X = d_hom(phi1).X
-    if d_hom(phi2).X != X:
+    X = _d_part(phi1, sym_power_dX)
+    if _d_part(phi2, sym_power_dX) != X:
         raise DomainError("the homomorphisms differentiate to different "
                           "nilpotents")
     n = phi1.n
@@ -455,8 +460,8 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     dom = phi1.domain
     if not isinstance(dom, FpDomain):
         raise DomainError("exhaustive search needs a finite field")
-    X = d_hom(phi1).X
-    if d_hom(phi2).X != X:
+    X = _d_part(phi1, sym_power_dX)
+    if _d_part(phi2, sym_power_dX) != X:
         raise DomainError("different nilpotents")
     psi1 = hom_torus_cochar(phi1)
     psi2 = hom_torus_cochar(phi2)
@@ -475,6 +480,18 @@ def radical_element(domain, n: int, basis, coeffs) -> Mat:
     return lin_comb(Mat.identity(domain, n), coeffs, basis)
 
 
+def _radical_tuples(p: int, n: int, basis):
+    """The flat tuple mod p of every radical_element 1 + sum c_i B_i,
+    one per coefficient vector c in F_p^k, in itertools.product order.
+    The one element builder of the radical searches."""
+    ident = tuple(int(i == j) for i in range(n) for j in range(n))
+    # multiples[i][c] is the flat tuple of c B_i, so the product over
+    # the multiples runs through the coefficients in product order
+    multiples = [[B.scale(c).data for c in range(p)] for B in basis]
+    for terms in itertools.product(*multiples):
+        yield tuple(map(p.__rmod__, map(sum, zip(ident, *terms))))
+
+
 def radical_intertwiners(domain, n: int, basis, pairs):
     """Every radical_element x with c in F_p^k, one per coefficient
     vector in itertools.product order of the coefficients, that has
@@ -487,26 +504,44 @@ def radical_intertwiners(domain, n: int, basis, pairs):
     a flat tuple of residues mod p and becomes a Mat only when it
     matches.  An empty basis leaves the identity as the one candidate.
     """
-    p = domain.p
     tests = [intertwiner_test(A, B) for A, B in pairs]
-    ident = Mat.identity(domain, n).data
-    # multiples[i][c] is the flat tuple of c B_i, so the product over
-    # the multiples runs through the coefficients in product order
-    multiples = [[B.scale(c).data for c in range(p)] for B in basis]
-    for terms in itertools.product(*multiples):
-        x = tuple(map(p.__rmod__, map(sum, zip(ident, *terms))))
+    for x in _radical_tuples(domain.p, n, basis):
         if all(test(x) for test in tests):
             yield Mat(domain, n, n, x)
 
 
+def _conjugator_tests(phi1: OptimalSL2Hom, phi2s):
+    """Per twist phi2, the compiled tests x phi1(g) = phi2(g) x for g in
+    y1(1), x1(1), which generate SL_2(F_p), so agreement there pins the
+    homomorphisms down everywhere.  One block image per generator is
+    shared by phi1 and every twist.  y1(1) comes first: when phi1 and
+    phi2 differentiate to the same X, every radical element passes the
+    x1(1) test, since phi1(x1(1)) = phi2(x1(1)) = eps(X), and only the
+    y1(1) test tells them apart."""
+    dom = phi1.domain
+    y1, x1 = _hom_images([phi1, *phi2s], [sl2_y1(dom, 1), sl2_x1(dom, 1)])
+    return [[intertwiner_test(y1[0], b), intertwiner_test(x1[0], a)]
+            for b, a in zip(y1[1:], x1[1:])]
+
+
+def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
+    """For each phi2 in phi2s, how many radical elements x (see
+    radical_intertwiners) satisfy Int(x) o phi1 = phi2 on x1(1) and
+    y1(1).  One pass over the radical serves every phi2: each x is built
+    once and tested against each twist's compiled predicates."""
+    per_twist = _conjugator_tests(phi1, phi2s)
+    counts = [0] * len(per_twist)
+    for x in _radical_tuples(phi1.domain.p, phi1.n, basis):
+        for i, tests in enumerate(per_twist):
+            if all(test(x) for test in tests):
+                counts[i] += 1
+    return counts
+
+
 def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
                               basis) -> int:
-    """How many radical elements x (see radical_intertwiners) satisfy
-    Int(x) o phi1 = phi2 on x1(1) and y1(1), which generate SL_2(F_p),
-    so agreement there pins the homomorphisms down everywhere."""
-    dom = phi1.domain
-    images = _hom_images([phi1, phi2], [sl2_x1(dom, 1), sl2_y1(dom, 1)])
-    return sum(1 for _ in radical_intertwiners(dom, phi1.n, basis, images))
+    """radical_conjugator_counts for the one homomorphism phi2."""
+    return radical_conjugator_counts(phi1, [phi2], basis)[0]
 
 
 def hom_conjugators_agree(phi1, phi2, x) -> bool:
@@ -536,7 +571,8 @@ def exp_centralizer_check(X: Mat,
     kernel of Ad(eps(tX)) - 1 for every t in F_p^*); when p^(n^2) fits
     the budget also compares the finite group centralizers elementwise.
     X and each eps(tX) are compiled by intertwiner_test before the
-    enumeration, and every g is tested on its flat tuple.
+    enumeration, and every g is tested on the flat tuple enumerate_group
+    yields.
     """
     dom = X.domain
     if not isinstance(dom, FpDomain):
@@ -563,11 +599,11 @@ def exp_centralizer_check(X: Mat,
         x_test = intertwiner_test(X, X)
         exp_tests = [intertwiner_test(u, u) for u in exps]
         for g in enumerate_group(n, p, budget=budget):
-            in_cx = x_test(g.data)
+            in_cx = x_test(g)
             if in_cx:
                 group_size += 1
             for test in exp_tests:
-                if test(g.data) != in_cx:
+                if test(g) != in_cx:
                     group_agree = False
     return ExpCentralizerReport(p=p, n=n, nullspaces_agree=agree,
                                 group_checked=group_checked,
@@ -592,7 +628,7 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     centralizes it when g commutes with every weight projection.  The
     generator images, X and the projections are compiled by
     intertwiner_test before the enumeration, and every g is tested on
-    its flat tuple.
+    the flat tuple enumerate_group yields.
     """
     dom = phi.domain
     if not isinstance(dom, FpDomain):
@@ -603,7 +639,7 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
         raise BudgetError("enumeration of %d matrices exceeds budget %d"
                           % (p ** (n * n), budget))
     gens = [eval_hom(phi, g) for g in sl2_generators(dom)]
-    X = d_hom(phi).X
+    X = _d_part(phi, sym_power_dX)
     psi = hom_torus_cochar(phi)
     projections = [psi.weight_projection(w) for w in sorted(set(psi.weights))]
     gen_tests = [intertwiner_test(G, G) for G in gens]
@@ -611,8 +647,7 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     projection_tests = [intertwiner_test(Q, Q) for Q in projections]
     equal = True
     size_l = size_r = 0
-    for g in enumerate_group(n, p, budget=budget):
-        x = g.data
+    for x in enumerate_group(n, p, budget=budget):
         lhs = all(test(x) for test in gen_tests)
         rhs = x_test(x) and all(test(x) for test in projection_tests)
         size_l += lhs
@@ -695,7 +730,7 @@ class LimitHom:
                 if not commutes(P1, P2):
                     raise PreconditionError(
                         "gamma does not centralize the torus image")
-        X = d_hom(phi).X
+        X = _d_part(phi, sym_power_dX)
         pd = ParabolicData(gamma)
         if not pd.contains(X):
             raise PreconditionError("d(phi) leaves Lie P(gamma)")

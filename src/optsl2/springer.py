@@ -101,17 +101,34 @@ def _poly_compose_trunc(f, g, domain, trunc):
 
 def reversion(coeffs: SpringerCoeffs, trunc: int):
     """Coefficients (b1, ..., b_{trunc-1}) of the compositional inverse
-    of f(t) = a1 t + a2 t^2 + ... modulo t^trunc."""
+    g of f(t) = a1 t + a2 t^2 + ... modulo t^trunc.
+
+    [t^k] f(g) = a1 b_k + sum over j >= 2 of a_j [t^k] g^j, and for
+    j >= 2 the coefficient [t^k] g^j only involves b_1, ..., b_{k-1}.
+    So a table of the [t^k] g^j is extended one degree k at a time,
+    from the degrees below it, before b_k is set: O(trunc^3) in all.
+    The full composition f(g) is checked once at the end.
+    """
     d = coeffs.domain
-    f = [d.zero()] + list(coeffs.a)
+    zero = d.zero()
+    f = [zero] + list(coeffs.a) + [zero] * max(0, trunc - 1 - len(coeffs.a))
     a1_inv = d.inv(coeffs.a[0])
-    g = [d.zero(), a1_inv] + [d.zero()] * max(0, trunc - 2)
-    g = g[:trunc]
+    g = ([zero, a1_inv] + [zero] * max(0, trunc - 2))[:trunc]
+    # powers[j][k] = [t^k] g^j; g^1 is g itself, filled in as each b_k is set
+    powers = [None, g]
     for k in range(2, trunc):
-        comp = _poly_compose_trunc(f, g, d, k + 1)
-        g[k] = d.neg(d.mul(comp[k], a1_inv))
+        powers.append([zero] * trunc)
+        s = zero
+        for j in range(2, k + 1):
+            below = powers[j - 1]
+            c = zero
+            for m in range(1, k - j + 2):
+                c = d.add(c, d.mul(g[m], below[k - m]))
+            powers[j][k] = c
+            s = d.add(s, d.mul(f[j], c))
+        g[k] = d.neg(d.mul(s, a1_inv))
     check = _poly_compose_trunc(f, g, d, trunc)
-    expected = [d.zero()] * trunc
+    expected = [zero] * trunc
     if trunc > 1:
         expected[1] = d.one()
     if check != expected:

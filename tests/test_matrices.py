@@ -193,6 +193,57 @@ def test_operator_matrices_agree_with_direct_action():
         assert devectorize(mul_operator(A, B) * v, 3) == A * M * B
 
 
+def _ad_reference(X):
+    """ad X term by term: d.add/d.sub of every X[i, k] and X[l, j]."""
+    n, d = X.rows, X.domain
+    N = n * n
+    data = [d.zero()] * (N * N)
+    for i in range(n):
+        for j in range(n):
+            row = i * n + j
+            for k in range(n):
+                t = row * N + k * n + j
+                data[t] = d.add(data[t], X[i, k])
+            for l in range(n):
+                t = row * N + i * n + l
+                data[t] = d.sub(data[t], X[l, j])
+    return Mat(d, N, N, data)
+
+
+def _mul_reference(A, B):
+    """M -> A M B term by term: d.add of d.mul(A[i, k], B[l, j])."""
+    n, d = A.rows, A.domain
+    N = n * n
+    data = [d.zero()] * (N * N)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    t = (i * n + j) * N + k * n + l
+                    data[t] = d.add(data[t], d.mul(A[i, k], B[l, j]))
+    return Mat(d, N, N, data)
+
+
+def test_operator_matrices_match_term_by_term_reference():
+    rnd = random.Random(48)
+    for dom in (F2, F3, F5, QQ):
+        for n in range(1, 5):
+            for _ in range(4):
+                X, A, B = (random_mat(dom, n, n, rnd, bound=3)
+                           for _ in range(3))
+                # sparse inputs exercise the skipped zero entries
+                S = Mat(dom, n, n, [x if rnd.random() < 0.3 else dom.zero()
+                                    for x in X.data])
+                for M in (X, S, Mat.zero(dom, n), Mat.identity(dom, n)):
+                    assert ad_operator(M) == _ad_reference(M)
+                    assert mul_operator(M, B) == _mul_reference(M, B)
+                    assert mul_operator(A, M) == _mul_reference(A, M)
+                if dom is QQ:
+                    assert all(isinstance(v, Fraction)
+                               for v in ad_operator(X).data
+                               + mul_operator(A, B).data)
+
+
 def test_enumerate_group_order_and_determinism():
     els = list(enumerate_group(2, 2))
     assert len(els) == 6  # (4-1)(4-2) = 6
@@ -219,8 +270,10 @@ def _rank_filtered_scan(n, p):
 @pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (2, 2), (2, 3), (2, 5),
                                   (3, 2), (3, 3), (4, 2)])
 def test_enumerate_group_equals_rank_filtered_scan(n, p):
-    # the order is part of the contract, so compare lists, not sets
-    assert list(enumerate_group(n, p)) == list(_rank_filtered_scan(n, p))
+    # the order is part of the contract, so compare lists, not sets;
+    # the stream holds the flat row-major entry tuples
+    assert list(enumerate_group(n, p)) == \
+        [M.data for M in _rank_filtered_scan(n, p)]
 
 
 def _bump(M, i, j):

@@ -21,7 +21,8 @@ from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                         hom_conjugators_agree, hom_torus_cochar,
                         levi_containment_check, positive_commutant_basis,
                         primitive_root, radical_cochar_transporters,
-                        radical_element, radical_intertwiners, sl2_elements,
+                        radical_conjugator_counts, radical_element,
+                        radical_intertwiners, sl2_elements,
                         sl2_generators, sl2_sample, sl2_torus, sl2_x1, sl2_y1,
                         sym_power_dH, sym_power_dX, sym_power_dY,
                         sym_power_rep, verify_limit, verify_optimal)
@@ -382,6 +383,55 @@ def test_radical_search_matches_inverse_reference():
                     assert len(expected) == (p if len(b) > len(basis) else 1)
 
 
+def _literal_conjugator_count(phi1, phi2, basis):
+    """How many x = radical_element(c), c in F_p^k, have x A == B x for
+    (A, B) = (phi1(g), phi2(g)) on g = x1(1) and y1(1), by products."""
+    dom = phi1.domain
+    pairs = [(eval_hom(phi1, g), eval_hom(phi2, g))
+             for g in (sl2_x1(dom, 1), sl2_y1(dom, 1))]
+    count = 0
+    for coeffs in itertools.product(range(dom.p), repeat=len(basis)):
+        x = radical_element(dom, phi1.n, basis, coeffs)
+        if all(x * A == B * x for A, B in pairs):
+            count += 1
+    return count
+
+
+def test_radical_conjugator_counts_match_literal_products():
+    """The one-pass counter against a count by literal products, twist
+    by twist: radical twists (exactly one conjugator each), the same
+    twists on a basis with a repeated element (p each), and twists by
+    random invertible matrices (mostly none)."""
+    rnd = random.Random(47)
+    checked = 0
+    for p in (2, 3):
+        dom = Fp(p)
+        for n in range(1, 4):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                X = rep_from_partition(dom, lam)
+                phi1 = build_optimal(X)
+                basis = positive_commutant_basis(X, hom_torus_cochar(phi1))
+                twists = [radical_element(dom, n, basis,
+                                          [rnd.randrange(p) for _ in basis])
+                          for _ in range(4)]
+                twists += [random_invertible(dom, n, rnd) for _ in range(2)]
+                phi2s = [conjugate_hom(phi1, g) for g in twists]
+                for b in (basis, basis + basis[:1]):
+                    counts = radical_conjugator_counts(phi1, phi2s, b)
+                    expected = [_literal_conjugator_count(phi1, phi2, b)
+                                for phi2 in phi2s]
+                    assert counts == expected
+                    assert [count_radical_conjugators(phi1, phi2, b)
+                            for phi2 in phi2s] == expected
+                    radical = p if len(b) > len(basis) else 1
+                    assert expected[:4] == [radical] * 4
+                    checked += 1
+    assert checked == 2 * 11  # 5 partitions admissible at p = 2, 6 at 3
+    assert radical_conjugator_counts(phi1, [], basis) == []
+
+
 def test_radical_intertwiners_with_empty_basis_yield_the_identity():
     for dom in (F2, F3, F5):
         for n in (1, 2, 3):
@@ -407,7 +457,7 @@ def test_centralizer_orders_match_literal_products():
     for p, n_max in ((2, 3), (3, 2)):
         dom = Fp(p)
         for n in range(1, n_max + 1):
-            group = list(enumerate_group(n, p))
+            group = [Mat(dom, n, n, g) for g in enumerate_group(n, p)]
             for lam in partitions_of(n):
                 X = rep_from_partition(dom, lam)
                 assert sum(1 for g in group if g * X == X * g) \

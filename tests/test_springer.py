@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,54 @@ def test_reversion_catalan_pattern():
     # inverse of t + t^2 starts t - t^2 + 2t^3 - 5t^4 (signed Catalans)
     b = reversion(SpringerCoeffs(QQ, (1, 1, 0, 0)), 5)
     assert b == (1, -1, 2, -5)
+
+
+def _compose_reference(f, g, d, trunc):
+    """f(g(t)) mod t^trunc by Horner's rule on truncated products."""
+    result = [d.zero()] * trunc
+    for c in reversed(f):
+        prod = [d.zero()] * trunc
+        for i, ri in enumerate(result):
+            for j, gj in enumerate(g[:trunc - i]):
+                prod[i + j] = d.add(prod[i + j], d.mul(ri, gj))
+        prod[0] = d.add(prod[0], c)
+        result = prod
+    return result
+
+
+def _reversion_reference(coeffs, trunc):
+    """Series reversion that recomposes f(g) mod t^(k+1) for each k."""
+    d = coeffs.domain
+    f = [d.zero()] + list(coeffs.a)
+    a1_inv = d.inv(coeffs.a[0])
+    g = ([d.zero(), a1_inv] + [d.zero()] * max(0, trunc - 2))[:trunc]
+    for k in range(2, trunc):
+        comp = _compose_reference(f, g, d, k + 1)
+        g[k] = d.neg(d.mul(comp[k], a1_inv))
+    return tuple(g[1:])
+
+
+def test_reversion_matches_recomposition_reference():
+    rnd = random.Random(49)
+    for _ in range(120):
+        n = rnd.randint(2, 9)
+        trunc = rnd.choice([1, max(1, n - 2), n, n, n + 2])
+        if rnd.random() < 0.5:
+            dom = Fp(rnd.choice([2, 3, 5, 7, 11]))
+            a = ([rnd.randrange(1, dom.p)]
+                 + [rnd.randrange(dom.p) for _ in range(n - 2)])
+        else:
+            dom = QQ
+            a = ([rnd.choice([1, -1, 2, "1/2", "-3/5"])]
+                 + [Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                    for _ in range(n - 2)])
+        coeffs = SpringerCoeffs(dom, a)
+        b = reversion(coeffs, trunc)
+        assert b == _reversion_reference(coeffs, trunc)
+        assert len(b) == max(0, trunc - 1)
+        f = [dom.zero()] + list(coeffs.a)
+        assert _compose_reference(f, [dom.zero()] + list(b), dom, trunc) \
+            == [dom.of(int(k == 1)) for k in range(trunc)]
 
 
 def test_invert_round_trips():

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from optsl2 import sl2, suites
@@ -82,6 +85,45 @@ def test_budget_produces_skips_not_failures():
     assert report.summary["falsified"] == 0
 
 
+def test_skipped_group_gives_the_lie_kernels_a_record_of_their_own(
+        monkeypatch):
+    lie_claim = "exp-centralizer-lie-kernels-agree"
+    # the default budget checks every group: no Lie-level record
+    assert all(r.claim != lie_claim for r in run_suite("centralizer").records)
+    report = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
+    lie = [i for i, r in enumerate(report.records) if r.claim == lie_claim]
+    assert [report.records[i].instance["partition"] for i in lie] == \
+        [[3], [2, 1], [1, 1, 1]]
+    for i in lie:
+        r, group = report.records[i], report.records[i - 1]
+        assert (r.witness, r.verified) == ({"t_values": 2}, True)
+        # right after the skipped group record of the same instance
+        assert group.claim == "exp-centralizer-equals-x-centralizer"
+        assert group.instance == r.instance
+        assert group.witness == {"group_checked": False, "group_size": None}
+        assert group.verified is None
+    assert report.summary == {"instances": 15, "verified": 9,
+                              "falsified": 0, "skipped": 6}
+
+    # kernels that disagree falsify the Lie-level records, and the group
+    # records that ran; the skipped group records stay skips
+    exact = suites.exp_centralizer_check
+
+    def disagreeing(X, budget):
+        return dataclasses.replace(exact(X, budget=budget),
+                                   nullspaces_agree=False)
+
+    monkeypatch.setattr(suites, "exp_centralizer_check", disagreeing)
+    planted = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
+    for r, c in zip(planted.records, report.records):
+        if c.claim == lie_claim or (c.claim.startswith("exp-")
+                                    and c.verified is True):
+            assert (r.instance, r.witness, r.verified) == \
+                (c.instance, c.witness, False)
+        else:
+            assert r == c
+
+
 def test_a_raising_check_is_one_falsified_record(monkeypatch):
     clean = run_suite("weight-bound", n_max=3, primes=(2, 3)).records
     exact = suites.weight_bound_check
@@ -135,3 +177,101 @@ def test_planted_intertwiner_fault_falsifies_both_brute_force_suites(
     assert report.falsified
     assert all("error" not in r.witness for r in report.falsified)
     assert main(["verify", "centralizer"]) == 1
+
+
+def _radical_exponent(record):
+    """k of a conjugacy record's radical size p^k."""
+    return int(record.witness["radical_size"].split("^")[1])
+
+
+def _assert_full_radical_counts(report):
+    """Records with a nontrivial radical are falsified with the count
+    of the whole radical, p^k; the others still hold."""
+    assert report.falsified
+    for r in report.records:
+        p, k = r.instance["p"], _radical_exponent(r)
+        if k:
+            assert r.verified is False
+            assert r.witness["failure"] == \
+                "%d radical conjugators found" % p ** k
+        else:
+            assert r.verified is True
+
+
+def test_planted_shifted_twist_predicates_are_caught(monkeypatch):
+    exact = sl2._conjugator_tests
+
+    def shifted(phi1, phi2s):
+        # twist i is tested with the predicates of twist i + 1; the last
+        # twist has no successor and is left with no predicate at all
+        return exact(phi1, phi2s)[1:] + [[]]
+
+    monkeypatch.setattr(sl2, "_conjugator_tests", shifted)
+    _assert_full_radical_counts(run_suite("conjugacy", n_max=3,
+                                          primes=(2, 3)))
+
+
+def test_planted_dropped_y1_predicate_is_caught(monkeypatch):
+    exact = sl2._conjugator_tests
+
+    def x1_only(phi1, phi2s):
+        return [tests[1:] for tests in exact(phi1, phi2s)]
+
+    monkeypatch.setattr(sl2, "_conjugator_tests", x1_only)
+    _assert_full_radical_counts(run_suite("conjugacy", n_max=3,
+                                          primes=(2, 3)))
+
+
+@pytest.mark.parametrize("count_twist, solver_twist",
+                         [(1, 3), (3, 1), (2, 2)])
+def test_conjugacy_notes_follow_the_twist_order(monkeypatch, count_twist,
+                                                solver_twist):
+    """A count fault and a solver fault on different twists: the record
+    carries the note of the earlier twist, and on one twist the
+    solver's, as when each twist was solved and then counted in turn."""
+    exact_tests = sl2._conjugator_tests
+    exact_solver = suites.conjugate_optimal
+    state = {"phi1": None, "calls": 0}
+
+    def count_fault(phi1, phi2s):
+        tests = exact_tests(phi1, phi2s)
+        tests[count_twist] = []
+        return tests
+
+    def solver_fault(phi1, phi2):
+        if phi1 is not state["phi1"]:  # a new instance
+            state.update(phi1=phi1, calls=0)
+        twist = state["calls"]
+        state["calls"] += 1
+        x = exact_solver(phi1, phi2)
+        return x.scale(2) if twist == solver_twist else x
+
+    monkeypatch.setattr(sl2, "_conjugator_tests", count_fault)
+    monkeypatch.setattr(suites, "conjugate_optimal", solver_fault)
+    report = run_suite("conjugacy", n_max=3, primes=(2, 3))
+    assert all(r.verified is False for r in report.records)
+    for r in report.records:
+        p, k = r.instance["p"], _radical_exponent(r)
+        if k and count_twist < solver_twist:
+            assert r.witness["failure"] == \
+                "%d radical conjugators found" % p ** k
+        else:
+            assert r.witness["failure"] == \
+                "solver returned a different conjugator"
+
+
+def test_conjugacy_grid_to_n5_keeps_the_default_records():
+    """The grid of the next growth step: n <= 5 over F_2 and F_3.  Every
+    instance is seeded by itself, so the default grid's records come
+    back byte for byte inside the larger report."""
+    default = run_suite("conjugacy")
+    grown = run_suite("conjugacy", n_max=5, primes=(2, 3))
+    assert len(default.records) == 18
+    assert len(grown.records) == 26
+    assert grown.summary["verified"] == 26
+
+    def dump(r):
+        return json.dumps(dataclasses.asdict(r), sort_keys=True)
+
+    grown_dumps = [dump(r) for r in grown.records]
+    assert all(dump(r) in grown_dumps for r in default.records)
