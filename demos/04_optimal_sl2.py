@@ -12,10 +12,9 @@ import random
 
 from optsl2 import (Fp, Mat, QQ, associated_cocharacter, build_optimal,
                     Cocharacter, d_hom, deform_to_levi, eps_exp, eval_hom,
-                    gcr_check_hom, hom_torus_cochar,
-                    levi_containment_check, rep_from_partition,
-                    sym_power_rep, sl2_x1, sl2_torus, verify_limit,
-                    verify_optimal)
+                    gcr_check_hom, levi_containment_check,
+                    rep_from_partition, sym_power_rep, sl2_x1, sl2_torus,
+                    verify_limit, verify_optimal)
 from optsl2.matrices import inverse, random_invertible
 
 # the divided-power symmetric square: note the t^2/2 entry
@@ -44,8 +43,8 @@ report = verify_optimal(phi, X)
 print("  full verification:", report)
 print()
 
-# the torus restriction is the associated cocharacter
-psi = hom_torus_cochar(phi)
+# the torus restriction, carried by phi, is the associated cocharacter
+psi = phi.psi
 print("torus restriction equals the associated cocharacter:",
       psi == associated_cocharacter(X).psi)
 print("phi(diag(t, 1/t)) at t = 2 equals psi(2):",

@@ -1,14 +1,15 @@
 """Any two optimal homomorphisms for the same X are conjugate by a
 unique element of the unipotent radical of C(X).
 
-The demo twists a homomorphism by a known radical element, recovers it
-with the linear transporter solver, and then brute-forces the whole
-radical over F_p to confirm there is exactly one conjugator.
+The demo twists a homomorphism by a known radical element and recovers
+it with conjugate_optimal: one affine solve for the coordinates of x in
+a basis of the radical, whose full column rank certifies uniqueness.
+Over F_p it then brute-forces the whole radical to confirm there is
+exactly one conjugator.
 """
 
 from optsl2 import (Fp, Mat, QQ, build_optimal, conjugate_hom,
-                    conjugate_optimal, hom_torus_cochar,
-                    positive_commutant_basis, radical_cochar_transporters,
+                    conjugate_optimal, radical_cochar_transporters,
                     rep_from_partition)
 
 for lam, dom, label in (((2, 2), Fp(2), "F_2"), ((3, 1), Fp(3), "F_3"),
@@ -16,8 +17,7 @@ for lam, dom, label in (((2, 2), Fp(2), "F_2"), ((3, 1), Fp(3), "F_3"),
     n = sum(lam)
     X = rep_from_partition(dom, lam)
     phi1 = build_optimal(X)
-    psi = hom_torus_cochar(phi1)
-    basis = positive_commutant_basis(X, psi)
+    basis = phi1.radical_basis
     print("partition %s over %s: dim of the radical of C(X) = %d"
           % (lam, label, len(basis)))
 

@@ -17,8 +17,8 @@ from .partitions import admissible, conjugate, partitions_of
 from .scalars import Fp, FpDomain, QQ, RationalDomain
 from .sl2 import (OptimalSL2Hom, build_optimal, conjugate_hom,
                   conjugate_optimal, d_hom, deform_to_levi, eval_hom,
-                  exp_centralizer_check, gcr_check, gcr_check_hom,
-                  hom_centralizer_check, hom_torus_cochar,
+                  exp_centralizer_check, exp_kernels_agree, gcr_check,
+                  gcr_check_hom, hom_centralizer_check,
                   levi_containment_check, positive_commutant_basis,
                   radical_cochar_transporters, sl2_elements, sl2_torus,
                   sl2_x1, sl2_y1, sym_power_rep, verify_limit,

@@ -27,7 +27,7 @@ from .matrices import DEFAULT_BUDGET, Mat
 from .orbits import orbit_summary, rep_from_partition
 from .partitions import admissible, check_partition, partitions_of
 from .scalars import Fp, QQ, parse_rational
-from .sl2 import build_optimal, hom_torus_cochar, verify_optimal
+from .sl2 import build_optimal, verify_optimal
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
 from .suites import _SUITE_FUNCS, DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -215,7 +215,7 @@ def _cmd_optimal_build(args) -> int:
     X = rep_from_partition(dom, lam)
     phi = build_optimal(X)
     report = verify_optimal(phi, X)
-    psi = hom_torus_cochar(phi)
+    psi = phi.psi
     obj = {
         "schema": SCHEMA,
         "claim": "optimal-homomorphism-for-partition",

@@ -63,14 +63,19 @@ def _gl_order(m: int, q: int) -> int:
     return order
 
 
+def radical_dim(lam) -> int:
+    """dim R_u(C(X)) for X nilpotent of Jordan type lam:
+    sum lam'_j^2 - sum m_i^2, the dimension of C(X) less that of its
+    reductive part prod GL_m_i, m_i the multiplicity of part i."""
+    return (sum(c * c for c in conjugate(lam))
+            - sum(m * m for m in _multiplicities(lam)))
+
+
 def centralizer_order(lam, q: int) -> int:
     """|C_GL_n(F_q)(X)| for X nilpotent of Jordan type lam:
-    q^(sum lam'_j^2 - sum m_i^2) * prod |GL_m_i(F_q)|, m_i the
-    multiplicity of part i (the reductive part is prod GL_m_i, the
-    unipotent radical an affine space of the remaining dimension)."""
-    unipotent = (sum(c * c for c in conjugate(lam))
-                 - sum(m * m for m in _multiplicities(lam)))
-    return q ** unipotent * image_centralizer_order(lam, q)
+    q^radical_dim(lam) * prod |GL_m_i(F_q)| (the reductive part is
+    prod GL_m_i, the unipotent radical an affine space)."""
+    return q ** radical_dim(lam) * image_centralizer_order(lam, q)
 
 
 def image_centralizer_order(lam, q: int) -> int:

@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .cochar import Cocharacter, ParabolicData, levi_limit
@@ -25,7 +26,7 @@ from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
                        bracket, commutes, det, devectorize, enumerate_group,
                        intertwiner_test, inverse, lin_comb, mul_operator,
-                       rank_nullspace, same_span, vstack)
+                       rank_nullspace, rref, same_span)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain, integer_numerators
@@ -190,12 +191,13 @@ class OptimalSL2Hom:
 
     block_sizes is the partition (parts = Jordan block sizes, largest
     first); conjugator columns are the Jordan basis the blocks act on.
+    psi, the torus cocharacter on that basis with the block weights,
+    is built once; X and radical_basis are computed on first use.
     """
 
     def __init__(self, block_sizes, conjugator: Mat):
         self.block_sizes = check_partition(block_sizes)
         self.conjugator = conjugator
-        self.conjugator_inv = inverse(conjugator)
         self.domain = conjugator.domain
         n = sum(self.block_sizes)
         if conjugator.rows != n:
@@ -206,6 +208,19 @@ class OptimalSL2Hom:
             raise PreconditionError(
                 "largest part %d exceeds p = %d, no optimal homomorphism"
                 % (self.block_sizes[0], self.domain.p))
+        # the restriction to the diagonal torus; its coordinate change
+        # puts every block-diagonal matrix into place
+        self.psi = Cocharacter(conjugator, block_weights(self.block_sizes))
+
+    @cached_property
+    def X(self) -> Mat:
+        """The nilpotent d(phi) of the x1-direction."""
+        return _d_part(self, sym_power_dX)
+
+    @cached_property
+    def radical_basis(self) -> list:
+        """A basis of the Lie algebra of R_u(C(X))."""
+        return positive_commutant_basis(self.X, self.psi)
 
     @property
     def n(self) -> int:
@@ -230,7 +245,7 @@ def build_optimal(X: Mat) -> OptimalSL2Hom:
     of X.  Over F_p all parts must be at most p."""
     jd = nilpotent_jordan(X)
     phi = OptimalSL2Hom(jd.partition, jd.basis)
-    if _d_part(phi, sym_power_dX) != X:
+    if phi.X != X:
         raise InconsistencyError("construction does not differentiate to X")
     return phi
 
@@ -254,7 +269,7 @@ def _hom_images(phis, gens):
             if sizes not in blocks:
                 blocks[sizes] = Mat.block_diag(
                     phi.domain, [sym_power_rep(dd - 1, g) for dd in sizes])
-            row.append(phi.conjugator * blocks[sizes] * phi.conjugator_inv)
+            row.append(phi.psi.from_coords(blocks[sizes]))
         out.append(row)
     return out
 
@@ -262,22 +277,15 @@ def _hom_images(phis, gens):
 def _d_part(phi: OptimalSL2Hom, block) -> Mat:
     """One differential of phi: the block-diagonal matrix of
     block(domain, d - 1) over the parts d, conjugated into place.  block
-    is sym_power_dX, sym_power_dH or sym_power_dY; a caller that reads
-    only X pays for X alone."""
+    is sym_power_dX, sym_power_dH or sym_power_dY."""
     dom = phi.domain
-    D = Mat.block_diag(dom, [block(dom, dd - 1) for dd in phi.block_sizes])
-    return phi.conjugator * D * phi.conjugator_inv
+    return phi.psi.from_coords(Mat.block_diag(
+        dom, [block(dom, dd - 1) for dd in phi.block_sizes]))
 
 
 def d_hom(phi: OptimalSL2Hom) -> Sl2Triple:
-    return Sl2Triple(X=_d_part(phi, sym_power_dX),
-                     H=_d_part(phi, sym_power_dH),
+    return Sl2Triple(X=phi.X, H=_d_part(phi, sym_power_dH),
                      Y=_d_part(phi, sym_power_dY))
-
-
-def hom_torus_cochar(phi: OptimalSL2Hom) -> Cocharacter:
-    """Restriction of phi to the diagonal torus, as a cocharacter."""
-    return Cocharacter(phi.conjugator, block_weights(phi.block_sizes))
 
 
 def conjugate_hom(phi: OptimalSL2Hom, g: Mat) -> OptimalSL2Hom:
@@ -317,7 +325,7 @@ def verify_optimal(phi: OptimalSL2Hom, X: Mat,
         and bracket(triple.H, triple.X) == triple.X.scale(two)
         and bracket(triple.H, triple.Y) == triple.Y.scale(dom.neg(two)))
 
-    psi = hom_torus_cochar(phi)
+    psi = phi.psi
     torus_associated = is_associated(psi, X)
 
     if isinstance(dom, FpDomain):
@@ -362,90 +370,44 @@ def positive_commutant_basis(X: Mat, psi: Cocharacter):
     return basis
 
 
-def _cochar_transport_conditions(psi1: Cocharacter, psi2: Cocharacter):
-    """Linear conditions on M for M (psi1 weight space) = psi2 weight
-    space, weight by weight: (1 - Q2_w) M Q1_w = 0."""
-    dom = psi1.domain
-    n = psi1.n
-    ident = Mat.identity(dom, n)
-    rows = []
-    for w in sorted(set(psi1.weights)):
-        Q1 = psi1.weight_projection(w)
-        Q2 = psi2.weight_projection(w)
-        rows.append(mul_operator(ident - Q2, Q1))
-    return rows
-
-
 def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
     """The unique element of the unipotent radical of C(X) conjugating
     phi1 to phi2, for two optimal homomorphisms of the same X.
 
-    Solves the linear transporter system (commute with X, map torus
-    weight spaces across), picks an invertible solution, strips its
-    weight-0 part with the Levi limit, and verifies the result on
-    generators.  The candidates are fixed sums of the null basis, then
-    64 seeded random combinations.
+    Writes x = 1 + sum c_i B_i over phi1.radical_basis and solves the
+    affine system (1 - Q2_w) x Q1_w = 0, one block per torus weight w,
+    that carries the torus restriction of phi1 to that of phi2.  One
+    elimination of the augmented matrix gives the solution and the
+    rank; full column rank certifies that the transporter in the
+    radical is unique.  The result is verified on generators.
     """
-    rnd = random.Random(7)
-    if phi1.domain != phi2.domain:
-        raise DomainError("mixed domains")
-    dom = phi1.domain
-    X = _d_part(phi1, sym_power_dX)
-    if _d_part(phi2, sym_power_dX) != X:
+    if phi1.X != phi2.X:  # Mat equality includes the domain
         raise DomainError("the homomorphisms differentiate to different "
                           "nilpotents")
+    dom = phi1.domain
     n = phi1.n
-    psi1 = hom_torus_cochar(phi1)
-    psi2 = hom_torus_cochar(phi2)
+    psi1, psi2 = phi1.psi, phi2.psi
     if set(psi1.weights) != set(psi2.weights):
         raise InconsistencyError("torus weight sets differ")
-
-    system = [ad_operator(X)]
-    system.extend(_cochar_transport_conditions(psi1, psi2))
-    _, null = rank_nullspace(vstack(system))
-    if not null:
-        raise InconsistencyError("transporter system has no solutions")
-    candidates = []
-    total = Mat.zero(dom, n * n, 1)
-    for v in null:
-        total = total + v
-    candidates.append(total)
-    candidates.extend(null)
-    prefix = null[0]
-    for v in null[1:]:
-        prefix = prefix + v
-        candidates.append(prefix)
-
-    def random_candidate():
-        acc = Mat.zero(dom, n * n, 1)
-        for v in null:
-            if isinstance(dom, FpDomain):
-                c = rnd.randrange(dom.p)
-            else:
-                c = rnd.randint(-5, 5)
-            acc = acc + v.scale(c)
-        return acc
-
-    M = None
-    tried = 0
-    for cand in itertools.chain(candidates,
-                                (random_candidate() for _ in range(64))):
-        tried += 1
-        candM = devectorize(cand, n)
-        if candM.is_invertible():
-            M = candM
-            break
-    if M is None:
-        raise InconsistencyError(
-            "no invertible transporter found after %d candidates" % tried)
-
-    M0 = levi_limit(psi1, M)
-    x = M * inverse(M0)
-
-    if not commutes(x, X):
-        raise InconsistencyError("conjugator does not centralize X")
-    if not levi_limit(psi1, x).is_identity():
-        raise InconsistencyError("conjugator has nontrivial Levi part")
+    basis = phi1.radical_basis
+    k = len(basis)
+    ident = Mat.identity(dom, n)
+    # one row per entry of each weight block; column i holds the entry
+    # of (1 - Q2_w) B_i Q1_w, the last column that of -(1 - Q2_w) Q1_w
+    rows = []
+    for w in sorted(set(psi1.weights)):
+        P, Q = ident - psi2.weight_projection(w), psi1.weight_projection(w)
+        rows.extend(zip(*[(P * B * Q).data for B in basis],
+                        (-(P * Q)).data))
+    rk, piv, red = rref(Mat(dom, len(rows), k + 1,
+                            [v for row in rows for v in row]))
+    if piv and piv[-1] == k:
+        raise InconsistencyError("transporter system has no solution in "
+                                 "the radical")
+    if rk < k:
+        raise InconsistencyError("transporter in the radical is not unique: "
+                                 "rank %d of %d" % (rk, k))
+    x = radical_element(dom, n, basis, [red[i, k] for i in range(k)])
     if not hom_conjugators_agree(phi1, phi2, x):
         raise InconsistencyError(
             "transporter solution does not conjugate the homomorphisms")
@@ -460,12 +422,11 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     dom = phi1.domain
     if not isinstance(dom, FpDomain):
         raise DomainError("exhaustive search needs a finite field")
-    X = _d_part(phi1, sym_power_dX)
-    if _d_part(phi2, sym_power_dX) != X:
-        raise DomainError("different nilpotents")
-    psi1 = hom_torus_cochar(phi1)
-    psi2 = hom_torus_cochar(phi2)
-    basis = positive_commutant_basis(X, psi1)
+    if phi1.X != phi2.X:  # Mat equality includes the domain
+        raise DomainError("the homomorphisms differentiate to different "
+                          "nilpotents")
+    psi1, psi2 = phi1.psi, phi2.psi
+    basis = phi1.radical_basis
     p = dom.p
     if p ** len(basis) > budget:
         raise BudgetError("radical has %d^%d elements, budget %d"
@@ -538,12 +499,6 @@ def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
     return counts
 
 
-def count_radical_conjugators(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
-                              basis) -> int:
-    """radical_conjugator_counts for the one homomorphism phi2."""
-    return radical_conjugator_counts(phi1, [phi2], basis)[0]
-
-
 def hom_conjugators_agree(phi1, phi2, x) -> bool:
     """Whether Int(x) o phi1 = phi2, tested as x phi1(g) = phi2(g) x for
     invertible x on sl2_generators."""
@@ -563,33 +518,37 @@ class ExpCentralizerReport:
     group_size: int | None
 
 
+def exp_kernels_agree(X: Mat) -> bool:
+    """The Lie-level fixed spaces agree: the kernel of ad X equals the
+    kernel of Ad(eps(tX)) - 1 for every t in F_p^*."""
+    dom = X.domain
+    if not isinstance(dom, FpDomain):
+        raise DomainError("finite field expected")
+    n = X.rows
+    _, null_ad = rank_nullspace(ad_operator(X))
+    ident_op = Mat.identity(dom, n * n)
+    agree = True
+    for t in range(1, dom.p):
+        u = eps_exp(X.scale(t))
+        _, null_u = rank_nullspace(mul_operator(u, inverse(u)) - ident_op)
+        if not same_span(null_ad, null_u):
+            agree = False
+    return agree
+
+
 def exp_centralizer_check(X: Mat,
                           budget: int = DEFAULT_BUDGET) -> ExpCentralizerReport:
     """Centralizers of X and of eps(tX) coincide, t nonzero.
 
-    Always compares the Lie-level fixed spaces (kernel of ad X against
-    kernel of Ad(eps(tX)) - 1 for every t in F_p^*); when p^(n^2) fits
-    the budget also compares the finite group centralizers elementwise.
-    X and each eps(tX) are compiled by intertwiner_test before the
-    enumeration, and every g is tested on the flat tuple enumerate_group
-    yields.
+    Always compares the Lie-level fixed spaces (exp_kernels_agree);
+    when p^(n^2) fits the budget also compares the finite group
+    centralizers elementwise.  X and each eps(tX) are compiled by
+    intertwiner_test before the enumeration, and every g is tested on
+    the flat tuple enumerate_group yields.
     """
-    dom = X.domain
-    if not isinstance(dom, FpDomain):
-        raise DomainError("finite field expected")
-    p = dom.p
+    agree = exp_kernels_agree(X)
+    p = X.domain.p
     n = X.rows
-    _, null_ad = rank_nullspace(ad_operator(X))
-    ident_op = Mat.identity(dom, n * n)
-    exps = []
-    agree = True
-    for t in range(1, p):
-        u = eps_exp(X.scale(t))
-        exps.append(u)
-        _, null_u = rank_nullspace(mul_operator(u, inverse(u)) - ident_op)
-        if not same_span(null_ad, null_u):
-            agree = False
-
     group_checked = p ** (n * n) <= budget
     group_agree = None
     group_size = None
@@ -597,7 +556,8 @@ def exp_centralizer_check(X: Mat,
         group_agree = True
         group_size = 0
         x_test = intertwiner_test(X, X)
-        exp_tests = [intertwiner_test(u, u) for u in exps]
+        exp_tests = [intertwiner_test(u, u)
+                     for u in (eps_exp(X.scale(t)) for t in range(1, p))]
         for g in enumerate_group(n, p, budget=budget):
             in_cx = x_test(g)
             if in_cx:
@@ -639,11 +599,10 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
         raise BudgetError("enumeration of %d matrices exceeds budget %d"
                           % (p ** (n * n), budget))
     gens = [eval_hom(phi, g) for g in sl2_generators(dom)]
-    X = _d_part(phi, sym_power_dX)
-    psi = hom_torus_cochar(phi)
+    psi = phi.psi
     projections = [psi.weight_projection(w) for w in sorted(set(psi.weights))]
     gen_tests = [intertwiner_test(G, G) for G in gens]
-    x_test = intertwiner_test(X, X)
+    x_test = intertwiner_test(phi.X, phi.X)
     projection_tests = [intertwiner_test(Q, Q) for Q in projections]
     equal = True
     size_l = size_r = 0
@@ -691,8 +650,7 @@ def levi_containment_check(phi: OptimalSL2Hom) -> LeviContainmentReport:
     projectors = {}
     for dd in distinct:
         diag = [1 if i in indicator[dd] else 0 for i in range(n)]
-        projectors[dd] = phi.conjugator * Mat.diagonal(dom, diag) \
-            * phi.conjugator_inv
+        projectors[dd] = phi.psi.from_coords(Mat.diagonal(dom, diag))
 
     gens = sl2_generators(dom)
     for _ in range(8):
@@ -702,7 +660,7 @@ def levi_containment_check(phi: OptimalSL2Hom) -> LeviContainmentReport:
     dets_one = True
     for g in gens:
         img = eval_hom(phi, g)
-        base = phi.conjugator_inv * img * phi.conjugator
+        base = phi.psi.coords(img)
         for dd in distinct:
             if not commutes(img, projectors[dd]):
                 torus_commutes = False
@@ -722,7 +680,7 @@ class LimitHom:
     def __init__(self, phi: OptimalSL2Hom, gamma: Cocharacter):
         if gamma.domain != phi.domain or gamma.n != phi.n:
             raise DomainError("cocharacter does not match the homomorphism")
-        psi = hom_torus_cochar(phi)
+        psi = phi.psi
         for w1 in set(psi.weights):
             P1 = psi.weight_projection(w1)
             for w2 in set(gamma.weights):
@@ -730,9 +688,8 @@ class LimitHom:
                 if not commutes(P1, P2):
                     raise PreconditionError(
                         "gamma does not centralize the torus image")
-        X = _d_part(phi, sym_power_dX)
         pd = ParabolicData(gamma)
-        if not pd.contains(X):
+        if not pd.contains(phi.X):
             raise PreconditionError("d(phi) leaves Lie P(gamma)")
         if isinstance(phi.domain, FpDomain):
             for t in range(phi.domain.p):
@@ -742,7 +699,7 @@ class LimitHom:
                         "image of phi is not contained in P(gamma)")
         self.phi = phi
         self.gamma = gamma
-        self.X0 = gamma.component(X, 0)
+        self.X0 = gamma.component(phi.X, 0)
 
     def eval(self, g: Mat) -> Mat:
         return levi_limit(self.gamma, eval_hom(self.phi, g))
@@ -787,7 +744,7 @@ def verify_limit(lim: LimitHom) -> LimitReport:
         torus_ts = [1, 2, 3]
     exp_aligned = all(lim.eval(sl2_x1(dom, t)) == eps_exp(lim.X0.scale(t))
                       for t in ts)
-    psi = hom_torus_cochar(lim.phi)
+    psi = lim.phi.psi
     torus_unchanged = all(lim.eval(sl2_torus(dom, t)) == psi.at(t)
                           for t in torus_ts)
     return LimitReport(multiplicative=multiplicative,

@@ -25,13 +25,12 @@ from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
 from .orbits import (order_formula_report, rep_from_partition,
                      weight_bound_check)
 from .partitions import (admissible, centralizer_order, conjugate,
-                         image_centralizer_order, partitions_of)
+                         image_centralizer_order, partitions_of, radical_dim)
 from .scalars import Fp, QQ
 from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                  eval_hom, exp_centralizer_check, gcr_check, gcr_check_hom,
-                  hom_centralizer_check, hom_torus_cochar,
-                  positive_commutant_basis, radical_conjugator_counts,
-                  radical_element, sl2_x1)
+                  eval_hom, exp_centralizer_check, exp_kernels_agree,
+                  gcr_check, gcr_check_hom, hom_centralizer_check,
+                  radical_conjugator_counts, radical_element, sl2_x1)
 from .springer import (AdditiveHom, SpringerCoeffs, additive_eval,
                        additive_untwist, eps_exp, orbit_bijection_check,
                        springer_apply, springer_invert)
@@ -170,9 +169,8 @@ def _epsilon(p, lam):
     phi = build_optimal(X)
     aligned = all(eval_hom(phi, sl2_x1(dom, t)) == eps_exp(X.scale(t))
                   for t in range(p))
-    # budget 1 keeps this to the Lie-level kernels; the group
-    # enumeration lives in the centralizer suite
-    kernels = exp_centralizer_check(X, budget=1).nullspaces_agree
+    # the group enumeration lives in the centralizer suite
+    kernels = exp_kernels_agree(X)
     return ({"t_values": p, "exp_aligned": aligned,
              "kernels_agree": kernels}, aligned and kernels)
 
@@ -188,8 +186,14 @@ def _conjugacy(p, lam, twists, rnd, budget):
     dom = Fp(p)
     X = rep_from_partition(dom, lam)
     phi1 = build_optimal(X)
-    basis = positive_commutant_basis(X, hom_torus_cochar(phi1))
+    basis = phi1.radical_basis
     size = "%d^%d" % (p, len(basis))
+    # the twists, the count and the solver all live in the span of the
+    # basis, so only its closed-form dimension catches a short basis
+    if len(basis) != radical_dim(lam):
+        note = "radical dimension %d, expected %d" % (len(basis),
+                                                       radical_dim(lam))
+        return {"twists": twists, "radical_size": size, "failure": note}, False
     if p ** len(basis) > budget:
         return {"radical_size": size}, None
     drawn = [radical_element(dom, X.rows, basis,
@@ -221,7 +225,7 @@ def _suite_centralizer(grid, seed, budget):
             # the group comparison above is a skip; the Lie-level
             # comparison still runs and gets a record of its own
             yield ("exp-centralizer-lie-kernels-agree", _instance(lam, p),
-                   partial(_exp_kernels, p, lam, budget))
+                   partial(_exp_kernels, p, lam))
         yield ("image-centralizer-intersection", _instance(lam, p),
                partial(_image_centralizer, p, lam, budget))
 
@@ -242,10 +246,9 @@ def _exp_centralizer(p, lam, budget):
              "group_size": rep.group_size}, verified)
 
 
-def _exp_kernels(p, lam, budget):
-    rep = exp_centralizer_check(rep_from_partition(Fp(p), lam),
-                                budget=budget)
-    return {"t_values": p - 1}, rep.nullspaces_agree
+def _exp_kernels(p, lam):
+    return ({"t_values": p - 1},
+            exp_kernels_agree(rep_from_partition(Fp(p), lam)))
 
 
 def _image_centralizer(p, lam, budget):

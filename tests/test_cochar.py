@@ -11,7 +11,7 @@ from optsl2.matrices import (IncrementalSpan, Mat, bracket, inverse,
 from optsl2.orbits import is_associated, rep_from_partition
 from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ
-from optsl2.sl2 import build_optimal, hom_torus_cochar
+from optsl2.sl2 import build_optimal
 from optsl2.suites import run_suite
 
 F2 = Fp(2)
@@ -243,7 +243,7 @@ def _random_cochars(rnd):
 
 
 def _optimal_cochars(rnd):
-    """(hom_torus_cochar(build_optimal(X')), X') for seeded random
+    """(build_optimal(X').psi, X') for seeded random
     conjugates X' = g X g^-1 of every admissible partition, n <= 5."""
     for dom in (F2, F3, F5, QQ):
         for n in range(1, 6):
@@ -252,7 +252,7 @@ def _optimal_cochars(rnd):
                     continue
                 g = random_invertible(dom, n, rnd, bound=3)
                 X = g * rep_from_partition(dom, lam) * inverse(g)
-                yield hom_torus_cochar(build_optimal(X)), X
+                yield build_optimal(X).psi, X
 
 
 def _check_against_dense(gamma, rnd):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against this checkout."""
+"""Every demo script, and the README's library quick start, runs to
+completion against this checkout."""
 
 import os
 import subprocess
@@ -15,11 +16,25 @@ def test_all_demos_are_collected():
     assert len(DEMOS) == 7
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
-def test_demo_runs(demo):
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_runs(demo):
+    proc = _run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "build_optimal" in code
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "(2, 0, -2, 1, -1)"

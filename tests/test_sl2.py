@@ -8,19 +8,20 @@ import pytest
 
 from optsl2 import cli, sl2
 from optsl2.cochar import Cocharacter
-from optsl2.errors import BudgetError, DomainError, PreconditionError
+from optsl2.errors import (BudgetError, DomainError, InconsistencyError,
+                           PreconditionError)
 from optsl2.jordan import jordan_block
 from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, in_span,
                              inverse, random_invertible)
 from optsl2.orbits import associated_cocharacter, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                        count_radical_conjugators, d_hom, deform_to_levi,
-                        eval_hom, exp_centralizer_check, gcr_check,
+                        d_hom, deform_to_levi, eval_hom,
+                        exp_centralizer_check, exp_kernels_agree, gcr_check,
                         gcr_check_hom, hom_centralizer_check,
-                        hom_conjugators_agree, hom_torus_cochar,
-                        levi_containment_check, positive_commutant_basis,
-                        primitive_root, radical_cochar_transporters,
+                        hom_conjugators_agree, levi_containment_check,
+                        positive_commutant_basis, primitive_root,
+                        radical_cochar_transporters,
                         radical_conjugator_counts, radical_element,
                         radical_intertwiners, sl2_elements,
                         sl2_generators, sl2_sample, sl2_torus, sl2_x1, sl2_y1,
@@ -28,7 +29,8 @@ from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                         sym_power_rep, verify_limit, verify_optimal)
 from optsl2.matrices import enumerate_group
 from optsl2.partitions import (admissible, centralizer_order,
-                               image_centralizer_order, partitions_of)
+                               image_centralizer_order, partitions_of,
+                               radical_dim)
 from optsl2.springer import eps_exp
 from optsl2.suites import _SUITE_FUNCS, run_suite
 
@@ -96,7 +98,7 @@ def test_sl2_generators_generate_sl2_fp():
         group = set(sl2_elements(p))
         assert len(group) == p * (p * p - 1)
         assert _closure(gens) == group
-        # count_radical_conjugators tests on x1(1) and y1(1) alone
+        # radical_conjugator_counts tests on x1(1) and y1(1) alone
         assert _closure(gens[:2]) == group
     assert sl2_generators(QQ) == [sl2_x1(QQ, 1), sl2_y1(QQ, 1),
                                   sl2_torus(QQ, 2)]
@@ -272,7 +274,7 @@ def test_build_optimal_and_verify():
         assert phi.block_sizes == lam
         assert d_hom(phi).X == X
         assert verify_optimal(phi, X, rnd=rnd).all_passed
-        assert hom_torus_cochar(phi) == associated_cocharacter(X).psi
+        assert phi.psi == associated_cocharacter(X).psi
         ident = Mat.identity(dom, 2)
         assert eval_hom(phi, ident) == Mat.identity(dom, n)
 
@@ -297,8 +299,7 @@ def test_conjugate_optimal_recovers_radical_twist():
         n = sum(lam)
         X = rep_from_partition(dom, lam)
         phi1 = build_optimal(X)
-        psi = hom_torus_cochar(phi1)
-        pos = positive_commutant_basis(X, psi)
+        pos = phi1.radical_basis
         assert pos  # the radical of C(X) is nontrivial for these shapes
         N = Mat.zero(dom, n)
         for B in pos:
@@ -317,6 +318,93 @@ def test_conjugate_optimal_identity_twist():
     assert conjugate_optimal(phi, phi) == Mat.identity(F3, 3)
 
 
+def test_optimal_hom_owns_its_jordan_basis_data():
+    """phi.X, phi.psi and phi.radical_basis are the nilpotent, the torus
+    cocharacter and the radical basis the free functions compute, each
+    built once per homomorphism."""
+    rnd = random.Random(48)
+    for lam, dom in (((3,), F3), ((2, 2), F2), ((3, 1), F5),
+                     ((2, 1), QQ), ((3, 2, 1), QQ)):
+        n = sum(lam)
+        g = random_invertible(dom, n, rnd, bound=2)
+        X = g * rep_from_partition(dom, lam) * inverse(g)
+        phi = build_optimal(X)
+        assert phi.X == d_hom(phi).X == X
+        assert phi.psi.basis == phi.conjugator
+        assert phi.psi == associated_cocharacter(X).psi
+        assert phi.radical_basis == positive_commutant_basis(X, phi.psi)
+        assert phi.X is phi.X
+        assert phi.radical_basis is phi.radical_basis
+
+
+def _seeded_radical_twists(phi, count, draw):
+    """count twists Int(x) o phi by x = 1 + sum c_i B_i over
+    phi.radical_basis, each c_i drawn by draw()."""
+    twists = [radical_element(phi.domain, phi.n, phi.radical_basis,
+                              [draw() for _ in phi.radical_basis])
+              for _ in range(count)]
+    return [(x, conjugate_hom(phi, x)) for x in twists]
+
+
+def test_conjugate_optimal_matches_the_exhaustive_transporters():
+    rnd = random.Random(49)
+    checked = 0
+    for p in (2, 3):
+        dom = Fp(p)
+        for n in range(1, 4):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                phi1 = build_optimal(rep_from_partition(dom, lam))
+                for x, phi2 in _seeded_radical_twists(
+                        phi1, 4, lambda: rnd.randrange(p)):
+                    assert radical_cochar_transporters(phi1, phi2) == \
+                        [conjugate_optimal(phi1, phi2)] == [x]
+                    checked += 1
+    assert checked == 4 * 11
+
+
+def test_conjugate_optimal_recovers_rational_radical_twists():
+    rnd = random.Random(50)
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            g = random_invertible(QQ, n, rnd, bound=2)
+            phi1 = build_optimal(g * rep_from_partition(QQ, lam)
+                                 * inverse(g))
+            for x, phi2 in _seeded_radical_twists(
+                    phi1, 2, lambda: Fraction(rnd.randint(-9, 9),
+                                              rnd.randint(1, 4))):
+                assert conjugate_optimal(phi1, phi2) == x
+
+
+def test_conjugate_optimal_rejects_an_unreachable_torus():
+    """A torus restriction no radical element reaches: phi1's own
+    cocharacter with its weights negated."""
+    for dom in (F3, QQ):
+        phi1 = build_optimal(rep_from_partition(dom, (2,)))
+        phi2 = conjugate_hom(phi1, Mat.identity(dom, 2))
+        phi2.psi = Cocharacter(phi2.conjugator,
+                               [-w for w in phi1.psi.weights])
+        with pytest.raises(InconsistencyError, match="no solution"):
+            conjugate_optimal(phi1, phi2)
+
+
+def test_radical_dim_matches_the_commutant_basis():
+    """The closed form sum lam'_j^2 - sum m_i^2 against the computed
+    radical basis, on every admissible partition with n <= 5 over F_2,
+    F_3, F_5 and Q."""
+    checked = 0
+    for dom in (F2, F3, F5, QQ):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                if dom.p is not None and not admissible(lam, dom.p):
+                    continue
+                phi = build_optimal(rep_from_partition(dom, lam))
+                assert len(phi.radical_basis) == radical_dim(lam)
+                checked += 1
+    assert checked == 62
+
+
 def test_radical_transporter_is_unique():
     for lam, p in (((2, 2), 2), ((2, 1), 3)):
         dom = Fp(p)
@@ -324,7 +412,7 @@ def test_radical_transporter_is_unique():
         phi1 = build_optimal(X)
         found = radical_cochar_transporters(phi1, phi1)
         assert found == [Mat.identity(dom, sum(lam))]
-        pos = positive_commutant_basis(X, hom_torus_cochar(phi1))
+        pos = phi1.radical_basis
         x_true = Mat.identity(dom, sum(lam)) + pos[0]
         phi2 = conjugate_hom(phi1, x_true)
         found = radical_cochar_transporters(phi1, phi2)
@@ -358,12 +446,12 @@ def test_radical_search_matches_inverse_reference():
                     continue
                 X = rep_from_partition(dom, lam)
                 phi1 = build_optimal(X)
-                psi1 = hom_torus_cochar(phi1)
-                basis = positive_commutant_basis(X, psi1)
+                psi1 = phi1.psi
+                basis = phi1.radical_basis
                 twist = radical_element(dom, n, basis,
                                         [rnd.randrange(p) for _ in basis])
                 phi2 = conjugate_hom(phi1, twist)
-                psi2 = hom_torus_cochar(phi2)
+                psi2 = phi2.psi
                 projections = [(psi1.weight_projection(w),
                                 psi2.weight_projection(w))
                                for w in sorted(set(psi1.weights))]
@@ -377,7 +465,7 @@ def test_radical_search_matches_inverse_reference():
                     expected = _radical_search_reference(dom, n, b, images)
                     assert list(radical_intertwiners(dom, n, b, images)) \
                         == expected
-                    assert count_radical_conjugators(phi1, phi2, b) \
+                    assert radical_conjugator_counts(phi1, [phi2], b)[0] \
                         == len(expected)
                     assert twist in expected
                     assert len(expected) == (p if len(b) > len(basis) else 1)
@@ -412,7 +500,7 @@ def test_radical_conjugator_counts_match_literal_products():
                     continue
                 X = rep_from_partition(dom, lam)
                 phi1 = build_optimal(X)
-                basis = positive_commutant_basis(X, hom_torus_cochar(phi1))
+                basis = phi1.radical_basis
                 twists = [radical_element(dom, n, basis,
                                           [rnd.randrange(p) for _ in basis])
                           for _ in range(4)]
@@ -423,7 +511,7 @@ def test_radical_conjugator_counts_match_literal_products():
                     expected = [_literal_conjugator_count(phi1, phi2, b)
                                 for phi2 in phi2s]
                     assert counts == expected
-                    assert [count_radical_conjugators(phi1, phi2, b)
+                    assert [radical_conjugator_counts(phi1, [phi2], b)[0]
                             for phi2 in phi2s] == expected
                     radical = p if len(b) > len(basis) else 1
                     assert expected[:4] == [radical] * 4
@@ -447,9 +535,9 @@ def test_radical_intertwiners_with_empty_basis_yield_the_identity():
         # one conjugator of phi to itself
         X = rep_from_partition(dom, (1,))
         phi = build_optimal(X)
-        basis = positive_commutant_basis(X, hom_torus_cochar(phi))
+        basis = phi.radical_basis
         assert basis == []
-        assert count_radical_conjugators(phi, phi, basis) == 1
+        assert radical_conjugator_counts(phi, [phi], basis)[0] == 1
         assert radical_cochar_transporters(phi, phi) == [Mat.identity(dom, 1)]
 
 
@@ -487,6 +575,7 @@ def test_exp_centralizer_agreement():
         X = rep_from_partition(dom, lam)
         rep = exp_centralizer_check(X)
         assert rep.nullspaces_agree
+        assert exp_kernels_agree(X)
         assert rep.group_checked
         assert rep.group_agree
         assert rep.group_size is not None
@@ -520,8 +609,7 @@ def test_planted_exp_fault_breaks_group_agreement(monkeypatch):
 
 def test_planted_torus_fault_breaks_hom_centralizer(monkeypatch):
     phi = build_optimal(rep_from_partition(F2, (2,)))
-    monkeypatch.setattr(sl2, "hom_torus_cochar",
-                        lambda phi: Cocharacter(phi.conjugator, [0] * phi.n))
+    monkeypatch.setattr(phi, "psi", Cocharacter(phi.conjugator, [0] * phi.n))
     rep = hom_centralizer_check(phi)
     assert rep.equal is False
     assert (rep.image_centralizer_size, rep.pair_centralizer_size) == (1, 2)

@@ -107,13 +107,8 @@ def test_skipped_group_gives_the_lie_kernels_a_record_of_their_own(
 
     # kernels that disagree falsify the Lie-level records, and the group
     # records that ran; the skipped group records stay skips
-    exact = suites.exp_centralizer_check
-
-    def disagreeing(X, budget):
-        return dataclasses.replace(exact(X, budget=budget),
-                                   nullspaces_agree=False)
-
-    monkeypatch.setattr(suites, "exp_centralizer_check", disagreeing)
+    for module in (sl2, suites):
+        monkeypatch.setattr(module, "exp_kernels_agree", lambda X: False)
     planted = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
     for r, c in zip(planted.records, report.records):
         if c.claim == lie_claim or (c.claim.startswith("exp-")
@@ -145,13 +140,12 @@ def test_a_raising_check_is_one_falsified_record(monkeypatch):
 
 
 def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
-    exact = suites.positive_commutant_basis
+    exact = suites.radical_conjugator_counts
 
-    def with_repeat(X, psi):
-        basis = exact(X, psi)
-        return basis + basis[:1]
+    def with_repeat(phi1, phi2s, basis):
+        return exact(phi1, phi2s, basis + basis[:1])
 
-    monkeypatch.setattr(suites, "positive_commutant_basis", with_repeat)
+    monkeypatch.setattr(suites, "radical_conjugator_counts", with_repeat)
     report = run_suite("conjugacy", n_max=3, primes=(2,))
     failures = [r.witness["failure"] for r in report.falsified]
     assert failures
@@ -220,6 +214,53 @@ def test_planted_dropped_y1_predicate_is_caught(monkeypatch):
     monkeypatch.setattr(sl2, "_conjugator_tests", x1_only)
     _assert_full_radical_counts(run_suite("conjugacy", n_max=3,
                                           primes=(2, 3)))
+
+
+def test_planted_repeated_radical_basis_makes_the_solver_not_unique(
+        monkeypatch):
+    """The solver on a radical basis with a repeated element: its system
+    loses full column rank, so every record with a nontrivial radical
+    becomes an error record; the others are unchanged."""
+    clean = run_suite("conjugacy", n_max=3, primes=(2, 3))
+    exact = suites.conjugate_optimal
+
+    def on_repeated_basis(phi1, phi2):
+        basis = sl2.positive_commutant_basis(phi1.X, phi1.psi)
+        phi1.radical_basis = basis + basis[:1]
+        return exact(phi1, phi2)
+
+    monkeypatch.setattr(suites, "conjugate_optimal", on_repeated_basis)
+    planted = run_suite("conjugacy", n_max=3, primes=(2, 3))
+    falsified = 0
+    for r, c in zip(planted.records, clean.records, strict=True):
+        if _radical_exponent(c):
+            assert (r.instance, r.verified) == (c.instance, False)
+            assert "not unique" in r.witness["error"]
+            falsified += 1
+        else:
+            assert r == c
+    assert (falsified, len(clean.records)) == (5, 11)
+
+
+def test_planted_short_radical_basis_misses_the_closed_form(monkeypatch):
+    """A radical basis that drops its last element: the twists, the
+    count and the solver all live in its span and agree with each
+    other, so only the closed-form dimension falsifies the record."""
+    clean = run_suite("conjugacy")
+    exact = sl2.positive_commutant_basis
+    monkeypatch.setattr(sl2, "positive_commutant_basis",
+                        lambda X, psi: exact(X, psi)[:-1])
+    planted = run_suite("conjugacy")
+    assert planted.falsified
+    for r, c in zip(planted.records, clean.records, strict=True):
+        p, d = c.instance["p"], _radical_exponent(c)
+        if d:
+            assert (r.instance, r.verified) == (c.instance, False)
+            assert r.witness == {
+                "twists": 10, "radical_size": "%d^%d" % (p, d - 1),
+                "failure": "radical dimension %d, expected %d" % (d - 1, d)}
+        else:
+            assert r == c
 
 
 @pytest.mark.parametrize("count_twist, solver_twist",
