@@ -14,6 +14,14 @@ units is a unit up to sign or zero.  Two cocharacters count as equal
 when they induce the same weight space projections, which is basis
 independent and works over any field, including F_2 where the group of
 rational points of G_m is trivial.
+
+The coordinate change is compiled once, when the cocharacter is built:
+coords applies M -> B^-1 M B from the integer rows of B^-1 and columns
+of B, from_coords applies C -> B C B^-1 from the integer rows of B and
+columns of B^-1, each over one common denominator (see
+matrices._Sandwich).  Every grading question, and every optimal
+homomorphism put into place by its torus cocharacter, then costs one
+fused triple product with one normalisation per entry.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, PreconditionError
-from .matrices import Mat, inverse
+from .matrices import Mat, _Sandwich, inverse
 
 
 def _degree_mask(weights, keep) -> list:
@@ -42,6 +50,8 @@ class Cocharacter:
                               % (len(self.weights), basis.rows))
         self.basis_inv = inverse(basis)  # raises if singular
         self.domain = basis.domain
+        self._coords = _Sandwich(self.basis_inv, basis)
+        self._from_coords = _Sandwich(basis, self.basis_inv)
 
     @staticmethod
     def diagonal(domain, weights):
@@ -55,13 +65,11 @@ class Cocharacter:
 
     def coords(self, M: Mat) -> Mat:
         """M in eigenbasis coordinates, B^-1 M B."""
-        if M.rows != self.n or M.cols != self.n:
-            raise DomainError("matrix size does not match cocharacter")
-        return self.basis_inv * M * self.basis
+        return self._coords(M)
 
     def from_coords(self, C: Mat) -> Mat:
         """The matrix with eigenbasis coordinates C, B C B^-1."""
-        return self.basis * C * self.basis_inv
+        return self._from_coords(C)
 
     def mask(self, keep) -> list:
         """The degree mask: coordinate positions (r, c), row-major, whose

@@ -12,7 +12,13 @@ construction instead of one per term.  Q elimination runs on integer
 rows the same way: each row is scaled to its integer numerators and
 kept primitive while it is reduced, which leaves the row space and so
 the unique RREF unchanged, and the pivot rows are divided by their
-pivots into Fractions once, at the end.
+pivots into Fractions once, at the end.  IncrementalSpan keeps its
+rational echelon ladder as primitive integer rows too.  A change of
+coordinates M -> A M B by one fixed pair (A, B), the cocharacter
+coordinate change, is compiled once: the integer rows of A and
+columns of B over one common denominator, so each use is one fused
+triple product in ints with one normalisation per entry (one `% p`
+over F_p, one Fraction over Q) and no intermediate Mat.
 
 The brute-force checks test many matrices x against one fixed pair
 (A, B): intertwiner_test compiles the pair once into the linear forms
@@ -266,6 +272,49 @@ def lin_comb(start: Mat, coeffs, mats) -> Mat:
     return start
 
 
+class _Sandwich:
+    """The map M -> A M B for fixed n x n matrices A and B of one domain,
+    compiled once: the rows of A and the columns of B as ints over one
+    common denominator `den` (residues and 1 over F_p).  A call forms
+    each row of A M in ints and each entry of A M B from it, normalised
+    once: `% p` over F_p, one Fraction over den times the denominator
+    of M over Q.  Raises DomainError unless M is n x n over the domain.
+    """
+
+    __slots__ = ("domain", "n", "rows", "cols", "den")
+
+    def __init__(self, A: Mat, B: Mat):
+        self.domain = d = A.domain
+        self.n = n = A.rows
+        a, b = A.data, B.data
+        self.den = 1
+        if not isinstance(d, FpDomain):
+            (a, da), (b, db) = integer_numerators(a), integer_numerators(b)
+            self.den = da * db
+        self.rows = [a[i * n:(i + 1) * n] for i in range(n)]
+        self.cols = [b[j::n] for j in range(n)]
+
+    def __call__(self, M: Mat) -> Mat:
+        d, n = self.domain, self.n
+        if M.domain != d or M.rows != n or M.cols != n:
+            raise DomainError("expected a %dx%d matrix over %r" % (n, n, d))
+        m, den = M.data, self.den
+        p = d.p
+        if p is None:
+            m, dm = integer_numerators(m)
+            den *= dm
+        mcols = [m[j::n] for j in range(n)]
+        out = []
+        for a in self.rows:
+            am = [sum(map(mul, a, c)) for c in mcols]
+            if p is None:
+                out.extend(Fraction(sum(map(mul, am, b)), den)
+                           for b in self.cols)
+            else:
+                out.extend(sum(map(mul, am, b)) % p for b in self.cols)
+        return Mat(d, n, n, out)
+
+
 def hstack(mats):
     mats = list(mats)
     d = mats[0].domain
@@ -441,78 +490,57 @@ class IncrementalSpan:
 
     Vectors are reduced against a maintained echelon ladder, so adding m
     vectors of length n costs O(m * rank * n) instead of re-running full
-    elimination per candidate.
+    elimination per candidate.  Over F_p the ladder rows are residues
+    scaled to pivot 1; over Q they are primitive integer rows, as in
+    _rref_rows: a vector is scaled to its integer numerators and each
+    reduction step a v - f row is divided by its content, which keeps
+    the row space and so every answer unchanged.
     """
 
     def __init__(self, domain):
         self.domain = domain
-        self._rows = []  # (pivot index, normalized row list), sorted by pivot
+        self._rows = []  # (pivot index, row list), sorted by pivot
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     def _residual(self, vec):
-        d = self.domain
-        if isinstance(d, FpDomain):
-            p = d.p
+        p = self.domain.p
+        if p is not None:
             v = [x % p for x in vec]
             for piv, row in self._rows:
                 f = v[piv]
                 if f:
                     v = [(a - f * b) % p for a, b in zip(v, row)]
             return v
-        v = [d.of(x) for x in vec]
-        zero = d.zero()
+        v = _primitive(integer_numerators(vec)[0])
         for piv, row in self._rows:
             f = v[piv]
-            if f != zero:
-                v = [a - f * b for a, b in zip(v, row)]
+            if f:
+                a = row[piv]
+                v = _primitive([a * x - f * y for x, y in zip(v, row)])
         return v
 
     def contains(self, vec) -> bool:
-        zero = self.domain.zero()
-        return all(x == zero for x in self._residual(vec))
+        return not any(self._residual(vec))
 
     def add(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
-        d = self.domain
         v = self._residual(vec)
-        zero = d.zero()
-        piv = None
-        for i, x in enumerate(v):
-            if x != zero:
-                piv = i
-                break
+        piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = d.inv(v[piv])
-        if isinstance(d, FpDomain):
-            p = d.p
+        p = self.domain.p
+        if p is not None and v[piv] != 1:
+            inv = pow(v[piv], p - 2, p)
             v = [(x * inv) % p for x in v]
-        elif inv != d.one():
-            v = [x * inv for x in v]
         self._rows.append((piv, v))
         self._rows.sort(key=lambda t: t[0])
         return True
 
     def add_mat(self, M: Mat) -> bool:
         return self.add(M.data)
-
-
-def span_rank(vectors) -> int:
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    return rank(hstack(vectors))
-
-
-def in_span(vectors, v) -> bool:
-    vectors = list(vectors)
-    if not vectors:
-        return v.is_zero()
-    base = hstack(vectors)
-    return rank(base) == rank(hstack([base, v]))
 
 
 def same_span(vs, ws) -> bool:

@@ -16,8 +16,8 @@ from .cochar import Cocharacter, ParabolicData, radical_class
 from .errors import InconsistencyError, PreconditionError
 from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
                      nilpotent_partition, nilpotent_powers)
-from .matrices import (IncrementalSpan, Mat, ad_operator, bracket,
-                       devectorize, hstack, inverse, rank, rank_nullspace)
+from .matrices import (IncrementalSpan, Mat, ad_operator, devectorize,
+                       hstack, inverse, rank, rank_nullspace)
 from .partitions import admissible, check_partition, conjugate
 from .scalars import Fp
 
@@ -171,16 +171,29 @@ def weight_bound_check(p: int, lam) -> WeightBoundReport:
                                            and hi <= 2 * p - 2))
 
 
+def _unit_bracket(C: Mat, r: int, c: int) -> list:
+    """[E_rc, C] as a flat row-major list, written straight from C:
+    E_rc C is row c of C in row r, C E_rc is column r of C in column
+    c.  Entries are left unreduced over F_p; IncrementalSpan reduces."""
+    n, x = C.rows, C.data
+    v = [0] * (n * n)
+    v[r * n:(r + 1) * n] = x[c * n:(c + 1) * n]
+    for i in range(n):
+        v[i * n + c] -= x[i * n + r]
+    return v
+
+
 def is_associated(psi: Cocharacter, Y: Mat) -> bool:
     """Whether psi is associated to the nilpotent Y: Y lies in degree 2
-    and bracketing degree 0 against Y fills all of degree 2."""
+    and bracketing degree 0 against Y fills all of degree 2.  In
+    eigenbasis coordinates C of Y the degree-0 piece is spanned by the
+    units E_rc, so the image is spanned by the brackets [E_rc, C]."""
     C = psi.coords(Y)
     if psi.masked(C, lambda e: e == 2) != C:
         return False
-    n = psi.n
     image = IncrementalSpan(psi.domain)
     for r, c in psi.mask(lambda e: e == 0):
-        image.add_mat(bracket(Mat.unit(psi.domain, n, n, r, c), C))
+        image.add(_unit_bracket(C, r, c))
     return image.dim == len(psi.mask(lambda e: e == 2))
 
 

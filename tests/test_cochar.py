@@ -1,17 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from optsl2 import cli, cochar
+from optsl2 import cli, cochar, matrices, orbits
 from optsl2.cochar import (Cocharacter, ParabolicData, distinguished_check,
                            levi_limit, radical_class)
 from optsl2.errors import DomainError, PreconditionError
-from optsl2.matrices import (IncrementalSpan, Mat, bracket, inverse,
-                             random_invertible, random_mat)
+from optsl2.matrices import (IncrementalSpan, Mat, bracket, hstack, inverse,
+                             random_invertible, random_mat, rank)
 from optsl2.orbits import is_associated, rep_from_partition
 from optsl2.partitions import admissible, partitions_of
-from optsl2.scalars import Fp, QQ
-from optsl2.sl2 import build_optimal
+from optsl2.scalars import Fp, QQ, integer_numerators
+from optsl2.sl2 import OptimalSL2Hom, build_optimal, verify_optimal
 from optsl2.suites import run_suite
 
 F2 = Fp(2)
@@ -118,18 +119,91 @@ def test_levi_limit_changes_coordinates_once(monkeypatch):
                         (1, 1, 0))
     g = gamma.from_coords(Mat.from_rows(F5, [[2, 1, 4], [3, 1, 1],
                                              [0, 0, 3]]))
-    calls = [0]
-    exact = Mat.__mul__
+    calls = []
+    for name in ("coords", "from_coords"):
+        exact = getattr(Cocharacter, name)
 
-    def counted(a, b):
-        calls[0] += 1
-        return exact(a, b)
+        def counted(self, M, name=name, exact=exact):
+            calls.append(name)
+            return exact(self, M)
 
-    monkeypatch.setattr(Mat, "__mul__", counted)
+        monkeypatch.setattr(Cocharacter, name, counted)
     limit = levi_limit(gamma, g)
-    assert calls[0] == 4
-    monkeypatch.setattr(Mat, "__mul__", exact)
+    assert sorted(calls) == ["coords", "from_coords"]
+    monkeypatch.undo()
     assert limit == gamma.component(g, 0)
+
+
+def _bases_with_denominators(rnd, n):
+    """Seeded rational bases of size n whose inverses carry
+    denominators, with entries of their own over small denominators."""
+    while True:
+        B = random_invertible(QQ, n, rnd, bound=4)
+        B = Mat(QQ, n, n, [x / rnd.choice((1, 2, 3, 5)) for x in B.data])
+        if any(x.denominator > 1 for x in inverse(B).data):
+            return B
+
+
+def test_compiled_coordinate_change_matches_plain_products():
+    """coords and from_coords equal basis_inv * M * basis and
+    basis * C * basis_inv over Q and F_2, F_3, F_5, F_7, n <= 6."""
+    rnd = random.Random(63)
+    for dom in (QQ, F2, F3, F5, Fp(7)):
+        for n in range(1, 7):
+            for _ in range(3):
+                if dom.p is None:
+                    B = _bases_with_denominators(rnd, n)
+                else:
+                    B = random_invertible(dom, n, rnd)
+                gamma = Cocharacter(B, [0] * n)
+                B_inv = inverse(B)
+                M = random_mat(dom, n, n, rnd, bound=5)
+                if dom.p is None:
+                    M = Mat(QQ, n, n, [x / rnd.randint(1, 9)
+                                       for x in M.data])
+                for A in (M, Mat.zero(dom, n), Mat.identity(dom, n),
+                          Mat.unit(dom, n, n, n - 1, 0)):
+                    coords = gamma.coords(A)
+                    assert coords == B_inv * A * B
+                    assert gamma.from_coords(A) == B * A * B_inv
+                    assert gamma.from_coords(coords) == A
+                    if dom.p is None:
+                        assert all(type(x) is Fraction for x in coords.data)
+
+
+def test_compiled_coordinate_change_rejects_shape_and_domain():
+    gamma = Cocharacter(random_invertible(F3, 3, random.Random(5)),
+                        (1, 0, -1))
+    wrong = [Mat.zero(F3, 2), Mat.zero(F3, 3, 2), Mat.zero(F3, 2, 3),
+             Mat.identity(F5, 3), Mat.identity(QQ, 3)]
+    for M in wrong:
+        with pytest.raises(DomainError):
+            gamma.coords(M)
+        with pytest.raises(DomainError):
+            gamma.from_coords(M)
+
+
+def test_planted_dropped_basis_denominator_fails_verify_optimal(
+        monkeypatch):
+    """Compiling the coordinate change without the common denominator
+    of its left factor (the basis for from_coords) makes verify_optimal
+    on a seeded rational conjugate stop reporting all_passed."""
+    rnd = random.Random(64)
+    g = _bases_with_denominators(rnd, 4)
+    X = g * rep_from_partition(QQ, (2, 2)) * inverse(g)
+    phi = build_optimal(X)
+    assert any(x.denominator > 1 for x in phi.conjugator.data)
+    assert verify_optimal(phi, X, random.Random(7)).all_passed
+
+    exact = matrices._Sandwich.__init__
+
+    def planted(self, A, B):
+        exact(self, A, B)
+        self.den //= integer_numerators(A.data)[1]
+
+    monkeypatch.setattr(matrices._Sandwich, "__init__", planted)
+    phi = OptimalSL2Hom(phi.block_sizes, phi.conjugator)
+    assert not verify_optimal(phi, X, random.Random(7)).all_passed
 
 
 def test_levi_limit_matches_conjugation_at_values():
@@ -216,6 +290,8 @@ def _dense_distinguished(gamma):
 
 
 def _dense_is_associated(psi, Y):
+    """The image of the degree-0 piece under [., Y] measured by one full
+    elimination of the vectorised dense brackets."""
     if _dense_component(psi, Y, 2) != Y:
         return False
     B, B_inv = psi.basis, inverse(psi.basis)
@@ -223,10 +299,8 @@ def _dense_is_associated(psi, Y):
     pieces = {w: [B * Mat.unit(psi.domain, n, n, r, c) * B_inv
                   for r in range(n) for c in range(n)
                   if ws[r] - ws[c] == w] for w in (0, 2)}
-    image = IncrementalSpan(psi.domain)
-    for b in pieces[0]:
-        image.add_mat(bracket(b, Y))
-    return image.dim == len(pieces[2])
+    image = hstack([bracket(b, Y).vectorize() for b in pieces[0]])
+    return rank(image) == len(pieces[2])
 
 
 def _random_cochars(rnd):
@@ -307,6 +381,24 @@ def test_grading_matches_dense_reference_on_optimal_cochars():
         assert is_associated(psi, X)
     # degree-2 elements that are and are not associated both occurred
     assert verdicts_in_degree_2 == {True, False}
+
+
+def test_planted_unit_bracket_fault_disagrees_with_dense(monkeypatch):
+    """Dropping the column term of the product-free bracket, C E_rc,
+    makes is_associated disagree with the dense oracle."""
+    def planted(C, r, c):
+        n = C.rows
+        v = [0] * (n * n)
+        v[r * n:(r + 1) * n] = C.data[c * n:(c + 1) * n]
+        return v
+
+    monkeypatch.setattr(orbits, "_unit_bracket", planted)
+    rnd = random.Random(62)
+    disagreements = 0
+    for psi, X in _optimal_cochars(rnd):
+        if is_associated(psi, X) != _dense_is_associated(psi, X):
+            disagreements += 1
+    assert disagreements > 0
 
 
 def test_planted_radical_series_fault_is_caught(monkeypatch, capsys):

@@ -8,15 +8,32 @@ from optsl2 import cli, matrices
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              ad_operator, bracket, commutes, det,
-                             devectorize, enumerate_group, hstack, in_span,
+                             devectorize, enumerate_group, hstack,
                              intertwiner_test, inverse, mul_operator,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
-                             same_span, solve, span_rank, vstack)
+                             same_span, solve, vstack)
 from optsl2.scalars import Fp, QQ
 from optsl2.suites import run_suite
 
 F2, F3, F5, F7 = Fp(2), Fp(3), Fp(5), Fp(7)
+
+
+def span_rank(vectors) -> int:
+    """Dimension of the span of column vectors, by one full elimination."""
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    return rank(hstack(vectors))
+
+
+def in_span(vectors, v) -> bool:
+    """Whether the column vector v lies in the span of vectors."""
+    vectors = list(vectors)
+    if not vectors:
+        return v.is_zero()
+    base = hstack(vectors)
+    return rank(base) == rank(hstack([base, v]))
 
 
 def test_constructors_and_indexing():
@@ -154,23 +171,66 @@ def test_span_membership_helpers():
     assert not same_span(vs, [vs[0]])
 
 
+def _span_candidates(dom, rnd, length=6):
+    """Vectors for IncrementalSpan: seeded random ones (over Q with
+    denominators up to 12), the first twelve combinations of three
+    fixed ones so the span stays small a while, scaled duplicates of
+    earlier vectors and the zero vector."""
+    def draw():
+        v = list(random_mat(dom, 1, length, rnd, bound=2).data)
+        if dom.p is None:
+            v = [x / rnd.randint(1, 12) for x in v]
+        return v
+
+    def coeff():
+        if dom.p is None:
+            return Fraction(rnd.randint(-4, 4), rnd.randint(1, 9))
+        return dom.of(rnd.randrange(dom.p))
+
+    hidden = [draw() for _ in range(3)]
+    drawn = []
+    for k in range(28):
+        if k % 7 == 5:
+            v = [dom.zero()] * length
+        elif drawn and k % 4 == 3:
+            c = coeff() or dom.one()
+            v = [dom.mul(c, x) for x in rnd.choice(drawn)]
+        elif k < 12:
+            v = [dom.zero()] * length
+            for h in hidden:
+                c = coeff()
+                v = [dom.add(x, dom.mul(c, y)) for x, y in zip(v, h)]
+        else:
+            v = draw()
+        drawn.append(v)
+    return drawn
+
+
 def test_incremental_span_tracks_full_elimination():
     rnd = random.Random(4)
-    for dom in (F2, QQ):
+    for dom in (F2, F3, QQ):
         span = IncrementalSpan(dom)
         added = []
-        for _ in range(12):
-            v = random_mat(dom, 1, 5, rnd, bound=2).data
+        grows = []
+        for v in _span_candidates(dom, rnd):
+            col = Mat(dom, 6, 1, v)
+            before = [Mat(dom, 6, 1, a) for a in added]
+            assert span.contains(v) == in_span(before, col)
             grew = span.add(v)
+            assert grew == (not in_span(before, col))
             if grew:
                 added.append(v)
+            grows.append(grew)
             assert span.contains(v)
             assert span.dim == span_rank(
-                [Mat(dom, 5, 1, list(a)) for a in added])
+                [Mat(dom, 6, 1, list(a)) for a in added])
+        assert span.dim == 6
+        assert grows[:12].count(True) <= 3 and False in grows[12:]
         M = random_mat(dom, 3, 3, rnd)
         span2 = IncrementalSpan(dom)
         assert span2.add_mat(M) or M.is_zero()
         assert span2.contains(M.scale(dom.of(1)).data)
+        assert not span2.add([dom.zero()] * 9)
 
 
 def test_vectorize_devectorize_round_trip():

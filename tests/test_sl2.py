@@ -11,8 +11,8 @@ from optsl2.cochar import Cocharacter
 from optsl2.errors import (BudgetError, DomainError, InconsistencyError,
                            PreconditionError)
 from optsl2.jordan import jordan_block
-from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, in_span,
-                             inverse, random_invertible)
+from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, hstack,
+                             inverse, random_invertible, rank)
 from optsl2.orbits import associated_cocharacter, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
@@ -37,6 +37,16 @@ from optsl2.suites import _SUITE_FUNCS, run_suite
 F2 = Fp(2)
 F3 = Fp(3)
 F5 = Fp(5)
+
+
+def in_span(vectors, v) -> bool:
+    """Whether the column vector v lies in the span of vectors, by full
+    elimination."""
+    vectors = list(vectors)
+    if not vectors:
+        return v.is_zero()
+    base = hstack(vectors)
+    return rank(base) == rank(hstack([base, v]))
 
 
 def test_generator_relations():
