@@ -454,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", parents=[common],
                             help="tangent-map experiments")
-    p_demo.add_argument("name", choices=("springer-tangent", "serre-note"))
+    p_demo.add_argument("name", choices=("springer-tangent",))
     p_demo.set_defaults(func=_cmd_demo)
     return parser
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InconsistencyError
-from .matrices import (IncrementalSpan, Mat, hstack, inverse, rank,
-                       rank_nullspace)
+from .matrices import IncrementalSpan, Mat, hstack, rank, rank_nullspace
 from .partitions import check_partition, conjugate
 
 
@@ -154,6 +153,7 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
     basis = hstack([v for _, chain in chains for v in chain])
     if rank(basis) != n:
         raise InconsistencyError("Jordan chains do not form a basis")
-    if inverse(basis) * X * basis != jordan_form(d, partition):
+    # the basis is invertible, so X B = B J is B^-1 X B = J
+    if X * basis != basis * jordan_form(d, partition):
         raise InconsistencyError("basis does not conjugate X to Jordan form")
     return NilpotentJordanData(partition=partition, basis=basis)

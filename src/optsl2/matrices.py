@@ -145,9 +145,6 @@ class Mat:
     def is_square(self):
         return self.rows == self.cols
 
-    def is_invertible(self):
-        return self.is_square() and rank(self) == self.rows
-
     # -- arithmetic -----------------------------------------------------
 
     def _check(self, other, same_shape):
@@ -236,14 +233,6 @@ class Mat:
                 return result
             base = base * base
 
-    def trace(self):
-        if not self.is_square():
-            raise DomainError("trace of non-square matrix")
-        t = self.domain.zero()
-        for i in range(self.rows):
-            t = self.domain.add(t, self.data[i * self.cols + i])
-        return t
-
     # -- equality -------------------------------------------------------
 
     def __eq__(self, other):
@@ -329,18 +318,6 @@ def hstack(mats):
         rows.append(row)
     return Mat(d, r, sum(m.cols for m in mats),
                [x for row in rows for x in row])
-
-
-def vstack(mats):
-    mats = list(mats)
-    d = mats[0].domain
-    c = mats[0].cols
-    data = []
-    for m in mats:
-        if m.cols != c or m.domain != d:
-            raise DomainError("vstack mismatch")
-        data.extend(m.data)
-    return Mat(d, sum(m.rows for m in mats), c, data)
 
 
 # -- elimination --------------------------------------------------------

@@ -18,7 +18,7 @@ from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
                      nilpotent_partition, nilpotent_powers)
 from .matrices import (IncrementalSpan, Mat, ad_operator, devectorize,
                        hstack, inverse, rank, rank_nullspace)
-from .partitions import admissible, check_partition, conjugate
+from .partitions import admissible, centralizer_dim, check_partition
 from .scalars import Fp
 
 
@@ -39,7 +39,6 @@ def block_weights(lam) -> tuple:
 class AssociatedCocharacterData:
     psi: Cocharacter
     jordan: NilpotentJordanData
-    levi_torus_rank: int  # rank of a maximal torus of the centralizer
 
 
 def associated_cocharacter(X: Mat) -> AssociatedCocharacterData:
@@ -47,11 +46,7 @@ def associated_cocharacter(X: Mat) -> AssociatedCocharacterData:
     psi = Cocharacter(jd.basis, block_weights(jd.partition))
     if psi.component(X, 2) != X:
         raise InconsistencyError("X is not concentrated in degree 2")
-    for d in jd.partition:
-        if sum(range(d - 1, -d, -2)) != 0:
-            raise InconsistencyError("chain weights do not sum to zero")
-    return AssociatedCocharacterData(psi=psi, jordan=jd,
-                                     levi_torus_rank=len(jd.partition))
+    return AssociatedCocharacterData(psi=psi, jordan=jd)
 
 
 @dataclass(frozen=True)
@@ -78,12 +73,12 @@ class CentralizerReport:
 
 def centralizer_report(X: Mat) -> CentralizerReport:
     """Centralizer dimension of X in gl_n, computed from ad X, against
-    the partition formula sum of squared conjugate parts."""
+    the partition formula centralizer_dim."""
     n = X.rows
     data = associated_cocharacter(X)
     rank_ad, null = rank_nullspace(ad_operator(X))
     dim_c = n * n - rank_ad
-    formula = sum(c * c for c in conjugate(data.jordan.partition))
+    formula = centralizer_dim(data.jordan.partition)
     pd = ParabolicData(data.psi)
     contained = all(pd.contains(devectorize(v, n)) for v in null)
     return CentralizerReport(partition=data.jordan.partition, dim_c=dim_c,

@@ -63,12 +63,17 @@ def _gl_order(m: int, q: int) -> int:
     return order
 
 
+def centralizer_dim(lam) -> int:
+    """dim C(X) for X nilpotent of Jordan type lam: sum lam'_j^2, the
+    sum of the squared conjugate parts."""
+    return sum(c * c for c in conjugate(lam))
+
+
 def radical_dim(lam) -> int:
-    """dim R_u(C(X)) for X nilpotent of Jordan type lam:
-    sum lam'_j^2 - sum m_i^2, the dimension of C(X) less that of its
-    reductive part prod GL_m_i, m_i the multiplicity of part i."""
-    return (sum(c * c for c in conjugate(lam))
-            - sum(m * m for m in _multiplicities(lam)))
+    """dim R_u(C(X)) for X nilpotent of Jordan type lam: centralizer_dim
+    less sum m_i^2, the dimension of the reductive part prod GL_m_i, m_i
+    the multiplicity of part i."""
+    return centralizer_dim(lam) - sum(m * m for m in _multiplicities(lam))
 
 
 def centralizer_order(lam, q: int) -> int:

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, factorial
 
 from .cochar import Cocharacter, ParabolicData, levi_limit
@@ -257,9 +257,11 @@ def eval_hom(phi: OptimalSL2Hom, g: Mat) -> Mat:
 def _hom_images(phis, gens):
     """[[phi(g) for phi in phis] for g in gens].  The block-diagonal
     symmetric-power image of g is built once per partition among the
-    phis, so a homomorphism and its twists Int(x) o phi share it."""
+    phis, so a homomorphism and its twists Int(x) o phi share it, and
+    each of its blocks once per distinct part size."""
     out = []
     for g in gens:
+        reps = {}
         blocks = {}
         row = []
         for phi in phis:
@@ -267,8 +269,10 @@ def _hom_images(phis, gens):
                 raise DomainError("mixed domains")
             sizes = phi.block_sizes
             if sizes not in blocks:
+                for dd in set(sizes).difference(reps):
+                    reps[dd] = sym_power_rep(dd - 1, g)
                 blocks[sizes] = Mat.block_diag(
-                    phi.domain, [sym_power_rep(dd - 1, g) for dd in sizes])
+                    phi.domain, [reps[dd] for dd in sizes])
             row.append(phi.psi.from_coords(blocks[sizes]))
         out.append(row)
     return out
@@ -310,48 +314,60 @@ class OptimalVerifyReport:
 
 def verify_optimal(phi: OptimalSL2Hom, X: Mat,
                    rnd=None) -> OptimalVerifyReport:
-    """Direct checks of optimality: tangent data, associated torus
-    restriction, exponential alignment, multiplicativity on 12 random
-    pairs."""
+    """Direct checks of optimality: tangent data, the sl2-triple, the
+    associated torus restriction, and the value checks of _value_checks
+    with pairs drawn from rnd."""
     if rnd is None:
         rnd = random.Random(7)
     dom = phi.domain
     triple = d_hom(phi)
-    dx_matches = triple.X == X
-
     two = dom.of(2)
     triple_brackets = (
         bracket(triple.X, triple.Y) == triple.H
         and bracket(triple.H, triple.X) == triple.X.scale(two)
         and bracket(triple.H, triple.Y) == triple.Y.scale(dom.neg(two)))
+    exp_aligned, multiplicative, torus_agrees = _value_checks(
+        partial(eval_hom, phi), X, phi.psi, rnd)
+    return OptimalVerifyReport(
+        dx_matches=triple.X == X, triple_brackets=triple_brackets,
+        torus_associated=is_associated(phi.psi, X) and torus_agrees,
+        exp_aligned=exp_aligned, multiplicative=multiplicative)
 
-    psi = phi.psi
-    torus_associated = is_associated(psi, X)
 
+def _test_points(dom):
+    """The values of t at which x1(t) and the torus element at t are
+    evaluated: every t over F_p (every t != 0 on the torus); t in
+    {-2, ..., 3} and torus t in {1, 2} over Q."""
     if isinstance(dom, FpDomain):
-        ts = range(dom.p)
-    else:
-        ts = [dom.of(v) for v in (-2, -1, 0, 1, 2, 3)]
-    exp_aligned = all(eval_hom(phi, sl2_x1(dom, t)) == eps_exp(X.scale(t))
-                      for t in ts)
+        return range(dom.p), range(1, dom.p)
+    return [dom.of(v) for v in range(-2, 4)], [1, dom.of(2)]
 
+
+def aligns_with_exp(hom, X: Mat) -> bool:
+    """hom(x1(t)) = eps(tX) at every test point t; hom maps SL_2
+    matrices to GL_n matrices."""
+    dom = X.domain
+    return all(hom(sl2_x1(dom, t)) == eps_exp(X.scale(t))
+               for t in _test_points(dom)[0])
+
+
+def _value_checks(hom, X: Mat, psi: Cocharacter, rnd):
+    """The three checks of a homomorphism's values, as (exp_aligned,
+    multiplicative, torus_agrees): hom(x1(t)) = eps(tX), hom(gh) =
+    hom(g) hom(h) on 12 pairs drawn from rnd, and hom on the torus
+    equals psi at every test point."""
+    dom = X.domain
+    aligned = aligns_with_exp(hom, X)
     multiplicative = True
     for _ in range(12):
         g = sl2_sample(dom, rnd)
         h = sl2_sample(dom, rnd)
-        if eval_hom(phi, g * h) != eval_hom(phi, g) * eval_hom(phi, h):
+        if hom(g * h) != hom(g) * hom(h):
             multiplicative = False
             break
-    torus_vals = [t for t in ([1, dom.of(2)] if not isinstance(dom, FpDomain)
-                              else range(1, dom.p))]
-    for t in torus_vals:
-        if eval_hom(phi, sl2_torus(dom, t)) != psi.at(t):
-            torus_associated = False
-    return OptimalVerifyReport(dx_matches=dx_matches,
-                               triple_brackets=triple_brackets,
-                               torus_associated=torus_associated,
-                               exp_aligned=exp_aligned,
-                               multiplicative=multiplicative)
+    torus_agrees = all(hom(sl2_torus(dom, t)) == psi.at(t)
+                       for t in _test_points(dom)[1])
+    return aligned, multiplicative, torus_agrees
 
 
 # -- conjugacy ----------------------------------------------------------
@@ -723,32 +739,14 @@ def deform_to_levi(phi: OptimalSL2Hom, gamma: Cocharacter) -> LimitHom:
 
 
 def verify_limit(lim: LimitHom) -> LimitReport:
-    """The limit homomorphism is again a homomorphism (on 10 seeded
-    random pairs), is aligned with the truncated exponential of the
-    weight-0 part X0, keeps the same torus restriction, and that
-    restriction is associated to X0."""
-    rnd = random.Random(17)
-    dom = lim.phi.domain
-    multiplicative = True
-    for _ in range(10):
-        g = sl2_sample(dom, rnd)
-        h = sl2_sample(dom, rnd)
-        if lim.eval(g * h) != lim.eval(g) * lim.eval(h):
-            multiplicative = False
-            break
-    if isinstance(dom, FpDomain):
-        ts = range(dom.p)
-        torus_ts = range(1, dom.p)
-    else:
-        ts = [dom.of(v) for v in (-2, -1, 0, 1, 2)]
-        torus_ts = [1, 2, 3]
-    exp_aligned = all(lim.eval(sl2_x1(dom, t)) == eps_exp(lim.X0.scale(t))
-                      for t in ts)
+    """The limit homomorphism passes the value checks of _value_checks
+    with the weight-0 part X0 of X and the same torus restriction, and
+    that restriction is associated to X0."""
     psi = lim.phi.psi
-    torus_unchanged = all(lim.eval(sl2_torus(dom, t)) == psi.at(t)
-                          for t in torus_ts)
+    aligned, multiplicative, torus_unchanged = _value_checks(
+        lim.eval, lim.X0, psi, random.Random(17))
     return LimitReport(multiplicative=multiplicative,
-                       exp_aligned_with_X0=exp_aligned,
+                       exp_aligned_with_X0=aligned,
                        torus_unchanged=torus_unchanged,
                        psi_associated_to_X0=is_associated(psi, lim.X0))
 

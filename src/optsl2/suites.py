@@ -24,15 +24,16 @@ from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
                        rank, random_invertible)
 from .orbits import (order_formula_report, rep_from_partition,
                      weight_bound_check)
-from .partitions import (admissible, centralizer_order, conjugate,
+from .partitions import (admissible, centralizer_dim, centralizer_order,
                          image_centralizer_order, partitions_of, radical_dim)
 from .scalars import Fp, QQ
-from .sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
-                  eval_hom, exp_centralizer_check, exp_kernels_agree,
-                  gcr_check, gcr_check_hom, hom_centralizer_check,
-                  radical_conjugator_counts, radical_element, sl2_x1)
+from .sl2 import (aligns_with_exp, build_optimal, conjugate_hom,
+                  conjugate_optimal, eval_hom, exp_centralizer_check,
+                  exp_kernels_agree, gcr_check, gcr_check_hom,
+                  hom_centralizer_check, radical_conjugator_counts,
+                  radical_element)
 from .springer import (AdditiveHom, SpringerCoeffs, additive_eval,
-                       additive_untwist, eps_exp, orbit_bijection_check,
+                       additive_untwist, orbit_bijection_check,
                        springer_apply, springer_invert)
 from .tilting import adjoint_descriptor, tilting_decompose
 
@@ -166,9 +167,7 @@ def _suite_epsilon(grid, seed, budget):
 def _epsilon(p, lam):
     dom = Fp(p)
     X = rep_from_partition(dom, lam)
-    phi = build_optimal(X)
-    aligned = all(eval_hom(phi, sl2_x1(dom, t)) == eps_exp(X.scale(t))
-                  for t in range(p))
+    aligned = aligns_with_exp(partial(eval_hom, build_optimal(X)), X)
     # the group enumeration lives in the centralizer suite
     kernels = exp_kernels_agree(X)
     return ({"t_values": p, "exp_aligned": aligned,
@@ -296,7 +295,7 @@ def _suite_tilting(grid, seed, budget):
 def _tilting(p, lam):
     desc = adjoint_descriptor(lam, p)
     dec = str(tilting_decompose(desc, p))
-    ok = (desc.fix_p == desc.fix_0 == sum(m * m for m in conjugate(lam))
+    ok = (desc.fix_p == desc.fix_0 == centralizer_dim(lam)
           and dec == _TILTING_GOLDENS.get((lam, p), dec))
     return ({"decomposition": dec, "fix_p": desc.fix_p,
              "fix_0": desc.fix_0}, ok)
@@ -360,7 +359,7 @@ def _spaltenstein(p, lam, rational_dims):
         rational_dims[lam] = n * n - rank(ad_operator(XQ))
     dim_p = n * n - rank(ad_operator(rep_from_partition(Fp(p), lam)))
     dim_0 = rational_dims[lam]
-    formula = sum(m * m for m in conjugate(lam))
+    formula = centralizer_dim(lam)
     return ({"dim_p": dim_p, "dim_0": dim_0, "formula": formula},
             dim_p == dim_0 == formula)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .matrices import Mat, inverse, mul_operator, rank_nullspace
 from .orbits import block_weights, rep_from_partition
-from .partitions import admissible, check_partition, conjugate
+from .partitions import admissible, centralizer_dim, check_partition
 from .scalars import Fp
 from .sl2 import build_optimal, eval_hom, sl2_x1
 
@@ -257,7 +257,7 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
     The character is the multiset of weight differences of the
     associated cocharacter; fix_p is computed from the group element
     phi(x1(1)) acting by conjugation; fix_0 is the characteristic-0
-    centralizer dimension, the sum of squared conjugate parts.
+    centralizer dimension, centralizer_dim(lam).
     """
     lam = check_partition(lam)
     if not admissible(lam, p):
@@ -275,5 +275,5 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
     op = mul_operator(u, inverse(u)) - Mat.identity(dom, n * n)
     fix_p = n * n - rank_nullspace(op)[0]
 
-    fix_0 = sum(m * m for m in conjugate(lam))
+    fix_0 = centralizer_dim(lam)
     return ModuleDescriptor(character=ch, fix_p=fix_p, fix_0=fix_0)

@@ -1,6 +1,8 @@
 """Every demo script, and the README's library quick start, runs to
-completion against this checkout."""
+completion against this checkout, and each demo prints exactly what it
+printed when its digest was pinned."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,9 +13,31 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout.  The demos are the only callers of
+# verify_limit, levi_containment_check and deform_to_levi, so these
+# digests keep that output from drifting unnoticed.  Every demo prints
+# the same bytes under any PYTHONHASHSEED.
+DEMO_STDOUT_SHA = {
+    "01_orbits_and_cocharacters.py":
+        "e6933e671a443436bd493bbe50ee39a6dca34edd2270636bc5c99925e6617774",
+    "02_springer_family.py":
+        "9431b679fd6044901b8eb8963e3505f2dce08942326d14bf15e7616d4fa71026",
+    "03_truncated_exponential.py":
+        "4975704536df57de5899205ece515a813f9d1e99dbbb1f3ee62220fadbfa2d8a",
+    "04_optimal_sl2.py":
+        "039a6aacdfaa6b7c8a9fab6cf294b8a20b6d56f541467a582e69d3d995c138e7",
+    "05_conjugacy_uniqueness.py":
+        "56cfb1569b9cb172cfd83ebedc04317841008cd6015ca47037f7e8d68aa75a58",
+    "06_tilting_certificates.py":
+        "9552cf6fe0fdb8a5dcc90e92c311bf40ccc0dcbb765ffaf10dc7ce47c1ca8cd8",
+    "07_tangent_experiment.py":
+        "579db7241b72bdc1efc9453b779355ea54b2afe3afa217fdc6e3f257177da8ee",
+}
+
 
 def test_all_demos_are_collected():
     assert len(DEMOS) == 7
+    assert sorted(DEMO_STDOUT_SHA) == [d.name for d in DEMOS]
 
 
 def _run_python(args):
@@ -28,6 +52,8 @@ def _run_python(args):
 def test_demo_runs(demo):
     proc = _run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == DEMO_STDOUT_SHA[demo.name], proc.stdout
 
 
 def test_readme_quick_start_runs():

@@ -32,7 +32,6 @@ def test_associated_cocharacter_basics():
             X = g * rep_from_partition(dom, lam) * inverse(g)
             data = associated_cocharacter(X)
             assert data.jordan.partition == lam
-            assert data.levi_torus_rank == len(lam)
             assert data.psi.components(X) == ({2: X} if lam[0] > 1 else {})
             assert is_associated(data.psi, X)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from optsl2 import jordan
-from optsl2.errors import DomainError
+from optsl2.errors import DomainError, InconsistencyError
 from optsl2.jordan import (jordan_block, jordan_form, nilpotent_jordan,
                            nilpotent_powers)
 from optsl2.matrices import Mat, inverse, random_invertible, rank_nullspace
@@ -87,6 +87,27 @@ def test_nilpotent_jordan_basis_conjugates_to_block_form():
         data = nilpotent_jordan(X)
         C = data.basis
         assert inverse(C) * X * C == J
+
+
+def test_nilpotent_jordan_rejects_a_basis_with_swapped_chain_vectors(
+        monkeypatch):
+    """A swap keeps the rank, so only the closing X B = B J check sees
+    it."""
+    exact = jordan.hstack
+
+    def swapped(vectors):
+        vectors = list(vectors)
+        vectors[0], vectors[1] = vectors[1], vectors[0]
+        return exact(vectors)
+
+    monkeypatch.setattr(jordan, "hstack", swapped)
+    rnd = random.Random(15)
+    for dom in (F3, QQ):
+        for lam in ((2,), (3, 1), (2, 2)):
+            n = sum(lam)
+            g = random_invertible(dom, n, rnd, bound=2)
+            with pytest.raises(InconsistencyError):
+                nilpotent_jordan(g * jordan_form(dom, lam) * inverse(g))
 
 
 def test_nilpotent_jordan_edge_cases():

@@ -617,6 +617,28 @@ def test_planted_exp_fault_breaks_group_agreement(monkeypatch):
     assert rep.group_agree is False
 
 
+def test_planted_exp_fault_flips_every_alignment_check(monkeypatch):
+    """verify_optimal, verify_limit and the epsilon suite read one
+    alignment check; a doubled linear term in the exponential it reads
+    fails all three, and only where X != 0."""
+    exact = sl2.eps_exp
+    monkeypatch.setattr(sl2, "eps_exp", lambda M: exact(M) + M)
+    for dom in (F3, QQ):
+        X, gamma = _deform_instance(dom)
+        phi = build_optimal(X)
+        rep = verify_optimal(phi, X)
+        assert not rep.exp_aligned
+        assert rep.multiplicative and rep.torus_associated
+        lim_rep = verify_limit(deform_to_levi(phi, gamma))
+        assert not lim_rep.exp_aligned_with_X0
+        assert lim_rep.multiplicative and lim_rep.torus_unchanged
+    report = run_suite("epsilon", n_max=3, primes=(3,))
+    for r in report.records:
+        nonzero = r.instance["partition"][0] > 1
+        assert r.witness["exp_aligned"] is not nonzero
+        assert r.verified is not nonzero
+
+
 def test_planted_torus_fault_breaks_hom_centralizer(monkeypatch):
     phi = build_optimal(rep_from_partition(F2, (2,)))
     monkeypatch.setattr(phi, "psi", Cocharacter(phi.conjugator, [0] * phi.n))

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from optsl2 import sl2, suites
+from optsl2 import orbits, partitions, sl2, suites, tilting
 from optsl2.cli import main
 from optsl2.errors import DomainError, InconsistencyError, OptSL2Error
+from optsl2.scalars import Fp
 from optsl2.suites import (CLOSURE_NOTES, DEFAULT_SEED, SUITE_NAMES,
                            run_suite)
 
@@ -171,6 +172,20 @@ def test_planted_intertwiner_fault_falsifies_both_brute_force_suites(
     assert report.falsified
     assert all("error" not in r.witness for r in report.falsified)
     assert main(["verify", "centralizer"]) == 1
+
+
+def test_planted_centralizer_dim_fault_falsifies_four_suites(monkeypatch):
+    """Every reader of the one centralizer-dimension formula sees an
+    off-by-one in it."""
+    exact = partitions.centralizer_dim
+    for module in (partitions, orbits, tilting, suites):
+        monkeypatch.setattr(module, "centralizer_dim",
+                            lambda lam: exact(lam) + 1)
+    for name in ("spaltenstein", "tilting", "conjugacy", "centralizer"):
+        report = run_suite(name, n_max=2, primes=(2,))
+        assert report.falsified, name
+    rep = orbits.centralizer_report(orbits.rep_from_partition(Fp(2), (2, 1)))
+    assert rep.dim_c != rep.formula_dim
 
 
 def _radical_exponent(record):
