@@ -21,7 +21,8 @@ of B, from_coords applies C -> B C B^-1 from the integer rows of B and
 columns of B^-1, each over one common denominator (see
 matrices._Sandwich).  Every grading question, and every optimal
 homomorphism put into place by its torus cocharacter, then costs one
-fused triple product with one normalisation per entry.
+fused triple product in ints: `% p` per entry over F_p, one division
+by a gcd over Q.
 """
 
 from __future__ import annotations

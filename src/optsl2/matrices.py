@@ -1,24 +1,30 @@
 """Exact dense matrices over F_p and Q.
 
-Entries are raw domain values (ints reduced mod p, or Fractions) in a
-flat row-major tuple, so Mat objects are immutable and hashable.  All
-elimination uses the same deterministic pivot rule: scan each column in
-order and take the first row with a nonzero entry.  The hot loops run
-on plain ints: over F_p on the reduced residues, over Q on integer
-numerators over a common denominator (a product writes each row of the
-left factor and each column of the right one over the lcm of its
-denominators), so each output entry is normalised by one Fraction
-construction instead of one per term.  Q elimination runs on integer
-rows the same way: each row is scaled to its integer numerators and
-kept primitive while it is reduced, which leaves the row space and so
-the unique RREF unchanged, and the pivot rows are divided by their
-pivots into Fractions once, at the end.  IncrementalSpan keeps its
-rational echelon ladder as primitive integer rows too.  A change of
-coordinates M -> A M B by one fixed pair (A, B), the cocharacter
-coordinate change, is compiled once: the integer rows of A and
-columns of B over one common denominator, so each use is one fused
-triple product in ints with one normalisation per entry (one `% p`
-over F_p, one Fraction over Q) and no intermediate Mat.
+Mat objects are immutable and hashable.  An F_p matrix holds its
+residues 0..p-1 in a flat row-major tuple, `data`.  A Q matrix has one
+canonical integer form, `int_form()`: a tuple of integer numerators
+over one positive denominator, with gcd 1 across the numerators and the
+denominator.  The form is unique, so equality and hashing over Q
+compare it.  A Q matrix built from its entries (Fractions in `data`)
+works the form out on first use and caches it; the Q kernels (products,
+sums, scaling, linear combinations, block diagonals, the compiled
+coordinate change, and sym_power_rep in sl2) compute on the forms of
+their inputs and return matrices built straight from ints
+(Mat.from_numerators), whose tuple of Fractions is built only when
+`data` is first read.
+
+All elimination uses the same deterministic pivot rule: scan each
+column in order and take the first row with a nonzero entry.  The hot
+loops run on plain ints: over F_p on the reduced residues, over Q on
+the numerator rows of the integer form, each kept primitive while it
+is reduced, which leaves the row space and so the unique RREF
+unchanged; the pivot rows are divided by their pivots into Fractions
+once, at the end.  IncrementalSpan keeps its rational echelon ladder as
+primitive integer rows too.  A change of coordinates M -> A M B by one
+fixed pair (A, B), the cocharacter coordinate change, is compiled once:
+the integer rows of A and columns of B over one common denominator, so
+each use is one fused triple product in ints with one normalisation
+(one `% p` per entry over F_p, one gcd over Q) and no intermediate Mat.
 
 The brute-force checks test many matrices x against one fixed pair
 (A, B): intertwiner_test compiles the pair once into the linear forms
@@ -32,17 +38,17 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import BudgetError, DomainError
-from .scalars import Domain, Fp, FpDomain, integer_numerators
+from .scalars import QQ, Domain, Fp, FpDomain, integer_numerators
 
 DEFAULT_BUDGET = 2 ** 24
 
 
 class Mat:
-    __slots__ = ("domain", "rows", "cols", "data")
+    __slots__ = ("domain", "rows", "cols", "data", "_ints")
 
     def __init__(self, domain: Domain, rows: int, cols: int, data):
         self.domain = domain
@@ -53,7 +59,34 @@ class Mat:
             raise DomainError("entry count %d does not match %dx%d"
                               % (len(self.data), rows, cols))
 
+    def int_form(self):
+        """(numerators, den) of a Q matrix: the entries are num[i] / den,
+        den > 0 and gcd(den, *num) = 1.  Worked out from the entries on
+        the first call and cached."""
+        try:
+            return self._ints
+        except AttributeError:
+            # over the lcm of the denominators the gcd is already 1
+            num, den = integer_numerators(self.data)
+            self._ints = (tuple(num), den)
+            return self._ints
+
     # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def from_numerators(rows, cols, num, den):
+        """The Q matrix with entries num[i] / den (row-major, den > 0),
+        divided down to its canonical form.  Its Fraction entries are
+        built on the first read of data."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        M = _IntMat.__new__(_IntMat)
+        M.domain, M.rows, M.cols = QQ, rows, cols
+        M._ints = (tuple(num), den)
+        M._entries = None
+        return M
 
     @staticmethod
     def from_rows(domain, rows):
@@ -97,19 +130,33 @@ class Mat:
 
     @staticmethod
     def block_diag(domain, blocks):
+        """Residues over F_p; over Q the blocks' numerators, each written
+        over the lcm of their denominators."""
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        out = [[domain.zero()] * m for _ in range(n)]
-        r0 = c0 = 0
         for b in blocks:
             if b.domain != domain:
                 raise DomainError("mixed domains in block_diag")
+        q = domain.p is None
+        if q:
+            den = lcm(*[b.int_form()[1] for b in blocks])
+        out = [0] * (n * m)  # zero is 0 over F_p and as a numerator
+        r0 = c0 = 0
+        for b in blocks:
+            w = b.cols
+            if q:
+                num, bd = b.int_form()
+                vals = [x * (den // bd) for x in num]
+            else:
+                vals = b.data
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b.data[i * b.cols + j]
+                at = (r0 + i) * m + c0
+                out[at:at + w] = vals[i * w:(i + 1) * w]
             r0 += b.rows
-            c0 += b.cols
-        return Mat(domain, n, m, [x for row in out for x in row])
+            c0 += w
+        if q:
+            return Mat.from_numerators(n, m, out, den)
+        return Mat(domain, n, m, out)
 
     # -- access ---------------------------------------------------------
 
@@ -134,8 +181,9 @@ class Mat:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):
-        z = self.domain.zero()
-        return all(x == z for x in self.data)
+        if self.domain.p is None:
+            return not any(self.int_form()[0])
+        return not any(self.data)
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -162,9 +210,8 @@ class Mat:
         if isinstance(d, FpDomain):
             p = d.p
             data = [(a + b) % p for a, b in zip(self.data, other.data)]
-        else:
-            data = [a + b for a, b in zip(self.data, other.data)]
-        return Mat(d, self.rows, self.cols, data)
+            return Mat(d, self.rows, self.cols, data)
+        return _q_sum(self, ((1, other),))
 
     def __sub__(self, other):
         self._check(other, same_shape=True)
@@ -172,12 +219,15 @@ class Mat:
         if isinstance(d, FpDomain):
             p = d.p
             data = [(a - b) % p for a, b in zip(self.data, other.data)]
-        else:
-            data = [a - b for a, b in zip(self.data, other.data)]
-        return Mat(d, self.rows, self.cols, data)
+            return Mat(d, self.rows, self.cols, data)
+        return _q_sum(self, ((-1, other),))
 
     def __neg__(self):
         d = self.domain
+        if d.p is None:
+            num, den = self.int_form()
+            return Mat.from_numerators(self.rows, self.cols,
+                                       [-x for x in num], den)
         return Mat(d, self.rows, self.cols, [d.neg(x) for x in self.data])
 
     def __mul__(self, other):
@@ -186,9 +236,9 @@ class Mat:
             raise DomainError("inner dimension mismatch")
         d = self.domain
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
         out = []
         if isinstance(d, FpDomain):
+            a, b = self.data, other.data
             p = d.p
             for i in range(n):
                 ai = a[i * k:(i + 1) * k]
@@ -197,14 +247,13 @@ class Mat:
                     for t in range(k):
                         s += ai[t] * b[t * m + j]
                     out.append(s % p)
-        else:
-            rows = [integer_numerators(a[i * k:(i + 1) * k])
-                    for i in range(n)]
-            cols = [integer_numerators(b[j::m]) for j in range(m)]
-            for ai, la in rows:
-                for bj, lb in cols:
-                    out.append(Fraction(sum(map(mul, ai, bj)), la * lb))
-        return Mat(d, n, m, out)
+            return Mat(d, n, m, out)
+        (a, da), (b, db) = self.int_form(), other.int_form()
+        cols = [b[j::m] for j in range(m)]
+        for i in range(n):
+            ai = a[i * k:(i + 1) * k]
+            out.extend(sum(map(mul, ai, bj)) for bj in cols)
+        return Mat.from_numerators(n, m, out, da * db)
 
     def scale(self, c):
         d = self.domain
@@ -212,9 +261,11 @@ class Mat:
         if isinstance(d, FpDomain):
             p = d.p
             data = [(c * x) % p for x in self.data]
-        else:
-            data = [c * x for x in self.data]
-        return Mat(d, self.rows, self.cols, data)
+            return Mat(d, self.rows, self.cols, data)
+        num, den = self.int_form()
+        f = c.numerator
+        return Mat.from_numerators(self.rows, self.cols,
+                                   [f * x for x in num], den * c.denominator)
 
     def __pow__(self, e: int):
         if not self.is_square():
@@ -236,15 +287,35 @@ class Mat:
     # -- equality -------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Mat) and self.domain == other.domain
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+        if not (isinstance(other, Mat) and self.domain == other.domain
+                and self.rows == other.rows and self.cols == other.cols):
+            return False
+        if self.domain.p is None:
+            return self.int_form() == other.int_form()
+        return self.data == other.data
 
     def __hash__(self):
+        if self.domain.p is None:
+            return hash((self.domain, self.rows, self.cols, self.int_form()))
         return hash((self.domain, self.rows, self.cols, self.data))
 
     def __repr__(self):
         return "Mat(%r, %r)" % (self.domain, self.to_lists())
+
+
+class _IntMat(Mat):
+    """A Q matrix built by Mat.from_numerators: its canonical integer
+    form is set, and its Fractions are made on the first read of data."""
+
+    __slots__ = ("_entries",)
+
+    @property
+    def data(self):
+        entries = self._entries
+        if entries is None:
+            num, den = self._ints
+            entries = self._entries = tuple(Fraction(x, den) for x in num)
+        return entries
 
 
 def bracket(a: Mat, b: Mat) -> Mat:
@@ -254,11 +325,34 @@ def bracket(a: Mat, b: Mat) -> Mat:
 
 def lin_comb(start: Mat, coeffs, mats) -> Mat:
     """start + c_1 M_1 + c_2 M_2 + ... over zip(coeffs, mats), skipping
-    zero coefficients."""
+    zero coefficients.  Over Q one sum on the integer forms."""
+    d = start.domain
+    if d.p is None:
+        terms = []
+        for c, M in zip(coeffs, mats):
+            if c:
+                start._check(M, same_shape=True)
+                terms.append((d.of(c), M))
+        return _q_sum(start, terms)
     for c, M in zip(coeffs, mats):
         if c:
             start = start + M.scale(c)
     return start
+
+
+def _q_sum(start: Mat, terms) -> Mat:
+    """start + c_1 M_1 + ... over Q for (c, M) terms, c an int or a
+    Fraction, computed on the integer forms over the lcm of the term
+    denominators and normalised once."""
+    s, den = start.int_form()
+    for c, M in terms:
+        m, dm = M.int_form()
+        dm *= c.denominator
+        common = lcm(den, dm)
+        fs, fm = common // den, c.numerator * (common // dm)
+        s = [x * fs + y * fm for x, y in zip(s, m)]
+        den = common
+    return Mat.from_numerators(start.rows, start.cols, s, den)
 
 
 class _Sandwich:
@@ -266,8 +360,9 @@ class _Sandwich:
     compiled once: the rows of A and the columns of B as ints over one
     common denominator `den` (residues and 1 over F_p).  A call forms
     each row of A M in ints and each entry of A M B from it, normalised
-    once: `% p` over F_p, one Fraction over den times the denominator
-    of M over Q.  Raises DomainError unless M is n x n over the domain.
+    once: `% p` per entry over F_p, over Q one Mat.from_numerators over
+    den times the denominator of M.  Raises DomainError unless M is
+    n x n over the domain.
     """
 
     __slots__ = ("domain", "n", "rows", "cols", "den")
@@ -275,10 +370,11 @@ class _Sandwich:
     def __init__(self, A: Mat, B: Mat):
         self.domain = d = A.domain
         self.n = n = A.rows
-        a, b = A.data, B.data
-        self.den = 1
-        if not isinstance(d, FpDomain):
-            (a, da), (b, db) = integer_numerators(a), integer_numerators(b)
+        if isinstance(d, FpDomain):
+            a, b = A.data, B.data
+            self.den = 1
+        else:
+            (a, da), (b, db) = A.int_form(), B.int_form()
             self.den = da * db
         self.rows = [a[i * n:(i + 1) * n] for i in range(n)]
         self.cols = [b[j::n] for j in range(n)]
@@ -287,20 +383,21 @@ class _Sandwich:
         d, n = self.domain, self.n
         if M.domain != d or M.rows != n or M.cols != n:
             raise DomainError("expected a %dx%d matrix over %r" % (n, n, d))
-        m, den = M.data, self.den
         p = d.p
         if p is None:
-            m, dm = integer_numerators(m)
-            den *= dm
+            m, dm = M.int_form()
+        else:
+            m = M.data
         mcols = [m[j::n] for j in range(n)]
         out = []
         for a in self.rows:
             am = [sum(map(mul, a, c)) for c in mcols]
             if p is None:
-                out.extend(Fraction(sum(map(mul, am, b)), den)
-                           for b in self.cols)
+                out.extend(sum(map(mul, am, b)) for b in self.cols)
             else:
                 out.extend(sum(map(mul, am, b)) % p for b in self.cols)
+        if p is None:
+            return Mat.from_numerators(n, n, out, self.den * dm)
         return Mat(d, n, n, out)
 
 
@@ -327,7 +424,8 @@ def _rref_rows(rows, domain):
 
     Pivot rule: first nonzero row in each column, scanning columns left
     to right.  Both paths eliminate on plain ints: residues mod p over
-    F_p, integer numerators over Q.
+    F_p, integer rows over Q (_elim_rows gives the numerator rows of the
+    integer form), and the Q result rows hold Fractions.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -360,7 +458,7 @@ def _rref_rows(rows, domain):
     else:
         # scaling a row keeps the row space, and so the unique RREF
         for i in range(m):
-            rows[i] = _primitive(integer_numerators(rows[i])[0])
+            rows[i] = _primitive(rows[i])
         for c in range(n):
             if r == m:
                 break
@@ -395,16 +493,26 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
+def _elim_rows(M: Mat) -> list:
+    """The rows _rref_rows reduces: the residues over F_p; over Q the
+    numerator rows of the integer form, M's rows scaled by one nonzero
+    integer, which have the same RREF."""
+    if M.domain.p is not None:
+        return M.to_lists()
+    num, c = M.int_form()[0], M.cols
+    return [list(num[i * c:(i + 1) * c]) for i in range(M.rows)]
+
+
 def rref(M: Mat):
     """(rank, pivot columns, reduced matrix)."""
-    rows = M.to_lists()
+    rows = _elim_rows(M)
     rk, piv = _rref_rows(rows, M.domain)
     flat = [x for row in rows for x in row]
     return rk, piv, Mat(M.domain, M.rows, M.cols, flat)
 
 
 def rank(M: Mat) -> int:
-    rows = M.to_lists()
+    rows = _elim_rows(M)
     rk, _ = _rref_rows(rows, M.domain)
     return rk
 
@@ -415,7 +523,7 @@ def rank_nullspace(M: Mat):
     The basis is the standard one read off the RREF: one vector per free
     column, in increasing column order, with a 1 in the free position.
     """
-    rows = M.to_lists()
+    rows = _elim_rows(M)
     rk, piv = _rref_rows(rows, M.domain)
     d = M.domain
     pivset = set(piv)
@@ -491,7 +599,11 @@ class IncrementalSpan:
                 if f:
                     v = [(a - f * b) % p for a, b in zip(v, row)]
             return v
-        v = _primitive(integer_numerators(vec)[0])
+        return self._reduce(integer_numerators(vec)[0])
+
+    def _reduce(self, v):
+        """Residual of an integer vector over Q, as a primitive row."""
+        v = _primitive(v)
         for piv, row in self._rows:
             f = v[piv]
             if f:
@@ -504,7 +616,9 @@ class IncrementalSpan:
 
     def add(self, vec) -> bool:
         """Add a vector; True if it enlarged the span."""
-        v = self._residual(vec)
+        return self._insert(self._residual(vec))
+
+    def _insert(self, v) -> bool:
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return False
@@ -517,6 +631,10 @@ class IncrementalSpan:
         return True
 
     def add_mat(self, M: Mat) -> bool:
+        """Add M's entries as one vector; over Q its numerators, the
+        same vector scaled by its denominator."""
+        if self.domain.p is None:
+            return self._insert(self._reduce(M.int_form()[0]))
         return self.add(M.data)
 
 

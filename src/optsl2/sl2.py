@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from math import comb, factorial
 
@@ -29,7 +28,7 @@ from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
                        rank_nullspace, rref, same_span)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
-from .scalars import Fp, FpDomain, integer_numerators
+from .scalars import Fp, FpDomain
 from .springer import eps_exp
 
 # -- SL2 bookkeeping ----------------------------------------------------
@@ -86,12 +85,30 @@ def sl2_generators(domain):
     return gens
 
 
+def _sl2_element(p: int, index: int) -> Mat:
+    """sl2_elements(p)[index], without building the list.  The p(p-1)
+    elements with a = 0 come first, ordered by b != 0 (then c = -1/b)
+    and d; each a != 0 follows with p^2 elements, ordered by (b, c),
+    with d = (1 + bc)/a."""
+    head = p * (p - 1)
+    if index < head:
+        a, d = 0, index % p
+        b = 1 + index // p
+        c = -pow(b, -1, p) % p
+    else:
+        a, r = divmod(index - head, p * p)
+        a += 1
+        b, c = divmod(r, p)
+        d = (1 + b * c) * pow(a, -1, p) % p
+    return Mat(Fp(p), 2, 2, (a, b, c, d))
+
+
 def sl2_sample(domain, rnd) -> Mat:
     """Seeded random element of SL_2: uniform over F_p, a short random
     word in the generators over Q."""
     if isinstance(domain, FpDomain):
-        elements = sl2_elements(domain.p)
-        return elements[rnd.randrange(len(elements))]
+        p = domain.p
+        return _sl2_element(p, rnd.randrange(p ** 3 - p))
     g = Mat.identity(domain, 2)
     for _ in range(rnd.randrange(1, 5)):
         kind = rnd.randrange(3)
@@ -116,10 +133,11 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
     b^(j-l) d^l for g = [[a, b], [c, d]].
 
     Every term is homogeneous of degree m in a, b, c, d, so the sum s
-    is taken in integers: over Q on g scaled by the lcm `den` of its
-    denominators, over F_p on the residues with power tables reduced
-    mod p.  Only the last step depends on the domain: the entry is
-    Fraction(s i!, den^m j!) over Q and s i! (j!)^-1 mod p over F_p.
+    is taken in integers: over Q on the integer form of g, numerators
+    over `den`, over F_p on the residues with power tables reduced mod
+    p.  Only the last step depends on the domain: over Q the entry is
+    s i! (m!/j!) over the one denominator den^m m!, and the matrix is
+    built from those ints; over F_p it is s i! (j!)^-1 mod p.
     """
     if m < 0:
         raise DomainError("negative symmetric power")
@@ -132,7 +150,7 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
             "degree %d needs %d! invertible, impossible for p = %d"
             % (m, m, p))
     if p is None:
-        (a, b, c, d), den = integer_numerators(g.data)
+        (a, b, c, d), den = g.int_form()
     else:
         a, b, c, d = g.data
     tables = []
@@ -151,10 +169,12 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
                 s += (comb(m - j, k) * comb(j, l) * pa[m - j - k] * pc[k]
                       * pb[j - l] * pd[l])
             if p is None:
-                data.append(Fraction(s * factorial(i),
-                                     den ** m * factorial(j)))
+                data.append(s * factorial(i) * (factorial(m) // factorial(j)))
             else:
                 data.append(s * factorial(i) * pow(factorial(j), -1, p) % p)
+    if p is None:
+        return Mat.from_numerators(m + 1, m + 1, data,
+                                   den ** m * factorial(m))
     return Mat(dom, m + 1, m + 1, data)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .matrices import Mat, inverse, mul_operator, rank_nullspace
+from .matrices import Mat, inverse, mul_operator, rank
 from .orbits import block_weights, rep_from_partition
 from .partitions import admissible, centralizer_dim, check_partition
 from .scalars import Fp
@@ -273,7 +273,7 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
     u = eval_hom(phi, sl2_x1(dom, 1))
     n = sum(lam)
     op = mul_operator(u, inverse(u)) - Mat.identity(dom, n * n)
-    fix_p = n * n - rank_nullspace(op)[0]
+    fix_p = n * n - rank(op)
 
     fix_0 = centralizer_dim(lam)
     return ModuleDescriptor(character=ch, fix_p=fix_p, fix_0=fix_0)

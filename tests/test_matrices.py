@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial, gcd
 
 import pytest
 
-from optsl2 import cli, matrices
+from optsl2 import cli, jordan, matrices
+from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              ad_operator, bracket, commutes, det,
@@ -13,7 +15,9 @@ from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
+from optsl2.orbits import rep_from_partition
 from optsl2.scalars import Fp, QQ
+from optsl2.sl2 import build_optimal, eval_hom, sl2_sample, sym_power_rep
 from optsl2.suites import run_suite
 
 F2, F3, F5, F7 = Fp(2), Fp(3), Fp(5), Fp(7)
@@ -552,3 +556,153 @@ def test_planted_integer_numerator_fault_falsifies_spaltenstein(
     err = capsys.readouterr().err
     assert "repro: optsl2 verify spaltenstein --primes 2 --seed 7 " \
         "--n-max 3" in err
+
+
+# -- the canonical integer form of Q matrices ----------------------------
+
+def _q_case(rnd, rows, cols):
+    """A seeded Q matrix with negative entries, denominators up to 12
+    and, half the time, a zero row."""
+    data = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 12))
+            for _ in range(rows * cols)]
+    if rows and rnd.random() < 0.5:
+        i = rnd.randrange(rows)
+        data[i * cols:(i + 1) * cols] = [Fraction(0)] * cols
+    return Mat(QQ, rows, cols, data)
+
+
+def _q_square_cases(rnd):
+    cases = []
+    for n in (0, 1, 2, 3, 4):
+        cases.append(Mat.zero(QQ, n))
+        cases.extend(_q_case(rnd, n, n) for _ in range(3))
+    return cases
+
+
+def _fraction_mat(rows, cols, entries):
+    entries = list(entries)
+    assert all(type(x) is Fraction for x in entries)
+    return Mat(QQ, rows, cols, entries)
+
+
+def _assert_canonical(M, ref):
+    """M equals the Fraction-entry reference ref entry by entry, and
+    equals and hashes like the matrix rebuilt from its own entries; its
+    integer form is the canonical one."""
+    assert M == ref and ref == M
+    assert M.data == ref.data
+    assert all(type(x) is Fraction for x in M.data)
+    again = Mat(QQ, M.rows, M.cols, list(M.data))
+    assert M == again and hash(M) == hash(again)
+    num, den = M.int_form()
+    assert (num, den) == again.int_form()
+    assert den > 0 and gcd(den, *num) == 1
+
+
+def test_rational_kernels_build_the_canonical_form():
+    """Products, sums, differences, scaling, linear combinations, block
+    diagonals, the compiled coordinate change (through Cocharacter and
+    eval_hom) and symmetric powers, each built from ints, agree with a
+    Fraction-entry reference, including zero rows, the zero matrix and
+    the 1x1 and 0x0 cases."""
+    rnd = random.Random(15)
+    cases = _q_square_cases(rnd)
+    scalars = [0, 1, -1, 3, Fraction(-5, 12), Fraction(7, 6)]
+    for A in cases:
+        n = A.rows
+        same = [B for B in cases if B.rows == n]
+        for B in same:
+            _assert_canonical(A * B, _schoolbook_product(A, B))
+            _assert_canonical(A + B, _fraction_mat(
+                n, n, (x + y for x, y in zip(A.data, B.data))))
+            _assert_canonical(A - B, _fraction_mat(
+                n, n, (x - y for x, y in zip(A.data, B.data))))
+        _assert_canonical(-A, _fraction_mat(n, n, (-x for x in A.data)))
+        for c in scalars:
+            _assert_canonical(A.scale(c), _fraction_mat(
+                n, n, (Fraction(c) * x for x in A.data)))
+        coeffs = [rnd.choice(scalars) for _ in same]
+        want = list(A.data)
+        for c, B in zip(coeffs, same):
+            want = [x + Fraction(c) * y for x, y in zip(want, B.data)]
+        _assert_canonical(matrices.lin_comb(A, coeffs, same),
+                          _fraction_mat(n, n, want))
+        if n:
+            g = random_invertible(QQ, n, rnd, bound=3).scale(
+                Fraction(1, rnd.randint(1, 12)))
+            psi = Cocharacter(g, range(n))
+            g_inv = inverse(g)
+            _assert_canonical(psi.coords(A), _schoolbook_product(
+                _schoolbook_product(g_inv, A), g))
+            _assert_canonical(psi.from_coords(A), _schoolbook_product(
+                _schoolbook_product(g, A), g_inv))
+    _assert_canonical(matrices._Sandwich(cases[0], cases[0])(cases[0]),
+                      Mat(QQ, 0, 0, ()))
+    for k in range(6):
+        blocks = [rnd.choice(cases) for _ in range(k)]
+        rows = []
+        m = sum(b.cols for b in blocks)
+        c0 = 0
+        for b in blocks:
+            for i in range(b.rows):
+                row = [Fraction(0)] * m
+                row[c0:c0 + b.cols] = b.row_values(i)
+                rows.append(row)
+            c0 += b.cols
+        _assert_canonical(Mat.block_diag(QQ, blocks),
+                          _fraction_mat(m, m, (x for r in rows for x in r)))
+    for g in [c for c in cases if c.rows == 2] + [sl2_sample(QQ, rnd)
+                                                  for _ in range(4)]:
+        for m in range(5):
+            _assert_canonical(sym_power_rep(m, g),
+                              _sym_power_fraction_reference(m, g))
+    for lam in ((3,), (2, 1), (2, 2), (3, 1, 1)):
+        n = sum(lam)
+        g = random_invertible(QQ, n, rnd, bound=3)
+        phi = build_optimal(g * rep_from_partition(QQ, lam) * inverse(g))
+        for _ in range(3):
+            h = sl2_sample(QQ, rnd)
+            want = Mat.block_diag(QQ, [_sym_power_fraction_reference(d - 1, h)
+                                       for d in lam])
+            B = phi.conjugator
+            _assert_canonical(eval_hom(phi, h), _schoolbook_product(
+                _schoolbook_product(B, Mat(QQ, n, n, list(want.data))),
+                inverse(B)))
+
+
+def _sym_power_fraction_reference(m, g):
+    """sym_power_rep's per-entry formula in Fraction arithmetic."""
+    a, b, c, d = g.data
+    data = []
+    for i in range(m + 1):
+        for j in range(m + 1):
+            s = sum(comb(m - j, k) * comb(j, i - k) * a ** (m - j - k)
+                    * c ** k * b ** (j - i + k) * d ** (i - k)
+                    for k in range(max(0, i - j), min(i, m - j) + 1))
+            data.append(Fraction(s) * factorial(i) / factorial(j))
+    return _fraction_mat(m + 1, m + 1, data)
+
+
+def test_equal_rational_values_share_one_powers_entry(monkeypatch):
+    """A nilpotent built by products and the same entries read back
+    through Mat.from_rows are one matrix value: the powers are
+    memoised once, at one product chain in total."""
+    g = random_invertible(QQ, 4, random.Random(16), bound=3)
+    X = g.scale(Fraction(1, 6)) * rep_from_partition(QQ, (3, 1)) \
+        * inverse(g.scale(Fraction(1, 6)))
+    Y = Mat.from_rows(QQ, X.to_lists())
+    assert type(X) is not type(Y) and X == Y and hash(X) == hash(Y)
+    jordan._nilpotent_powers.cache_clear()
+    calls = [0]
+    exact = Mat.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    first = jordan.nilpotent_powers(X)
+    assert calls[0] == 2 and len(first) == 2
+    assert jordan.nilpotent_powers(Y) == first
+    assert calls[0] == 2
+    assert jordan._nilpotent_powers.cache_info().currsize == 1

@@ -123,6 +123,30 @@ def test_sl2_sample():
         assert det(sl2_sample(QQ, rnd)) == QQ.one()
 
 
+def test_sl2_sample_unranks_the_lexicographic_list():
+    """The index sl2_sample draws names the element at that position of
+    sl2_elements, so a draw is the same element as from the list."""
+    for p in (2, 3, 5, 7):
+        elems = sl2_elements(p)
+        got = [sl2._sl2_element(p, i) for i in range(len(elems))]
+        assert [g.data for g in got] == [g.data for g in elems]
+        assert all(g.domain == Fp(p) for g in got)
+        rnd, twin = random.Random(p), random.Random(p)
+        for _ in range(20):
+            assert sl2_sample(Fp(p), rnd) == \
+                elems[twin.randrange(p ** 3 - p)]
+
+
+def test_verify_optimal_at_p_53_builds_no_element_list(monkeypatch):
+    def no_list(p):
+        raise AssertionError("sl2_elements(%d) built" % p)
+
+    monkeypatch.setattr(sl2, "sl2_elements", no_list)
+    dom = Fp(53)
+    X = rep_from_partition(dom, (2,))
+    assert verify_optimal(build_optimal(X), X, random.Random(7)).all_passed
+
+
 def test_sym_power_rep_is_multiplicative():
     rnd = random.Random(42)
     for dom, m in ((QQ, 4), (F5, 4), (F3, 2), (F2, 1)):
