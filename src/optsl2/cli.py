@@ -136,6 +136,8 @@ def _cmd_orbit_table(args) -> int:
     if args.n > 12:
         raise PreconditionError("orbit tables are limited to n <= 12")
     Fp(args.p)
+    if args.n < 1:
+        raise DomainError("--n must be at least 1, got %d" % args.n)
     rows = [orbit_summary(args.p, lam) for lam in partitions_of(args.n)]
     if args.format == "json":
         print(_dump({"schema": SCHEMA, "n": args.n, "p": args.p,

@@ -18,11 +18,12 @@ rational points of G_m is trivial.
 The coordinate change is compiled once, when the cocharacter is built:
 coords applies M -> B^-1 M B from the integer rows of B^-1 and columns
 of B, from_coords applies C -> B C B^-1 from the integer rows of B and
-columns of B^-1, each over one common denominator (see
-matrices._Sandwich).  Every grading question, and every optimal
-homomorphism put into place by its torus cocharacter, then costs one
-fused triple product in ints: `% p` per entry over F_p, one division
-by a gcd over Q.
+columns of B^-1, each from the integer forms of its factors over the
+product of their denominators (see matrices._Sandwich).  Every grading
+question, and every optimal homomorphism put into place by its torus
+cocharacter, then costs one fused triple product in ints, normalised
+once by Mat.from_ints; the degree mask copies the integer form of the
+coordinates, so no grading question reads a Fraction entry.
 """
 
 from __future__ import annotations
@@ -78,12 +79,13 @@ class Cocharacter:
         return _degree_mask(self.weights, keep)
 
     def masked(self, C: Mat, keep) -> Mat:
-        """Coordinates C with every entry outside mask(keep) zeroed."""
-        n = self.n
-        data = [self.domain.zero()] * (n * n)
+        """Coordinates C with every entry outside mask(keep) zeroed,
+        copied from C's integer form."""
+        n, num = self.n, C.num
+        data = [0] * (n * n)
         for r, c in self.mask(keep):
-            data[r * n + c] = C.data[r * n + c]
-        return Mat(self.domain, n, n, data)
+            data[r * n + c] = num[r * n + c]
+        return Mat.from_ints(self.domain, n, n, data, C.den)
 
     def at(self, t) -> Mat:
         """Value of the cocharacter at a nonzero field element t."""

@@ -1,30 +1,37 @@
 """Exact dense matrices over F_p and Q.
 
-Mat objects are immutable and hashable.  An F_p matrix holds its
-residues 0..p-1 in a flat row-major tuple, `data`.  A Q matrix has one
-canonical integer form, `int_form()`: a tuple of integer numerators
-over one positive denominator, with gcd 1 across the numerators and the
-denominator.  The form is unique, so equality and hashing over Q
-compare it.  A Q matrix built from its entries (Fractions in `data`)
-works the form out on first use and caches it; the Q kernels (products,
-sums, scaling, linear combinations, block diagonals, the compiled
-coordinate change, and sym_power_rep in sl2) compute on the forms of
-their inputs and return matrices built straight from ints
-(Mat.from_numerators), whose tuple of Fractions is built only when
-`data` is first read.
+Mat objects are immutable and hashable.  Every Mat stores one integer
+form in two slots: `num`, a flat row-major tuple of ints, and `den`, a
+positive int, with entries num[i] / den.  Over F_p `num` is the tuple
+of residues 0..p-1 itself (the same object as `data`) and `den` is 1.
+Over Q `num` holds integer numerators over one positive denominator
+with gcd 1 across the numerators and the denominator.  The form is
+unique over both domains, so equality and hashing compare it.
+Mat.__init__ takes domain values (Fractions over Q) and derives the
+form once; Mat.from_ints(domain, rows, cols, num, den) is the one
+constructor of kernel results and the one place that decides the
+representation: over F_p it reduces num / den to residues, over Q it
+divides by the gcd and returns a matrix whose tuple of Fractions is
+built only when `data` is first read.  The shared kernels (negation,
+block diagonals, linear combinations, the compiled coordinate change,
+the operator matrices ad X and M -> A M B, and sym_power_rep in sl2)
+compute on the forms of their inputs in plain ints and hand the result
+to from_ints, with no domain branch.  Products, sums, differences and
+scaling keep a loop of their own over F_p, which reduces each entry in
+place and is faster on the small matrices of the brute-force route.
 
 All elimination uses the same deterministic pivot rule: scan each
 column in order and take the first row with a nonzero entry.  The hot
-loops run on plain ints: over F_p on the reduced residues, over Q on
-the numerator rows of the integer form, each kept primitive while it
-is reduced, which leaves the row space and so the unique RREF
-unchanged; the pivot rows are divided by their pivots into Fractions
-once, at the end.  IncrementalSpan keeps its rational echelon ladder as
-primitive integer rows too.  A change of coordinates M -> A M B by one
-fixed pair (A, B), the cocharacter coordinate change, is compiled once:
-the integer rows of A and columns of B over one common denominator, so
-each use is one fused triple product in ints with one normalisation
-(one `% p` per entry over F_p, one gcd over Q) and no intermediate Mat.
+loops run on the integer rows of the form: over F_p on residues, over
+Q on numerator rows, each kept primitive while it is reduced, which
+leaves the row space and so the unique RREF unchanged; the pivot rows
+are divided by their pivots into Fractions once, at the end.
+IncrementalSpan keeps its rational echelon ladder as primitive integer
+rows too.  A change of coordinates M -> A M B by one fixed pair (A, B),
+the cocharacter coordinate change, is compiled once into the integer
+rows of A and columns of B over one common denominator, so each use is
+one fused triple product in ints, normalised once by from_ints, with
+no intermediate Mat.
 
 The brute-force checks test many matrices x against one fixed pair
 (A, B): intertwiner_test compiles the pair once into the linear forms
@@ -42,50 +49,61 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import BudgetError, DomainError
-from .scalars import QQ, Domain, Fp, FpDomain, integer_numerators
+from .scalars import Domain, Fp, FpDomain, integer_numerators
 
 DEFAULT_BUDGET = 2 ** 24
 
 
 class Mat:
-    __slots__ = ("domain", "rows", "cols", "data", "_ints")
+    __slots__ = ("domain", "rows", "cols", "data", "num", "den")
 
     def __init__(self, domain: Domain, rows: int, cols: int, data):
         self.domain = domain
         self.rows = rows
         self.cols = cols
-        self.data = tuple(data)
-        if len(self.data) != rows * cols:
+        self.data = data = tuple(data)
+        if len(data) != rows * cols:
             raise DomainError("entry count %d does not match %dx%d"
-                              % (len(self.data), rows, cols))
+                              % (len(data), rows, cols))
+        if domain.p is None:
+            # over the lcm of the denominators the gcd is already 1
+            num, self.den = integer_numerators(data)
+            self.num = tuple(num)
+        else:
+            self.num, self.den = data, 1
 
     def int_form(self):
-        """(numerators, den) of a Q matrix: the entries are num[i] / den,
-        den > 0 and gcd(den, *num) = 1.  Worked out from the entries on
-        the first call and cached."""
-        try:
-            return self._ints
-        except AttributeError:
-            # over the lcm of the denominators the gcd is already 1
-            num, den = integer_numerators(self.data)
-            self._ints = (tuple(num), den)
-            return self._ints
+        """(num, den): the entries are num[i] / den, den > 0; residues
+        over 1 over F_p, and gcd(den, *num) = 1 over Q."""
+        return self.num, self.den
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_numerators(rows, cols, num, den):
-        """The Q matrix with entries num[i] / den (row-major, den > 0),
-        divided down to its canonical form.  Its Fraction entries are
+    def from_ints(domain, rows, cols, num, den):
+        """The matrix with entries num[i] / den (row-major ints, den > 0)
+        in its canonical form: residues over F_p, where den must be
+        prime to p; over Q divided by the gcd, with its Fraction entries
         built on the first read of data."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
-        M = _IntMat.__new__(_IntMat)
-        M.domain, M.rows, M.cols = QQ, rows, cols
-        M._ints = (tuple(num), den)
-        M._entries = None
+        p = domain.p
+        if p is not None:
+            if den != 1:
+                f = pow(den, -1, p)
+                num = [x * f % p for x in num]
+            else:
+                num = [x % p for x in num]
+            M = Mat.__new__(Mat)
+            M.data = M.num = tuple(num)
+            M.den = 1
+        else:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+            M = _IntMat.__new__(_IntMat)
+            M.num, M.den = tuple(num), den
+            M._entries = None
+        M.domain, M.rows, M.cols = domain, rows, cols
         return M
 
     @staticmethod
@@ -130,33 +148,25 @@ class Mat:
 
     @staticmethod
     def block_diag(domain, blocks):
-        """Residues over F_p; over Q the blocks' numerators, each written
-        over the lcm of their denominators."""
+        """The blocks' numerators, each written over the lcm of their
+        denominators."""
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
         for b in blocks:
             if b.domain != domain:
                 raise DomainError("mixed domains in block_diag")
-        q = domain.p is None
-        if q:
-            den = lcm(*[b.int_form()[1] for b in blocks])
-        out = [0] * (n * m)  # zero is 0 over F_p and as a numerator
+        den = lcm(*[b.den for b in blocks])
+        out = [0] * (n * m)
         r0 = c0 = 0
         for b in blocks:
-            w = b.cols
-            if q:
-                num, bd = b.int_form()
-                vals = [x * (den // bd) for x in num]
-            else:
-                vals = b.data
+            w, f = b.cols, den // b.den
+            vals = b.num if f == 1 else [x * f for x in b.num]
             for i in range(b.rows):
                 at = (r0 + i) * m + c0
                 out[at:at + w] = vals[i * w:(i + 1) * w]
             r0 += b.rows
             c0 += w
-        if q:
-            return Mat.from_numerators(n, m, out, den)
-        return Mat(domain, n, m, out)
+        return Mat.from_ints(domain, n, m, out, den)
 
     # -- access ---------------------------------------------------------
 
@@ -181,9 +191,7 @@ class Mat:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):
-        if self.domain.p is None:
-            return not any(self.int_form()[0])
-        return not any(self.data)
+        return not any(self.num)
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -211,7 +219,7 @@ class Mat:
             p = d.p
             data = [(a + b) % p for a, b in zip(self.data, other.data)]
             return Mat(d, self.rows, self.cols, data)
-        return _q_sum(self, ((1, other),))
+        return _sum(self, ((1, other),))
 
     def __sub__(self, other):
         self._check(other, same_shape=True)
@@ -220,15 +228,11 @@ class Mat:
             p = d.p
             data = [(a - b) % p for a, b in zip(self.data, other.data)]
             return Mat(d, self.rows, self.cols, data)
-        return _q_sum(self, ((-1, other),))
+        return _sum(self, ((-1, other),))
 
     def __neg__(self):
-        d = self.domain
-        if d.p is None:
-            num, den = self.int_form()
-            return Mat.from_numerators(self.rows, self.cols,
-                                       [-x for x in num], den)
-        return Mat(d, self.rows, self.cols, [d.neg(x) for x in self.data])
+        return Mat.from_ints(self.domain, self.rows, self.cols,
+                             [-x for x in self.num], self.den)
 
     def __mul__(self, other):
         self._check(other, same_shape=False)
@@ -248,12 +252,12 @@ class Mat:
                         s += ai[t] * b[t * m + j]
                     out.append(s % p)
             return Mat(d, n, m, out)
-        (a, da), (b, db) = self.int_form(), other.int_form()
+        a, b = self.num, other.num
         cols = [b[j::m] for j in range(m)]
         for i in range(n):
             ai = a[i * k:(i + 1) * k]
             out.extend(sum(map(mul, ai, bj)) for bj in cols)
-        return Mat.from_numerators(n, m, out, da * db)
+        return Mat.from_ints(d, n, m, out, self.den * other.den)
 
     def scale(self, c):
         d = self.domain
@@ -262,10 +266,10 @@ class Mat:
             p = d.p
             data = [(c * x) % p for x in self.data]
             return Mat(d, self.rows, self.cols, data)
-        num, den = self.int_form()
         f = c.numerator
-        return Mat.from_numerators(self.rows, self.cols,
-                                   [f * x for x in num], den * c.denominator)
+        return Mat.from_ints(d, self.rows, self.cols,
+                             [f * x for x in self.num],
+                             self.den * c.denominator)
 
     def __pow__(self, e: int):
         if not self.is_square():
@@ -287,25 +291,20 @@ class Mat:
     # -- equality -------------------------------------------------------
 
     def __eq__(self, other):
-        if not (isinstance(other, Mat) and self.domain == other.domain
-                and self.rows == other.rows and self.cols == other.cols):
-            return False
-        if self.domain.p is None:
-            return self.int_form() == other.int_form()
-        return self.data == other.data
+        return (isinstance(other, Mat) and self.domain == other.domain
+                and self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        if self.domain.p is None:
-            return hash((self.domain, self.rows, self.cols, self.int_form()))
-        return hash((self.domain, self.rows, self.cols, self.data))
+        return hash((self.domain, self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         return "Mat(%r, %r)" % (self.domain, self.to_lists())
 
 
 class _IntMat(Mat):
-    """A Q matrix built by Mat.from_numerators: its canonical integer
-    form is set, and its Fractions are made on the first read of data."""
+    """A Q matrix built by Mat.from_ints: its canonical integer form is
+    set, and its Fractions are made on the first read of data."""
 
     __slots__ = ("_entries",)
 
@@ -313,8 +312,9 @@ class _IntMat(Mat):
     def data(self):
         entries = self._entries
         if entries is None:
-            num, den = self._ints
-            entries = self._entries = tuple(Fraction(x, den) for x in num)
+            den = self.den
+            entries = self._entries = tuple(Fraction(x, den)
+                                            for x in self.num)
         return entries
 
 
@@ -325,57 +325,47 @@ def bracket(a: Mat, b: Mat) -> Mat:
 
 def lin_comb(start: Mat, coeffs, mats) -> Mat:
     """start + c_1 M_1 + c_2 M_2 + ... over zip(coeffs, mats), skipping
-    zero coefficients.  Over Q one sum on the integer forms."""
+    zero coefficients: one sum on the integer forms, or start itself
+    when every coefficient is zero."""
     d = start.domain
-    if d.p is None:
-        terms = []
-        for c, M in zip(coeffs, mats):
-            if c:
-                start._check(M, same_shape=True)
-                terms.append((d.of(c), M))
-        return _q_sum(start, terms)
+    terms = []
     for c, M in zip(coeffs, mats):
         if c:
-            start = start + M.scale(c)
-    return start
+            start._check(M, same_shape=True)
+            terms.append((d.of(c), M))
+    return _sum(start, terms) if terms else start
 
 
-def _q_sum(start: Mat, terms) -> Mat:
-    """start + c_1 M_1 + ... over Q for (c, M) terms, c an int or a
-    Fraction, computed on the integer forms over the lcm of the term
-    denominators and normalised once."""
-    s, den = start.int_form()
+def _sum(start: Mat, terms) -> Mat:
+    """start + c_1 M_1 + ... for (c, M) terms, c an int (a residue over
+    F_p) or a Fraction, computed on the integer forms over the lcm of
+    the term denominators and normalised once by Mat.from_ints."""
+    s, den = start.num, start.den
     for c, M in terms:
-        m, dm = M.int_form()
-        dm *= c.denominator
+        dm = M.den * c.denominator
         common = lcm(den, dm)
         fs, fm = common // den, c.numerator * (common // dm)
-        s = [x * fs + y * fm for x, y in zip(s, m)]
+        s = [x * fs + y * fm for x, y in zip(s, M.num)]
         den = common
-    return Mat.from_numerators(start.rows, start.cols, s, den)
+    return Mat.from_ints(start.domain, start.rows, start.cols, s, den)
 
 
 class _Sandwich:
     """The map M -> A M B for fixed n x n matrices A and B of one domain,
     compiled once: the rows of A and the columns of B as ints over one
-    common denominator `den` (residues and 1 over F_p).  A call forms
-    each row of A M in ints and each entry of A M B from it, normalised
-    once: `% p` per entry over F_p, over Q one Mat.from_numerators over
-    den times the denominator of M.  Raises DomainError unless M is
-    n x n over the domain.
+    common denominator `den`, the product of their denominators.  A call
+    forms each row of A M in ints and each entry of A M B from it, and
+    normalises once: Mat.from_ints over den times the denominator of M.
+    Raises DomainError unless M is n x n over the domain.
     """
 
     __slots__ = ("domain", "n", "rows", "cols", "den")
 
     def __init__(self, A: Mat, B: Mat):
-        self.domain = d = A.domain
+        self.domain = A.domain
         self.n = n = A.rows
-        if isinstance(d, FpDomain):
-            a, b = A.data, B.data
-            self.den = 1
-        else:
-            (a, da), (b, db) = A.int_form(), B.int_form()
-            self.den = da * db
+        a, b = A.num, B.num
+        self.den = A.den * B.den
         self.rows = [a[i * n:(i + 1) * n] for i in range(n)]
         self.cols = [b[j::n] for j in range(n)]
 
@@ -383,22 +373,13 @@ class _Sandwich:
         d, n = self.domain, self.n
         if M.domain != d or M.rows != n or M.cols != n:
             raise DomainError("expected a %dx%d matrix over %r" % (n, n, d))
-        p = d.p
-        if p is None:
-            m, dm = M.int_form()
-        else:
-            m = M.data
+        m = M.num
         mcols = [m[j::n] for j in range(n)]
         out = []
         for a in self.rows:
             am = [sum(map(mul, a, c)) for c in mcols]
-            if p is None:
-                out.extend(sum(map(mul, am, b)) for b in self.cols)
-            else:
-                out.extend(sum(map(mul, am, b)) % p for b in self.cols)
-        if p is None:
-            return Mat.from_numerators(n, n, out, self.den * dm)
-        return Mat(d, n, n, out)
+            out.extend(sum(map(mul, am, b)) for b in self.cols)
+        return Mat.from_ints(d, n, n, out, self.den * M.den)
 
 
 def hstack(mats):
@@ -494,12 +475,10 @@ def _primitive(row):
 
 
 def _elim_rows(M: Mat) -> list:
-    """The rows _rref_rows reduces: the residues over F_p; over Q the
-    numerator rows of the integer form, M's rows scaled by one nonzero
-    integer, which have the same RREF."""
-    if M.domain.p is not None:
-        return M.to_lists()
-    num, c = M.int_form()[0], M.cols
+    """The rows _rref_rows reduces: the numerator rows of the integer
+    form, M's rows scaled by den, which have the same RREF (over F_p
+    the residues themselves)."""
+    num, c = M.num, M.cols
     return [list(num[i * c:(i + 1) * c]) for i in range(M.rows)]
 
 
@@ -634,7 +613,7 @@ class IncrementalSpan:
         """Add M's entries as one vector; over Q its numerators, the
         same vector scaled by its denominator."""
         if self.domain.p is None:
-            return self._insert(self._reduce(M.int_form()[0]))
+            return self._insert(self._reduce(M.num))
         return self.add(M.data)
 
 
@@ -796,15 +775,15 @@ def ad_operator(X: Mat) -> Mat:
 
     Row (i, j) holds X[i, k] at column (k, j) and -X[l, j] at column
     (i, l); the two meet only at column (i, j).  Zero entries of X are
-    skipped, and the other entries are written straight from X.data.
+    skipped, and the others are written in ints straight from X's
+    numerators, over X's denominator.
     """
     if not X.is_square():
         raise DomainError("square matrix expected")
     n = X.rows
-    d = X.domain
-    x = X.data
+    x = X.num
     N = n * n
-    data = [d.zero()] * (N * N)
+    data = [0] * (N * N)
     for i in range(n):
         for j in range(n):
             base = (i * n + j) * N
@@ -815,24 +794,23 @@ def ad_operator(X: Mat) -> Mat:
             for l in range(n):
                 v = x[l * n + j]
                 if v:
-                    t = base + i * n + l
-                    data[t] = d.sub(data[t], v)
-    return Mat(d, N, N, data)
+                    data[base + i * n + l] -= v
+    return Mat.from_ints(X.domain, N, N, data, X.den)
 
 
 def mul_operator(A: Mat, B: Mat) -> Mat:
     """Matrix of M -> A M B acting on vectorized n x n matrices.
 
-    Entry (i, j), (k, l) is the single term A[i, k] B[l, j], assigned
-    from A.data and B.data when both factors are nonzero.
+    Entry (i, j), (k, l) is the single term A[i, k] B[l, j], the product
+    of two numerators over the product of the denominators, assigned
+    when both factors are nonzero.
     """
     if not (A.is_square() and B.is_square() and A.rows == B.rows):
         raise DomainError("square matrices of equal size expected")
     n = A.rows
-    d = A.domain
-    a, b = A.data, B.data
+    a, b = A.num, B.num
     N = n * n
-    data = [d.zero()] * (N * N)
+    data = [0] * (N * N)
     for i in range(n):
         for k in range(n):
             aik = a[i * n + k]
@@ -843,8 +821,8 @@ def mul_operator(A: Mat, B: Mat) -> Mat:
                 for l in range(n):
                     blj = b[l * n + j]
                     if blj:
-                        data[base + l] = d.mul(aik, blj)
-    return Mat(d, N, N, data)
+                        data[base + l] = aik * blj
+    return Mat.from_ints(A.domain, N, N, data, A.den * B.den)
 
 
 def devectorize(v: Mat, n: int) -> Mat:

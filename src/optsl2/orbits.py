@@ -167,10 +167,11 @@ def weight_bound_check(p: int, lam) -> WeightBoundReport:
 
 
 def _unit_bracket(C: Mat, r: int, c: int) -> list:
-    """[E_rc, C] as a flat row-major list, written straight from C:
-    E_rc C is row c of C in row r, C E_rc is column r of C in column
-    c.  Entries are left unreduced over F_p; IncrementalSpan reduces."""
-    n, x = C.rows, C.data
+    """[E_rc, C] scaled by C's denominator, as a flat row-major list of
+    ints written straight from C's numerators: E_rc C is row c of C in
+    row r, C E_rc is column r of C in column c.  Entries are left
+    unreduced over F_p; IncrementalSpan reduces."""
+    n, x = C.rows, C.num
     v = [0] * (n * n)
     v[r * n:(r + 1) * n] = x[c * n:(c + 1) * n]
     for i in range(n):

@@ -1,15 +1,16 @@
 """Exact scalar domains: prime fields F_p (p <= 251) and the rationals.
 
 A domain object owns the arithmetic; matrix entries are raw values
-(ints for F_p, Fraction for Q).  The hot kernels (matrix products,
-symmetric powers) do not call back into the domain per term: they
-compute in plain ints, reduced mod p over F_p, and over Q on a
-matrix's integer numerators over one common denominator (its integer
-form, worked out from Fraction entries by `integer_numerators`).  A Q
-kernel returns its result in that form, and the result's Fractions are
-built only when its entries are read.  F_p values are always reduced
-to 0..p-1, rationals are kept in lowest terms with positive denominator
-by the Fraction type itself.  No floats anywhere.
+(ints for F_p, Fraction for Q).  The matrix kernels do not call back
+into the domain per term: every matrix also holds one integer form,
+int numerators over one positive denominator (the residues over 1 on
+F_p), and the kernels compute on it in plain ints.  Over Q the form of
+a matrix built from its entries comes from `integer_numerators`.  Apart
+from the F_p arithmetic and elimination loops, a kernel reads the
+domain only where its result is normalised, by `p` (None for Q):
+residues mod p, or a division by the gcd.  F_p values are always
+reduced to 0..p-1, rationals are kept in lowest terms with positive
+denominator by the Fraction type itself.  No floats anywhere.
 """
 
 from __future__ import annotations

@@ -133,11 +133,10 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
     b^(j-l) d^l for g = [[a, b], [c, d]].
 
     Every term is homogeneous of degree m in a, b, c, d, so the sum s
-    is taken in integers: over Q on the integer form of g, numerators
-    over `den`, over F_p on the residues with power tables reduced mod
-    p.  Only the last step depends on the domain: over Q the entry is
-    s i! (m!/j!) over the one denominator den^m m!, and the matrix is
-    built from those ints; over F_p it is s i! (j!)^-1 mod p.
+    is taken in integers on the integer form of g, numerators over
+    `den`, with unreduced power tables.  The entry is s i! (m!/j!) over
+    the one denominator den^m m!, and Mat.from_ints normalises it: by
+    the gcd over Q, by (m!)^-1 mod p over F_p (den is 1 there).
     """
     if m < 0:
         raise DomainError("negative symmetric power")
@@ -149,15 +148,12 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
         raise PreconditionError(
             "degree %d needs %d! invertible, impossible for p = %d"
             % (m, m, p))
-    if p is None:
-        (a, b, c, d), den = g.int_form()
-    else:
-        a, b, c, d = g.data
+    (a, b, c, d), den = g.num, g.den
     tables = []
     for x in (a, b, c, d):
         t = [1]
         for _ in range(m):
-            t.append(t[-1] * x if p is None else t[-1] * x % p)
+            t.append(t[-1] * x)
         tables.append(t)
     pa, pb, pc, pd = tables
     data = []
@@ -168,14 +164,8 @@ def sym_power_rep(m: int, g: Mat) -> Mat:
                 l = i - k
                 s += (comb(m - j, k) * comb(j, l) * pa[m - j - k] * pc[k]
                       * pb[j - l] * pd[l])
-            if p is None:
-                data.append(s * factorial(i) * (factorial(m) // factorial(j)))
-            else:
-                data.append(s * factorial(i) * pow(factorial(j), -1, p) % p)
-    if p is None:
-        return Mat.from_numerators(m + 1, m + 1, data,
-                                   den ** m * factorial(m))
-    return Mat(dom, m + 1, m + 1, data)
+            data.append(s * factorial(i) * (factorial(m) // factorial(j)))
+    return Mat.from_ints(dom, m + 1, m + 1, data, den ** m * factorial(m))
 
 
 def sym_power_dX(domain, m: int) -> Mat:
@@ -811,7 +801,9 @@ class GcrReport:
 def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     """Semisimplicity of the natural module for the group generated by
     the given invertible matrices over F_p: every invariant subspace
-    has an invariant complement, by exhaustive subspace enumeration."""
+    has an invariant complement, by exhaustive subspace enumeration.
+    The enumeration is held against the sum of the Gaussian binomials
+    [n, k]_p, and a different count raises InconsistencyError."""
     if not generators:
         raise DomainError("at least one generator required")
     dom = generators[0].domain
@@ -829,6 +821,10 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
         raise BudgetError("%d subspaces exceed budget %d" % (count, budget))
 
     subspaces = _subspaces(p, n)
+    if len(subspaces) != count:
+        raise InconsistencyError("%d subspaces of F_%d^%d enumerated, the "
+                                 "Gaussian binomials give %d"
+                                 % (len(subspaces), p, n, count))
 
     def col_mat(cols):
         return Mat(dom, n, len(cols),

@@ -96,6 +96,15 @@ def test_orbit_table_json(capsys):
     assert run_cli(capsys, "orbit-table", "--n", "13", "--p", "2")[0] == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_orbit_table_rejects_n_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "orbit-table", "--n", n, "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_tilt_goldens(capsys):
     code, out, _ = run_cli(capsys, "tilt", "--partition", "2", "--p", "2",
                            "--format", "json")

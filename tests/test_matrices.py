@@ -15,7 +15,7 @@ from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
-from optsl2.orbits import rep_from_partition
+from optsl2.orbits import is_associated, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import build_optimal, eval_hom, sl2_sample, sym_power_rep
 from optsl2.suites import run_suite
@@ -681,6 +681,161 @@ def _sym_power_fraction_reference(m, g):
                     for k in range(max(0, i - j), min(i, m - j) + 1))
             data.append(Fraction(s) * factorial(i) / factorial(j))
     return _fraction_mat(m + 1, m + 1, data)
+
+
+# -- the one integer form over both domains ------------------------------
+
+def _mod(x, p):
+    """The residue of an int, or of a Fraction with denominator prime to
+    p, computed here and not by the domain."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _assert_residues(M, ref):
+    """M over F_p is in its canonical form: num is data, residues
+    0..p-1 over den 1, equal entry by entry to `% p` of the exact
+    reference values ref (ints or Fractions); it equals and hashes like
+    the matrix rebuilt from its entries."""
+    p = M.domain.p
+    assert M.num is M.data and M.den == 1
+    assert all(type(x) is int and 0 <= x < p for x in M.num)
+    assert list(M.num) == [_mod(x, p) for x in ref]
+    again = Mat(M.domain, M.rows, M.cols, list(M.data))
+    assert M == again and hash(M) == hash(again)
+
+
+def _int_product(a, b, n, k, m):
+    """The exact product of flat row-major int tuples, unreduced."""
+    return [sum(a[i * k + t] * b[t * m + j] for t in range(k))
+            for i in range(n) for j in range(m)]
+
+
+def _masked_reference(psi, C, keep):
+    n, ws = psi.n, psi.weights
+    return [C.data[r * n + c] if keep(ws[r] - ws[c]) else 0
+            for r in range(n) for c in range(n)]
+
+
+def test_fp_kernels_build_residues_over_one():
+    """Over F_2, F_3 and F_7 every kernel that builds through
+    Mat.from_ints, and the four F_p arithmetic loops, give residues over
+    1 whose num is data, equal to `% p` of an exact integer (or, for
+    symmetric powers, Fraction) reference, including the zero matrix,
+    the identity and the 1x1 and 0x0 cases."""
+    rnd = random.Random(20)
+    scalars = [0, 1, -1, 3, 12, Fraction(-5, 11), Fraction(7, 13)]
+    for dom in (F2, F3, F7):
+        p = dom.p
+        cases = []
+        for n in range(5):
+            cases += [Mat.zero(dom, n), Mat.identity(dom, n)]
+            cases += [random_mat(dom, n, n, rnd) for _ in range(3)]
+        for A in cases:
+            n, a = A.rows, A.data
+            same = [B for B in cases if B.rows == n]
+            for B in rnd.sample(same, 3):
+                b = B.data
+                _assert_residues(A * B, _int_product(a, b, n, n, n))
+                _assert_residues(A + B, [x + y for x, y in zip(a, b)])
+                _assert_residues(A - B, [x - y for x, y in zip(a, b)])
+            _assert_residues(-A, [-x for x in a])
+            for c in scalars:
+                _assert_residues(A.scale(c), [Fraction(c) * x for x in a])
+            coeffs = [rnd.choice(scalars) for _ in same]
+            want = list(a)
+            for c, B in zip(coeffs, same):
+                want = [x + Fraction(c) * y for x, y in zip(want, B.data)]
+            _assert_residues(matrices.lin_comb(A, coeffs, same), want)
+            _assert_residues(ad_operator(A), _ad_reference(A).data)
+            B = rnd.choice(same)
+            _assert_residues(mul_operator(A, B), _mul_reference(A, B).data)
+            if n:
+                g = random_invertible(dom, n, rnd)
+                g_inv = inverse(g)
+                psi = Cocharacter(g, range(n))
+                _assert_residues(psi.coords(A), _int_product(
+                    _int_product(g_inv.data, a, n, n, n), g.data, n, n, n))
+                _assert_residues(psi.from_coords(A), _int_product(
+                    _int_product(g.data, a, n, n, n), g_inv.data, n, n, n))
+                for keep in (lambda e: e > 0, lambda e: e == 0,
+                             lambda e: e == 2):
+                    _assert_residues(psi.masked(A, keep),
+                                     _masked_reference(psi, A, keep))
+        for k in range(5):
+            blocks = [rnd.choice(cases) for _ in range(k)]
+            m = sum(b.rows for b in blocks)
+            want = [0] * (m * m)
+            r0 = 0
+            for b in blocks:
+                for i in range(b.rows):
+                    for j in range(b.cols):
+                        want[(r0 + i) * m + r0 + j] = b[i, j]
+                r0 += b.rows
+            _assert_residues(Mat.block_diag(dom, blocks), want)
+        for g in [c for c in cases if c.rows == 2] + [sl2_sample(dom, rnd)
+                                                      for _ in range(4)]:
+            for m in range(p):
+                ref = _sym_power_fraction_reference(
+                    m, Mat(QQ, 2, 2, [Fraction(x) for x in g.data]))
+                _assert_residues(sym_power_rep(m, g), ref.data)
+
+
+def test_rational_operator_kernels_build_the_canonical_form():
+    """ad_operator, mul_operator and Cocharacter.masked over Q build the
+    canonical integer form and agree with a Fraction-entry reference."""
+    rnd = random.Random(21)
+    cases = _q_square_cases(rnd)
+    for A in cases:
+        n = A.rows
+        _assert_canonical(ad_operator(A), _ad_reference(A))
+        B = rnd.choice([B for B in cases if B.rows == n])
+        _assert_canonical(mul_operator(A, B), _mul_reference(A, B))
+        if n:
+            g = random_invertible(QQ, n, rnd, bound=3).scale(
+                Fraction(1, rnd.randint(1, 12)))
+            psi = Cocharacter(g, [rnd.randint(-2, 2) for _ in range(n)])
+            for keep in (lambda e: e > 0, lambda e: e == 0,
+                         lambda e: e < 0):
+                _assert_canonical(psi.masked(A, keep), _fraction_mat(
+                    n, n, (Fraction(x) for x in
+                           _masked_reference(psi, A, keep))))
+
+
+def test_rational_kernels_read_no_fraction_entries(monkeypatch):
+    """With the Fraction entries of every matrix built from ints made
+    unreadable, a chain of Q kernels still finishes and gives the same
+    values: each kernel reads the integer forms of its inputs only."""
+    rnd = random.Random(22)
+    g = random_invertible(QQ, 4, rnd, bound=3).scale(Fraction(1, 6))
+    X = g * rep_from_partition(QQ, (2, 2)) * inverse(g)
+    phi = build_optimal(X)
+    h = sl2_sample(QQ, rnd)
+    A, B = (_q_case(rnd, 4, 4) * g for _ in range(2))
+    assert all(type(M) is matrices._IntMat for M in (X, h, A, B))
+
+    def chain():
+        P = A * B
+        S = A + B - P
+        L = matrices.lin_comb(S, [2, Fraction(-1, 3)], [A, P])
+        D = Mat.block_diag(QQ, [A, P])
+        C = phi.psi.coords(L)
+        F = phi.psi.from_coords(C)
+        K = phi.psi.masked(C, lambda e: e > 0)
+        ad, mo = ad_operator(K), mul_operator(A, F)
+        sym, hom = sym_power_rep(3, h), eval_hom(phi, h)
+        return [P, S, L, D, C, F, K, -K, ad, mo, sym, hom,
+                is_associated(phi.psi, X), P == S, hash(D), K.is_zero(),
+                rank(ad), rank(mo), rank(D)]
+
+    def unreadable(self):
+        raise AssertionError("a kernel read Fraction entries")
+
+    want = chain()
+    monkeypatch.setattr(matrices._IntMat, "data", property(unreadable))
+    got = chain()
+    assert got == want
+    assert got[12] is True
 
 
 def test_equal_rational_values_share_one_powers_entry(monkeypatch):

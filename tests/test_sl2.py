@@ -739,3 +739,33 @@ def test_gcr_budget_and_validation():
         gcr_check([])
     with pytest.raises(DomainError):
         gcr_check([Mat.identity(QQ, 2)])
+
+
+def test_planted_coordinate_subspaces_falsify_every_gcr_record(
+        monkeypatch, capsys):
+    """An enumeration that yields only the coordinate subspaces misses
+    the Gaussian-binomial count for n >= 2, so every gcr record with
+    n >= 2 is falsified, the non-semisimple control included, and
+    `optimal gcr` exits 1.  For n = 1 the coordinate subspaces are all
+    the subspaces, and those records stay as they were."""
+    exact = sl2._subspaces
+
+    def coordinate_only(p, n):
+        return [(k, cols) for k, cols in exact(p, n)
+                if all(sum(c) == 1 for c in cols)]
+
+    clean = run_suite("gcr").records
+    assert clean and all(r.verified for r in clean)
+    monkeypatch.setattr(sl2, "_subspaces", coordinate_only)
+    planted = run_suite("gcr").records
+    assert [r.instance for r in planted] == [r.instance for r in clean]
+    lines = [r.instance.get("partition") == [1] for r in planted]
+    assert sum(lines) == 2
+    for r, c, line in zip(planted, clean, lines):
+        if line:
+            assert r == c
+        else:
+            assert r.verified is False
+            assert "Gaussian binomials" in r.witness["error"]
+    assert cli.main(["optimal", "gcr", "--partition", "2", "--p", "2"]) == 1
+    assert "inconsistency: " in capsys.readouterr().err
