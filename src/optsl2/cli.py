@@ -30,7 +30,8 @@ from .scalars import Fp, QQ, parse_rational
 from .sl2 import build_optimal, verify_optimal
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
-from .suites import _SUITE_FUNCS, DEFAULT_SEED, SUITE_NAMES, run_suite
+from .suites import (_SUITE_FUNCS, DEFAULT_SEED, SUITE_NAMES, _check_budget,
+                     run_suite)
 from .tilting import adjoint_descriptor, tilting_decompose
 
 SCHEMA = 1
@@ -73,7 +74,9 @@ def _fmt_record(r: dict) -> str:
 
 def _suite_records(suite, grid, args, keep) -> list:
     """The records of one suite's checks at the instances keep accepts,
-    run directly on the given grid; a raise ends the command."""
+    run directly on the given grid; a raise ends the command, and a
+    budget below 1 is a DomainError, as in run_suite."""
+    _check_budget(args.budget)
     func = _SUITE_FUNCS[suite][0]
     records = []
     for claim, instance, check in func(grid, args.seed, args.budget):

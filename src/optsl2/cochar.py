@@ -54,6 +54,7 @@ class Cocharacter:
         self.domain = basis.domain
         self._coords = _Sandwich(self.basis_inv, basis)
         self._from_coords = _Sandwich(basis, self.basis_inv)
+        self._projections = {}
 
     @staticmethod
     def diagonal(domain, weights):
@@ -110,10 +111,14 @@ class Cocharacter:
     # -- action on the natural module ----------------------------------
 
     def weight_projection(self, w: int) -> Mat:
-        """Projection of k^n onto the weight-w eigenspace."""
-        d = self.domain
-        diag = [d.one() if wi == w else d.zero() for wi in self.weights]
-        return self.from_coords(Mat.diagonal(d, diag))
+        """Projection of k^n onto the weight-w eigenspace, built once per
+        weight and kept on the instance."""
+        P = self._projections.get(w)
+        if P is None:
+            d = self.domain
+            diag = [d.one() if wi == w else d.zero() for wi in self.weights]
+            P = self._projections[w] = self.from_coords(Mat.diagonal(d, diag))
+        return P
 
     def __eq__(self, other):
         if not isinstance(other, Cocharacter):

@@ -33,12 +33,16 @@ rows of A and columns of B over one common denominator, so each use is
 one fused triple product in ints, normalised once by from_ints, with
 no intermediate Mat.
 
-The brute-force checks test many matrices x against one fixed pair
-(A, B): intertwiner_test compiles the pair once into the linear forms
-of x A - B x and returns a predicate on x's flat tuple, so no product
-is built per element, and enumerate_group streams GL_n(F_p) as those
-flat tuples, so no Mat is built per element either.  commutes is the
-one-off case of the same test.
+The brute-force checks test matrices x against fixed pairs (A, B):
+intertwiner_forms compiles a pair once into the linear forms of
+x A - B x on x's flat tuple, so no product is built per element.
+intertwiner_test evaluates them on one x (commutes is its one-off
+case).  The group centralizers are counted by intertwiner_counts, one
+depth-first walk over GL_n(F_p) that fixes a row at a time and drops
+a prefix as soon as a form whose entries are all fixed is nonzero on
+every side, so it visits the centralizers rather than the group.  The
+walk keeps the span of the fixed rows as a set of vectors and
+eliminates nothing; enumerate_group is the same walk unpruned.
 """
 
 from __future__ import annotations
@@ -632,54 +636,145 @@ def same_span(vs, ws) -> bool:
 
 # -- exhaustive enumeration --------------------------------------------
 
+def _row_walk(n: int, p: int, budget: int, step=None, state=()):
+    """The one depth-first walk over GL_n(F_p) by rows, top-down.
+
+    An iterator of (flat row-major tuple, state) for every invertible
+    matrix in lexicographic entry order.  A matrix is invertible exactly
+    when no row lies in the span of the rows above it, and that span is
+    kept as the set of its p^k vectors, grown by one row at a time, so
+    no candidate is eliminated.  When step is given, step(depth,
+    prefix, state) is called on each prefix whose last row (index
+    depth) is out of the span, and returns the state its completions
+    carry, or None to drop them.  Raises BudgetError when p^(n*n)
+    exceeds the budget, on the call, before the walk starts.
+    """
+    Fp(p)  # validates p before the walk starts
+    total = p ** (n * n)
+    if total > budget:
+        raise BudgetError("enumeration of %d candidate matrices exceeds "
+                          "budget %d" % (total, budget))
+    if n == 0:
+        return iter([((), state)])
+    vectors = list(itertools.product(range(p), repeat=n))
+    last = n - 1
+
+    def completions(prefix, span, depth, state):
+        for v in vectors:
+            if v in span:
+                continue
+            x = prefix + v
+            kept = state if step is None else step(depth, x, state)
+            if kept is None:
+                continue
+            if depth == last:
+                yield x, kept
+            else:
+                wider = {tuple((a + c * b) % p for a, b in zip(s, v))
+                         for s in span for c in range(p)}
+                yield from completions(x, wider, depth + 1, kept)
+
+    return completions((), {vectors[0]}, 0, state)
+
+
 def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
     """Yield every g in GL_n(F_p) exactly once, as its flat row-major
     tuple of residues, the input intertwiner_test's predicates read.
 
     The stream equals the scan of all p^(n*n) matrices in lexicographic
     entry order (row-major) that keeps those of rank n, so it is
-    deterministic and restartable.  It is built row by row: a matrix is
-    invertible exactly when no row lies in the span of the rows above
-    it, and that span is kept as the set of its p^k vectors, grown by
-    one row at a time, so no candidate is eliminated.  Raises
+    deterministic and restartable: the unpruned _row_walk.  Raises
     BudgetError up front when p^(n*n) exceeds the budget.
     """
-    Fp(p)  # validates p before anything is yielded
-    total = p ** (n * n)
-    if total > budget:
-        raise BudgetError("enumeration of %d candidate matrices exceeds "
-                          "budget %d" % (total, budget))
-    if n == 0:
-        yield ()
-        return
-    vectors = list(itertools.product(range(p), repeat=n))
+    for g, _ in _row_walk(n, p, budget):
+        yield g
 
-    def completions(prefix, span, rows_left):
-        for v in vectors:
-            if v in span:
-                continue
-            if rows_left == 1:
-                yield prefix + v
+
+def _depth_buckets(forms, n: int) -> list:
+    """The forms of intertwiner_forms, which read x's flat tuple, moved
+    onto the tuple of w0 x w0 (w0 the antidiagonal permutation), which
+    is x's tuple reversed, and grouped by the row of w0 x w0 that holds
+    their last index: bucket r lists the forms a top-down walk can
+    evaluate once its row r is fixed."""
+    last = n * n - 1
+    buckets = [[] for _ in range(n)]
+    for form in forms:
+        moved = tuple((last - t, c) for t, c in form)
+        buckets[max(t for t, _ in moved) // n].append(moved)
+    return buckets
+
+
+def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
+    """(union, counts) over GL_n(F_p): counts[s] is the number of x with
+    x A == B x for every pair (A, B) of sides[s], and union the number
+    of x that satisfy at least one side.  A side is a list of pairs of
+    n x n matrices over F_p; a side with no pairs, or with no form that
+    can be nonzero, holds everywhere, and with no sides the result is
+    (0, []).
+
+    One _row_walk over y = w0 x w0 with each side's intertwiner_forms
+    grouped by _depth_buckets: at each fixed row the forms whose entries
+    are all fixed are evaluated, a side drops out at its first nonzero
+    form, and a prefix is dropped when no side is left, so its
+    completions are never built.  For upper-triangular pairs, such as a
+    nilpotent in Jordan form, its truncated exponentials and the image
+    of x1(1), the rows of x are fixed last-to-first and each row pins
+    down the forms of its own row.  The forms are exact; nothing is
+    eliminated.  Raises BudgetError up front when p^(n*n) exceeds the
+    budget, as enumerate_group does.
+    """
+    buckets = []
+    for side in sides:
+        forms = []
+        for A, B in side:
+            if A.domain.p != p or A.rows != n:
+                raise DomainError("expected %dx%d matrices over F_%d"
+                                  % (n, n, p))
+            forms.extend(intertwiner_forms(A, B))
+        buckets.append(_depth_buckets(forms, n))
+    # levels[r][s]: the forms of side s evaluated at row r; None where
+    # no side has one, so the row keeps every side
+    levels = [level if any(level) else None for level in zip(*buckets)]
+
+    def step(depth, y, alive):
+        level = levels[depth]
+        if level is None:
+            return alive
+        kept = []
+        for s in alive:
+            for form in level[s]:
+                acc = 0
+                for t, c in form:
+                    acc += y[t] * c
+                if acc % p:
+                    break
             else:
-                wider = {tuple((a + c * b) % p for a, b in zip(s, v))
-                         for s in span for c in range(p)}
-                yield from completions(prefix + v, wider, rows_left - 1)
+                kept.append(s)
+        return kept or None
 
-    yield from completions((), {vectors[0]}, n)
+    walk = _row_walk(n, p, budget, step, range(len(sides)))
+    if not sides:
+        return 0, []
+    union = 0
+    counts = [0] * len(sides)
+    for _, alive in walk:
+        union += 1
+        for s in alive:
+            counts[s] += 1
+    return union, counts
 
 
-def intertwiner_test(A: Mat, B: Mat):
-    """Predicate on the flat row-major tuple x of an n x n matrix: whether
-    x A == B x, for square A and B of one size and domain.
+def intertwiner_forms(A: Mat, B: Mat) -> list:
+    """The linear forms in the entries of x, read on x's flat row-major
+    tuple, whose common zeros are the x with x A == B x, for square A
+    and B of one size and domain: one tuple of (index, coefficient)
+    terms per entry of x A - B x that does not vanish identically, in
+    row-major order.
 
-    Each entry (xA - Bx)_ij is a linear form in the entries of x, with
-    terms x[i n + k] A[k, j] and -B[i, k] x[k n + j].  The forms are
-    built here, once, in O(n^3): terms at the shared index i n + j are
-    merged, coefficients reduced mod p (kept exact over Q) and forms that
-    vanish identically dropped.  Each call evaluates the forms in order
-    and stops at the first nonzero one, so testing many x against one
-    (A, B) pays the compile step once.  Raises DomainError on mixed
-    domains or shapes.
+    Entry (i, j) has terms x[i n + k] A[k, j] and -B[i, k] x[k n + j].
+    The forms are built once, in O(n^3): terms at the shared index
+    i n + j are merged and coefficients reduced mod p (kept exact over
+    Q).  Raises DomainError on mixed domains or shapes.
     """
     A._check(B, same_shape=True)
     if not A.is_square():
@@ -703,7 +798,18 @@ def intertwiner_test(A: Mat, B: Mat):
             form = tuple((t, c) for t, c in coeffs.items() if c)
             if form:
                 forms.append(form)
+    return forms
 
+
+def intertwiner_test(A: Mat, B: Mat):
+    """Predicate on the flat row-major tuple x of an n x n matrix: whether
+    x A == B x.  The forms of intertwiner_forms(A, B) are built once;
+    each call evaluates them in order and stops at the first nonzero
+    one, so testing many x against one (A, B) pays the compile step
+    once.  Raises DomainError on mixed domains or shapes.
+    """
+    forms = intertwiner_forms(A, B)
+    p = A.domain.p
     if p is None:
         def test(x):
             for form in forms:

@@ -23,9 +23,10 @@ from .errors import (BudgetError, DomainError, InconsistencyError,
                      PreconditionError)
 from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
-                       bracket, commutes, det, devectorize, enumerate_group,
-                       intertwiner_test, inverse, lin_comb, mul_operator,
-                       rank_nullspace, rref, same_span)
+                       bracket, commutes, det, devectorize,
+                       intertwiner_counts, intertwiner_test, inverse,
+                       lin_comb, mul_operator, rank_nullspace, rref,
+                       same_span)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain
@@ -202,7 +203,8 @@ class OptimalSL2Hom:
     block_sizes is the partition (parts = Jordan block sizes, largest
     first); conjugator columns are the Jordan basis the blocks act on.
     psi, the torus cocharacter on that basis with the block weights,
-    is built once; X and radical_basis are computed on first use.
+    is built once; X, radical_basis and generator_images are computed
+    on first use.
     """
 
     def __init__(self, block_sizes, conjugator: Mat):
@@ -231,6 +233,11 @@ class OptimalSL2Hom:
     def radical_basis(self) -> list:
         """A basis of the Lie algebra of R_u(C(X))."""
         return positive_commutant_basis(self.X, self.psi)
+
+    @cached_property
+    def generator_images(self) -> tuple:
+        """The images of sl2_generators(domain), in that order."""
+        return tuple(eval_hom(self, g) for g in sl2_generators(self.domain))
 
     @property
     def n(self) -> int:
@@ -261,31 +268,14 @@ def build_optimal(X: Mat) -> OptimalSL2Hom:
 
 
 def eval_hom(phi: OptimalSL2Hom, g: Mat) -> Mat:
-    return _hom_images([phi], [g])[0][0]
-
-
-def _hom_images(phis, gens):
-    """[[phi(g) for phi in phis] for g in gens].  The block-diagonal
-    symmetric-power image of g is built once per partition among the
-    phis, so a homomorphism and its twists Int(x) o phi share it, and
-    each of its blocks once per distinct part size."""
-    out = []
-    for g in gens:
-        reps = {}
-        blocks = {}
-        row = []
-        for phi in phis:
-            if g.domain != phi.domain:
-                raise DomainError("mixed domains")
-            sizes = phi.block_sizes
-            if sizes not in blocks:
-                for dd in set(sizes).difference(reps):
-                    reps[dd] = sym_power_rep(dd - 1, g)
-                blocks[sizes] = Mat.block_diag(
-                    phi.domain, [reps[dd] for dd in sizes])
-            row.append(phi.psi.from_coords(blocks[sizes]))
-        out.append(row)
-    return out
+    """phi(g): the block-diagonal symmetric-power image of g, each block
+    built once per distinct part size, put into place by phi.psi."""
+    if g.domain != phi.domain:
+        raise DomainError("mixed domains")
+    sizes = phi.block_sizes
+    reps = {dd: sym_power_rep(dd - 1, g) for dd in set(sizes)}
+    return phi.psi.from_coords(Mat.block_diag(
+        phi.domain, [reps[dd] for dd in sizes]))
 
 
 def _d_part(phi: OptimalSL2Hom, block) -> Mat:
@@ -500,15 +490,16 @@ def radical_intertwiners(domain, n: int, basis, pairs):
 def _conjugator_tests(phi1: OptimalSL2Hom, phi2s):
     """Per twist phi2, the compiled tests x phi1(g) = phi2(g) x for g in
     y1(1), x1(1), which generate SL_2(F_p), so agreement there pins the
-    homomorphisms down everywhere.  One block image per generator is
-    shared by phi1 and every twist.  y1(1) comes first: when phi1 and
-    phi2 differentiate to the same X, every radical element passes the
-    x1(1) test, since phi1(x1(1)) = phi2(x1(1)) = eps(X), and only the
-    y1(1) test tells them apart."""
-    dom = phi1.domain
-    y1, x1 = _hom_images([phi1, *phi2s], [sl2_y1(dom, 1), sl2_x1(dom, 1)])
-    return [[intertwiner_test(y1[0], b), intertwiner_test(x1[0], a)]
-            for b, a in zip(y1[1:], x1[1:])]
+    homomorphisms down everywhere.  The images are the generator_images
+    of each homomorphism, built once per object and read again by
+    hom_conjugators_agree in conjugate_optimal.  y1(1) comes first: when
+    phi1 and phi2 differentiate to the same X, every radical element
+    passes the x1(1) test, since phi1(x1(1)) = phi2(x1(1)) = eps(X), and
+    only the y1(1) test tells them apart."""
+    x1, y1 = phi1.generator_images[:2]
+    return [[intertwiner_test(y1, phi2.generator_images[1]),
+             intertwiner_test(x1, phi2.generator_images[0])]
+            for phi2 in phi2s]
 
 
 def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
@@ -527,9 +518,10 @@ def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
 
 def hom_conjugators_agree(phi1, phi2, x) -> bool:
     """Whether Int(x) o phi1 = phi2, tested as x phi1(g) = phi2(g) x for
-    invertible x on sl2_generators."""
+    invertible x on sl2_generators, by products on the two
+    homomorphisms' generator_images."""
     return all(x * A == B * x for A, B in
-               _hom_images([phi1, phi2], sl2_generators(phi1.domain)))
+               zip(phi1.generator_images, phi2.generator_images))
 
 
 # -- centralizer comparisons --------------------------------------------
@@ -568,9 +560,11 @@ def exp_centralizer_check(X: Mat,
 
     Always compares the Lie-level fixed spaces (exp_kernels_agree);
     when p^(n^2) fits the budget also compares the finite group
-    centralizers elementwise.  X and each eps(tX) are compiled by
-    intertwiner_test before the enumeration, and every g is tested on
-    the flat tuple enumerate_group yields.
+    centralizers elementwise, by one intertwiner_counts walk with the
+    sides [X] and [eps(tX)] for each t: C(X) has counts[0] elements,
+    and the centralizers agree when every side counts the whole union.
+    The walk visits only prefixes that some side's centralizer still
+    completes, and counts every element of GL_n(F_p) that lies in one.
     """
     agree = exp_kernels_agree(X)
     p = X.domain.p
@@ -579,18 +573,11 @@ def exp_centralizer_check(X: Mat,
     group_agree = None
     group_size = None
     if group_checked:
-        group_agree = True
-        group_size = 0
-        x_test = intertwiner_test(X, X)
-        exp_tests = [intertwiner_test(u, u)
-                     for u in (eps_exp(X.scale(t)) for t in range(1, p))]
-        for g in enumerate_group(n, p, budget=budget):
-            in_cx = x_test(g)
-            if in_cx:
-                group_size += 1
-            for test in exp_tests:
-                if test(g) != in_cx:
-                    group_agree = False
+        sides = [[(X, X)]] + [[(u, u)] for u in
+                              (eps_exp(X.scale(t)) for t in range(1, p))]
+        union, counts = intertwiner_counts(n, p, sides, budget)
+        group_size = counts[0]
+        group_agree = all(c == union for c in counts)
     return ExpCentralizerReport(p=p, n=n, nullspaces_agree=agree,
                                 group_checked=group_checked,
                                 group_agree=group_agree,
@@ -611,35 +598,23 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     """C(image of phi) = C(X) cap C(torus image), elementwise over F_p.
 
     The right side treats the torus image scheme-theoretically: g
-    centralizes it when g commutes with every weight projection.  The
-    generator images, X and the projections are compiled by
-    intertwiner_test before the enumeration, and every g is tested on
-    the flat tuple enumerate_group yields.
+    centralizes it when g commutes with every weight projection.  One
+    intertwiner_counts walk takes the sides [generator_images] and
+    [X and the weight projections]; the sets are equal when both sizes
+    equal the size of their union.  The walk raises BudgetError before
+    it starts when p^(n^2) exceeds the budget.
     """
     dom = phi.domain
     if not isinstance(dom, FpDomain):
         raise DomainError("finite field expected")
     p = dom.p
     n = phi.n
-    if p ** (n * n) > budget:
-        raise BudgetError("enumeration of %d matrices exceeds budget %d"
-                          % (p ** (n * n), budget))
-    gens = [eval_hom(phi, g) for g in sl2_generators(dom)]
     psi = phi.psi
     projections = [psi.weight_projection(w) for w in sorted(set(psi.weights))]
-    gen_tests = [intertwiner_test(G, G) for G in gens]
-    x_test = intertwiner_test(phi.X, phi.X)
-    projection_tests = [intertwiner_test(Q, Q) for Q in projections]
-    equal = True
-    size_l = size_r = 0
-    for x in enumerate_group(n, p, budget=budget):
-        lhs = all(test(x) for test in gen_tests)
-        rhs = x_test(x) and all(test(x) for test in projection_tests)
-        size_l += lhs
-        size_r += rhs
-        if lhs != rhs:
-            equal = False
-    return HomCentralizerReport(p=p, n=n, equal=equal,
+    union, (size_l, size_r) = intertwiner_counts(n, p, [
+        [(G, G) for G in phi.generator_images],
+        [(M, M) for M in (phi.X, *projections)]], budget)
+    return HomCentralizerReport(p=p, n=n, equal=size_l == size_r == union,
                                 image_centralizer_size=size_l,
                                 pair_centralizer_size=size_r)
 
@@ -880,5 +855,4 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
 
 def gcr_check_hom(phi: OptimalSL2Hom,
                   budget: int = DEFAULT_BUDGET) -> GcrReport:
-    gens = [eval_hom(phi, g) for g in sl2_generators(phi.domain)]
-    return gcr_check(gens, budget=budget)
+    return gcr_check(phi.generator_images, budget=budget)

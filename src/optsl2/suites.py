@@ -413,16 +413,23 @@ _SUITE_FUNCS = {
 SUITE_NAMES = tuple(sorted(_SUITE_FUNCS))
 
 
+def _check_budget(budget: int) -> None:
+    """A budget below 1 admits no candidate, so every brute-force check
+    would be skipped: a DomainError."""
+    if budget < 1:
+        raise DomainError("budget must be at least 1, got %d" % budget)
+
+
 def run_suite(name: str, n_max: int | None = None, primes=None,
               seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
               timings: bool = False) -> SuiteReport:
     """Run one suite over its grid and assemble the report.
 
     n_max and primes override the suite defaults where applicable; a
-    grid that checks nothing (n_max below 1, no prime) or checks an
-    instance twice (a repeated prime) is a DomainError.  timings adds
-    wall-clock seconds per record (off by default so that reports are
-    byte-reproducible).
+    grid that checks nothing (n_max below 1, no prime, a budget below
+    1) or checks an instance twice (a repeated prime) is a
+    DomainError.  timings adds wall-clock seconds per record (off by
+    default so that reports are byte-reproducible).
     """
     if name not in _SUITE_FUNCS:
         raise OptSL2Error("unknown suite %r; choose from %s"
@@ -442,6 +449,7 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
                           % list(grid["primes"]))
     for p in grid["primes"]:
         Fp(p)  # validates primality before any work happens
+    _check_budget(budget)
 
     records = []
     for claim, instance, check in func(grid, seed, budget):

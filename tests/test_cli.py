@@ -167,6 +167,18 @@ def test_optimal_gcr(capsys):
     assert obj["witness"]["subspaces"] == 5
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(capsys, budget):
+    # with no candidate admitted every group check would be a skip
+    for argv in (("verify", "centralizer"),
+                 ("optimal", "conjugacy", "--n", "2", "--p", "2"),
+                 ("optimal", "gcr", "--partition", "2", "--p", "2")):
+        code, out, err = run_cli(capsys, *argv, "--budget", budget)
+        assert code == 2, argv
+        assert out == ""
+        assert "budget must be at least 1, got %s" % budget in err
+
+
 def test_springer_subcommand(capsys):
     code, out, _ = run_cli(capsys, "springer", "--p", "3",
                            "--partition", "2,1", "--a", "1,2",

@@ -5,19 +5,23 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from optsl2 import cli, jordan, matrices
+from optsl2 import cli, jordan, matrices, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError
 from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              ad_operator, bracket, commutes, det,
                              devectorize, enumerate_group, hstack,
-                             intertwiner_test, inverse, mul_operator,
+                             intertwiner_counts, intertwiner_test,
+                             inverse, mul_operator,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
 from optsl2.orbits import is_associated, rep_from_partition
+from optsl2.partitions import partitions_of
 from optsl2.scalars import Fp, QQ
-from optsl2.sl2 import build_optimal, eval_hom, sl2_sample, sym_power_rep
+from optsl2.sl2 import (build_optimal, eval_hom, exp_centralizer_check,
+                        sl2_sample, sym_power_rep)
+from optsl2.springer import eps_exp
 from optsl2.suites import run_suite
 
 F2, F3, F5, F7 = Fp(2), Fp(3), Fp(5), Fp(7)
@@ -404,6 +408,165 @@ def test_intertwiner_test_rejects_mixed_domains_and_shapes():
                  (random_mat(F3, 2, 3, rnd), random_mat(F3, 2, 3, rnd))):
         with pytest.raises(DomainError):
             intertwiner_test(a, b)
+
+
+def _filtered_counts(n, p, sides):
+    """Reference for intertwiner_counts: every element of GL_n(F_p)
+    from enumerate_group, tested on every pair of every side by
+    intertwiner_test (held against literal products above)."""
+    tests = [[intertwiner_test(A, B) for A, B in side] for side in sides]
+    union, counts = 0, [0] * len(sides)
+    for g in enumerate_group(n, p):
+        hits = [all(test(g) for test in side) for side in tests]
+        union += any(hits)
+        for s, hit in enumerate(hits):
+            counts[s] += hit
+    return union, counts
+
+
+def _random_pair(dom, n, rnd):
+    """One (A, B) pair of a kind drawn from rnd: a commutant, an
+    intertwiner of A with a conjugate (a coset of C(A)), an unrelated
+    pair, a scalar pair with no forms, or an upper-triangular nilpotent
+    with its truncated exponential."""
+    kind = rnd.randrange(5)
+    A = random_mat(dom, n, n, rnd)
+    if kind == 0:
+        return A, A
+    if kind == 1:
+        g = random_invertible(dom, n, rnd)
+        return A, g * A * inverse(g)
+    if kind == 2:
+        return A, random_mat(dom, n, n, rnd)
+    if kind == 3:
+        c = Mat.identity(dom, n).scale(rnd.randrange(dom.p))
+        return c, c
+    lam = rnd.choice([lam for lam in partitions_of(n) if lam[0] <= dom.p])
+    X = rep_from_partition(dom, lam)
+    return X, eps_exp(X) if rnd.randrange(2) else X
+
+
+def _random_sides(dom, n, rnd):
+    return [[_random_pair(dom, n, rnd) for _ in range(rnd.randint(1, 3))]
+            for _ in range(rnd.randint(1, 3))]
+
+
+def test_intertwiner_counts_match_a_filtered_enumeration():
+    rnd = random.Random(22)
+    for p in (2, 3):
+        dom = Fp(p)
+        for n in (1, 2, 3):
+            for _ in range(12 if n < 3 else 6):
+                sides = _random_sides(dom, n, rnd)
+                assert intertwiner_counts(n, p, sides) == \
+                    _filtered_counts(n, p, sides), sides
+    # a side with no pairs holds everywhere, and no side holds nowhere
+    assert intertwiner_counts(2, 3, [[]]) == (48, [48])
+    assert intertwiner_counts(2, 3, []) == (0, [])
+    assert intertwiner_counts(0, 2, [[]]) == (1, [1])
+
+
+def test_intertwiner_counts_match_on_the_centralizer_suite_sides(
+        monkeypatch):
+    walks = []
+    exact = sl2.intertwiner_counts
+
+    def recorded(n, p, sides, budget):
+        result = exact(n, p, sides, budget)
+        walks.append((n, p, sides, result))
+        return result
+
+    monkeypatch.setattr(sl2, "intertwiner_counts", recorded)
+    assert not run_suite("centralizer").falsified
+    # both checks of every admissible (p, partition) of n <= 3
+    assert len(walks) == 2 * 11
+    for n, p, sides, result in walks:
+        assert result == _filtered_counts(n, p, sides)
+
+
+def test_intertwiner_counts_on_one_by_one_and_budget():
+    for p in (2, 3, 5):
+        dom = Fp(p)
+        for a in range(p):
+            A = Mat(dom, 1, 1, (a,))
+            B = Mat(dom, 1, 1, ((a + 1) % p,))
+            assert intertwiner_counts(1, p, [[(A, A)], [(A, B)]]) == \
+                _filtered_counts(1, p, [[(A, A)], [(A, B)]]) == \
+                (p - 1, [p - 1, 0])
+    with pytest.raises(BudgetError) as walk:
+        intertwiner_counts(4, 3, [[]])
+    with pytest.raises(BudgetError):
+        intertwiner_counts(4, 3, [])
+    with pytest.raises(BudgetError) as enum:
+        next(enumerate_group(4, 3))
+    assert str(walk.value) == str(enum.value) == \
+        "enumeration of %d candidate matrices exceeds budget %d" \
+        % (3 ** 16, DEFAULT_BUDGET)
+    assert intertwiner_counts(2, 2, [[]], budget=16) == (6, [6])
+    with pytest.raises(BudgetError):
+        intertwiner_counts(2, 2, [[]], budget=15)
+    with pytest.raises(DomainError):
+        intertwiner_counts(2, 3, [[(Mat.identity(F2, 2),) * 2]])
+    with pytest.raises(DomainError):
+        intertwiner_counts(2, 3, [[(Mat.identity(F3, 3),) * 2]])
+
+
+def test_intertwiner_counts_eliminate_nothing(monkeypatch):
+    rnd = random.Random(23)
+    cases = []
+    for p in (2, 3):
+        for n in (2, 3):
+            sides = _random_sides(Fp(p), n, rnd)
+            cases.append((n, p, sides, _filtered_counts(n, p, sides)))
+
+    def no_elimination(rows, domain):
+        raise AssertionError("the walk eliminated")
+
+    monkeypatch.setattr(matrices, "_rref_rows", no_elimination)
+    for n, p, sides, expected in cases:
+        assert intertwiner_counts(n, p, sides) == expected
+
+
+def test_planted_early_cut_is_caught(monkeypatch):
+    """Each form evaluated one row early, its entries not yet fixed read
+    as zero, prunes prefixes whose completions lie in a centralizer."""
+    exact = matrices._depth_buckets
+
+    def one_row_early(forms, n):
+        buckets = exact(forms, n)
+        early = [list(buckets[0])]
+        for r in range(1, n):
+            early[-1].extend(form for form in (
+                tuple((t, c) for t, c in form if t < r * n)
+                for form in buckets[r]) if form)
+            early.append([])
+        return early
+
+    X = rep_from_partition(F3, (3,))
+    sides = [[(u, u)] for u in (X, eps_exp(X), eps_exp(X.scale(2)))]
+    expected = _filtered_counts(3, 3, sides)
+    assert intertwiner_counts(3, 3, sides) == expected == (18, [18] * 3)
+    monkeypatch.setattr(matrices, "_depth_buckets", one_row_early)
+    assert intertwiner_counts(3, 3, sides) != expected
+
+
+def test_walk_prunes_the_regular_nilpotent(monkeypatch):
+    """Tier-1 guard on the pruning itself: C(J_3) over F_3 has 18
+    elements, and the walk tests fewer than 500 candidate rows for it
+    where a full scan builds 11,232 matrices."""
+    tested = []
+    exact = matrices._row_walk
+
+    def counted(n, p, budget, step=None, state=()):
+        def counting(depth, prefix, alive):
+            tested.append(depth)
+            return step(depth, prefix, alive)
+        return exact(n, p, budget, counting, state)
+
+    monkeypatch.setattr(matrices, "_row_walk", counted)
+    rep = exp_centralizer_check(rep_from_partition(F3, (3,)))
+    assert rep.group_agree and rep.group_size == 18
+    assert 0 < len(tested) < 500
 
 
 def test_mixed_domain_arithmetic_rejected():

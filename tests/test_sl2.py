@@ -626,6 +626,37 @@ def test_hom_centralizer_agreement():
     assert rep.image_centralizer_size == rep.pair_centralizer_size
 
 
+def test_centralizers_of_dense_conjugates_match_closed_forms():
+    """The suites build X in Jordan form, where the walk prunes best and
+    build_optimal's conjugator is the identity.  A seeded dense conjugate
+    X' = g X g^-1 moves every form to the last row and the homomorphism
+    off the standard basis; the counts must not change."""
+    rnd = random.Random(2211)
+    for p in (2, 3):
+        dom = Fp(p)
+        for n in (1, 2, 3):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                # the first draw off the walk's best case: X' not upper
+                # triangular unless X = 0
+                while True:
+                    g = random_invertible(dom, n, rnd)
+                    X = g * rep_from_partition(dom, lam) * inverse(g)
+                    if lam[0] == 1 or any(X[i, j] for i in range(n)
+                                          for j in range(i)):
+                        break
+                phi = build_optimal(X)
+                assert phi.conjugator.is_identity() == (lam[0] == 1)
+                rep = exp_centralizer_check(X)
+                assert rep.nullspaces_agree and rep.group_agree, (p, lam)
+                assert rep.group_size == centralizer_order(lam, p)
+                hom = hom_centralizer_check(phi)
+                assert hom.equal, (p, lam)
+                assert hom.image_centralizer_size \
+                    == image_centralizer_order(lam, p)
+
+
 def test_planted_exp_fault_breaks_group_agreement(monkeypatch):
     exact = sl2.eps_exp
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from optsl2 import orbits, partitions, sl2, suites, tilting
+from optsl2 import matrices, orbits, partitions, sl2, suites, tilting
 from optsl2.cli import main
 from optsl2.errors import DomainError, InconsistencyError, OptSL2Error
 from optsl2.scalars import Fp
@@ -158,13 +158,15 @@ def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
 
 def test_planted_intertwiner_fault_falsifies_both_brute_force_suites(
         monkeypatch):
-    exact = sl2.intertwiner_test
+    exact = matrices.intertwiner_forms
 
     def blind_to_last_entry(A, B):
-        test = exact(A, B)
-        return lambda x: test(x[:-1] + (0,))
+        last = A.rows * A.cols - 1
+        forms = [tuple((t, c) for t, c in form if t != last)
+                 for form in exact(A, B)]
+        return [form for form in forms if form]
 
-    monkeypatch.setattr(sl2, "intertwiner_test", blind_to_last_entry)
+    monkeypatch.setattr(matrices, "intertwiner_forms", blind_to_last_entry)
     assert run_suite("conjugacy").falsified
     # both sides of each centralizer comparison see the same fault, so
     # only the closed-form orders catch it
