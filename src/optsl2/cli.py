@@ -30,8 +30,7 @@ from .scalars import Fp, QQ, parse_rational
 from .sl2 import build_optimal, verify_optimal
 from .springer import (SpringerCoeffs, springer_apply, springer_invert,
                        springer_tangent_experiment)
-from .suites import (_SUITE_FUNCS, DEFAULT_SEED, SUITE_NAMES, _check_budget,
-                     run_suite)
+from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .tilting import adjoint_descriptor, tilting_decompose
 
 SCHEMA = 1
@@ -72,19 +71,11 @@ def _fmt_record(r: dict) -> str:
     return line
 
 
-def _suite_records(suite, grid, args, keep) -> list:
-    """The records of one suite's checks at the instances keep accepts,
-    run directly on the given grid; a raise ends the command, and a
-    budget below 1 is a DomainError, as in run_suite."""
-    _check_budget(args.budget)
-    func = _SUITE_FUNCS[suite][0]
-    records = []
-    for claim, instance, check in func(grid, args.seed, args.budget):
-        if keep(instance):
-            witness, verified = check()
-            records.append({"claim": claim, "instance": instance,
-                            "witness": witness, "verified": verified})
-    return records
+def _suite_records(suite, args, **grid) -> list:
+    """The records of one run_suite call, without their runtimes."""
+    report = run_suite(suite, seed=args.seed, budget=args.budget, **grid)
+    return [{k: v for k, v in vars(r).items() if k != "runtime"}
+            for r in report.records]
 
 
 # -- verify -------------------------------------------------------------
@@ -94,9 +85,7 @@ def _cmd_verify(args) -> int:
                        seed=args.seed, budget=args.budget,
                        timings=args.timings or args.format == "text")
     summary = report.summary
-    records = [{"claim": r.claim, "instance": r.instance,
-                "witness": r.witness, "verified": r.verified,
-                "runtime": r.runtime} for r in report.records]
+    records = [vars(r) for r in report.records]
     if args.format == "json":
         obj = {
             "schema": SCHEMA,
@@ -251,12 +240,9 @@ def _cmd_optimal_build(args) -> int:
 def _cmd_optimal_conjugacy(args) -> int:
     """The conjugacy suite's check, one twist, for every admissible
     partition of n."""
-    Fp(args.p)
-    if args.n < 1:
-        raise DomainError("--n must be at least 1, got %d" % args.n)
-    grid = {"n_max": args.n, "primes": (args.p,), "twists": 1}
-    records = _suite_records("conjugacy", grid, args,
-                             lambda i: sum(i["partition"]) == args.n)
+    records = _suite_records("conjugacy", args, n_max=args.n,
+                             primes=(args.p,), twists=1,
+                             only=lambda i: sum(i["partition"]) == args.n)
     ok = all(r["verified"] is not False for r in records)
     if args.format == "json":
         print(_dump({"schema": SCHEMA, "n": args.n, "p": args.p,
@@ -273,16 +259,19 @@ def _cmd_optimal_gcr(args) -> int:
         raise PreconditionError("largest part %d exceeds p = %d, no optimal "
                                 "homomorphism" % (lam[0], args.p))
     instance = {"partition": list(lam), "p": args.p}
-    grid = {"n_max": sum(lam), "primes": (args.p,)}
-    [obj] = _suite_records("gcr", grid, args, lambda i: i == instance)
+    [obj] = _suite_records("gcr", args, n_max=sum(lam), primes=(args.p,),
+                           only=lambda i: i == instance)
     witness = obj["witness"]
     if args.format == "json":
         print(_dump(dict(obj, schema=SCHEMA)))
     else:
         print("natural module under the optimal image, partition %s, F_%d"
               % (tuple(lam), args.p))
-        print("  subspaces checked: %d (invariant: %d)"
-              % (witness["subspaces"], witness["invariant"]))
+        if "error" in witness:
+            print("  error: %s" % witness["error"])
+        else:
+            print("  subspaces checked: %d (invariant: %d)"
+                  % (witness["subspaces"], witness["invariant"]))
         print("semisimple: %s" % obj["verified"])
     return 0 if obj["verified"] else 1
 

@@ -1,21 +1,25 @@
 """Verification suites behind the command line driver.
 
-Each suite sweeps a parameter grid and yields, per instance, the claim
-id, the instance data and a check: a zero-argument callable returning
-a small witness and the verdict.  run_suite alone turns checks into
-records.  A record's runtime times its check alone, so draws that fix
-the instance itself (the untwist suite's r) fall outside it.  A check
+Each suite declares a grid kind, its default grid and its rows.  The
+kinds: regular (lam = (n), n <= n_max), all (every partition of n <=
+n_max), admissible (those with no part above p) and index (count
+seeded draws), each per prime.  A row (claim, check[, only_when]) gives
+a record at every grid point where only_when holds; extra rows run once
+after the grid.  run_suite alone enumerates grids and turns checks into
+records, keeping only the instances its only predicate accepts.  A
+record's runtime times its check alone, not the instance's seeding or
+the draw that fixes an index instance (the untwist suite's r).  A check
 that raises a library error other than BudgetError becomes one
 falsified record whose witness carries the error text, and the suite
-goes on.  All randomness comes from per-instance seeds derived from the
-suite seed, making reports reproducible.
+goes on.  Per-instance seeds derived from the suite seed make reports
+reproducible.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import BudgetError, DomainError, OptSL2Error
@@ -75,29 +79,41 @@ def _rng(seed, *key) -> random.Random:
     return random.Random("%d|%s" % (seed, "|".join(map(str, key))))
 
 
-def _admissible_grid(n_max, primes):
-    for p in primes:
-        for n in range(1, n_max + 1):
-            for lam in partitions_of(n):
-                if admissible(lam, p):
-                    yield p, lam
+@dataclass(frozen=True)
+class _Suite:
+    kind: str
+    grid: dict
+    rows: tuple
+    seeded: bool = False  # its checks draw from ctx.rnd
+    extra: tuple = ()     # (claim, instance, check), after the grid
 
 
-# -- the ten suites -----------------------------------------------------
+@dataclass
+class _Context:
+    """What a check reads besides its grid point."""
+    grid: dict
+    budget: int
+    rnd: random.Random | None = None
+    memo: dict = field(default_factory=dict)  # lives for one run
 
-def _instance(lam, p) -> dict:
-    return {"partition": list(lam), "p": p}
 
-
-def _suite_order_formula(grid, seed, budget):
+def _points(kind, grid):
+    """(p, point) for every point of a grid, in report order: the
+    point is a partition, or the index of a draw."""
     for p in grid["primes"]:
-        for n in range(1, grid["n_max"] + 1):
-            yield ("order-conditions-agree", _instance((n,), p),
-                   partial(_order_formula, p, n))
+        if kind == "index":
+            yield from ((p, i) for i in range(grid["count"]))
+        else:
+            for n in range(1, grid["n_max"] + 1):
+                for lam in ((n,),) if kind == "regular" else partitions_of(n):
+                    if kind != "admissible" or admissible(lam, p):
+                        yield p, lam
 
 
-def _order_formula(p, n):
-    rep = order_formula_report(p, (n,))
+# -- the checks of the ten suites ---------------------------------------
+
+def _order_formula(p, lam, ctx):
+    rep = order_formula_report(p, lam)
     return ({"unip_order": rep.unip_order,
              "max_ad_weight": rep.max_ad_weight,
              "radical_class": rep.radical_class,
@@ -106,13 +122,7 @@ def _order_formula(p, n):
             rep.all_agree)
 
 
-def _suite_weight_bound(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        yield ("ad-weights-within-2p-2", _instance(lam, p),
-               partial(_weight_bound, p, lam))
-
-
-def _weight_bound(p, lam):
+def _weight_bound(p, lam, ctx):
     rep = weight_bound_check(p, lam)
     return ({"min": rep.min_ad_weight, "max": rep.max_ad_weight,
              "bound": 2 * p - 2}, rep.within_bound)
@@ -125,18 +135,10 @@ def _random_springer(dom, n, rnd) -> SpringerCoeffs:
     return SpringerCoeffs(dom, a)
 
 
-def _suite_springer(grid, seed, budget):
-    for p in grid["primes"]:
-        for n in range(1, grid["n_max"] + 1):
-            for lam in partitions_of(n):
-                yield ("springer-family-orbit-map", _instance(lam, p),
-                       partial(_springer, p, lam, grid["pairs"],
-                               _rng(seed, "springer", p, lam)))
-
-
-def _springer(p, lam, pairs, rnd):
+def _springer(p, lam, ctx):
     dom = Fp(p)
     n = sum(lam)
+    pairs, rnd = ctx.grid["pairs"], ctx.rnd
     u = Mat.identity(dom, n) + rep_from_partition(dom, lam)
     note = None
     for _ in range(pairs):
@@ -158,13 +160,7 @@ def _springer(p, lam, pairs, rnd):
     return {"coefficient_pairs": pairs, "failure": note}, note is None
 
 
-def _suite_epsilon(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        yield ("exp-alignment-and-kernels", _instance(lam, p),
-               partial(_epsilon, p, lam))
-
-
-def _epsilon(p, lam):
+def _epsilon(p, lam, ctx):
     dom = Fp(p)
     X = rep_from_partition(dom, lam)
     aligned = aligns_with_exp(partial(eval_hom, build_optimal(X)), X)
@@ -174,15 +170,9 @@ def _epsilon(p, lam):
              "kernels_agree": kernels}, aligned and kernels)
 
 
-def _suite_conjugacy(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        yield ("radical-conjugator-unique", _instance(lam, p),
-               partial(_conjugacy, p, lam, grid["twists"],
-                       _rng(seed, "conjugacy", p, lam), budget))
-
-
-def _conjugacy(p, lam, twists, rnd, budget):
+def _conjugacy(p, lam, ctx):
     dom = Fp(p)
+    twists, rnd = ctx.grid["twists"], ctx.rnd
     X = rep_from_partition(dom, lam)
     phi1 = build_optimal(X)
     basis = phi1.radical_basis
@@ -193,7 +183,7 @@ def _conjugacy(p, lam, twists, rnd, budget):
         note = "radical dimension %d, expected %d" % (len(basis),
                                                        radical_dim(lam))
         return {"twists": twists, "radical_size": size, "failure": note}, False
-    if p ** len(basis) > budget:
+    if p ** len(basis) > ctx.budget:
         return {"radical_size": size}, None
     drawn = [radical_element(dom, X.rows, basis,
                              [rnd.randrange(p) for _ in basis])
@@ -215,84 +205,60 @@ def _conjugacy(p, lam, twists, rnd, budget):
             note is None)
 
 
-def _suite_centralizer(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        n = sum(lam)
-        yield ("exp-centralizer-equals-x-centralizer", _instance(lam, p),
-               partial(_exp_centralizer, p, lam, budget))
-        if p ** (n * n) > budget:
-            # the group comparison above is a skip; the Lie-level
-            # comparison still runs and gets a record of its own
-            yield ("exp-centralizer-lie-kernels-agree", _instance(lam, p),
-                   partial(_exp_kernels, p, lam))
-        yield ("image-centralizer-intersection", _instance(lam, p),
-               partial(_image_centralizer, p, lam, budget))
-
-
 # Both sides of each group comparison go through the same intertwiner
 # test, so a fault in it cancels there; the counted size is therefore
 # also held against its closed form from the partition.
 
-def _exp_centralizer(p, lam, budget):
+def _group_skipped(p, lam, ctx):
+    """GL_n(F_p), p^(n^2) candidate matrices, exceeds the budget."""
     n = sum(lam)
-    if p ** (n * n) > budget:
+    return p ** (n * n) > ctx.budget
+
+
+def _exp_centralizer(p, lam, ctx):
+    if _group_skipped(p, lam, ctx):
         return {"group_checked": False, "group_size": None}, None
     rep = exp_centralizer_check(rep_from_partition(Fp(p), lam),
-                                budget=budget)
+                                budget=ctx.budget)
     verified = (rep.nullspaces_agree and rep.group_agree
                 and rep.group_size == centralizer_order(lam, p))
     return ({"group_checked": rep.group_checked,
              "group_size": rep.group_size}, verified)
 
 
-def _exp_kernels(p, lam):
+def _exp_kernels(p, lam, ctx):
     return ({"t_values": p - 1},
             exp_kernels_agree(rep_from_partition(Fp(p), lam)))
 
 
-def _image_centralizer(p, lam, budget):
-    n = sum(lam)
-    if p ** (n * n) > budget:
-        return {"matrices": "%d^%d" % (p, n * n)}, None
+def _image_centralizer(p, lam, ctx):
+    if _group_skipped(p, lam, ctx):
+        return {"matrices": "%d^%d" % (p, sum(lam) ** 2)}, None
     rep = hom_centralizer_check(build_optimal(rep_from_partition(Fp(p), lam)),
-                                budget=budget)
+                                budget=ctx.budget)
     return ({"centralizer_size": rep.image_centralizer_size},
             rep.equal and rep.image_centralizer_size
             == image_centralizer_order(lam, p))
 
 
-def _suite_gcr(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        yield ("optimal-image-semisimple", _instance(lam, p),
-               partial(_gcr, p, lam, budget))
-    yield ("non-semisimple-control-flagged", {"generator": "1 + J3", "p": 2},
-           partial(_gcr_control, budget))
-
-
-def _gcr(p, lam, budget):
+def _gcr(p, lam, ctx):
     rep = gcr_check_hom(build_optimal(rep_from_partition(Fp(p), lam)),
-                        budget=budget)
+                        budget=ctx.budget)
     return ({"subspaces": rep.n_subspaces, "invariant": rep.n_invariant},
             rep.semisimple)
 
 
-def _gcr_control(budget):
-    dom = Fp(2)
+def _gcr_control(p, point, ctx):
+    dom = Fp(p)
     rep = gcr_check([Mat.identity(dom, 3) + jordan_block(dom, 3)],
-                    budget=budget)
+                    budget=ctx.budget)
     return {"invariant": rep.n_invariant}, not rep.semisimple
 
 
 _TILTING_GOLDENS = {((2,), 2): "T(2)", ((3,), 3): "T(4) + L(2)"}
 
 
-def _suite_tilting(grid, seed, budget):
-    for p, lam in _admissible_grid(grid["n_max"], grid["primes"]):
-        yield ("adjoint-module-tilting", _instance(lam, p),
-               partial(_tilting, p, lam))
-
-
-def _tilting(p, lam):
+def _tilting(p, lam, ctx):
     desc = adjoint_descriptor(lam, p)
     dec = str(tilting_decompose(desc, p))
     ok = (desc.fix_p == desc.fix_0 == centralizer_dim(lam)
@@ -323,16 +289,8 @@ def _random_additive(dom, rnd):
     return AdditiveHom(dom, zeros + coeffs), r
 
 
-def _suite_untwist(grid, seed, budget):
-    for p in grid["primes"]:
-        for i in range(grid["count"]):
-            # the draw fixes r, which is part of the instance
-            h, r = _random_additive(Fp(p), _rng(seed, "untwist", p, i))
-            yield ("frobenius-untwist-exact", {"p": p, "index": i, "r": r},
-                   partial(_untwist, h, r))
-
-
-def _untwist(h, r):
+def _untwist(p, drawn, ctx):
+    h, r = drawn
     h2, r2 = additive_untwist(h)
     ok = (r2 == r
           and h2.coeffs == h.coeffs[r:]
@@ -342,18 +300,9 @@ def _untwist(h, r):
     return {"coefficients": len(h.coeffs), "n": h.n}, ok
 
 
-def _suite_spaltenstein(grid, seed, budget):
-    rational_dims = {}  # one rational rank per partition, across primes
-    for p in grid["primes"]:
-        for n in range(1, grid["n_max"] + 1):
-            for lam in partitions_of(n):
-                yield ("centralizer-dim-characteristic-free",
-                       _instance(lam, p),
-                       partial(_spaltenstein, p, lam, rational_dims))
-
-
-def _spaltenstein(p, lam, rational_dims):
+def _spaltenstein(p, lam, ctx):
     n = sum(lam)
+    rational_dims = ctx.memo  # one rational rank per partition
     if lam not in rational_dims:
         XQ = rep_from_partition(QQ, lam)
         rational_dims[lam] = n * n - rank(ad_operator(XQ))
@@ -392,56 +341,68 @@ CLOSURE_NOTES = {
                     "computed dimensions cover the closures of F_p and Q",
 }
 
-_SUITE_FUNCS = {
-    "order-formula": (_suite_order_formula, {"n_max": 8,
-                                             "primes": (2, 3, 5, 7)}),
-    "weight-bound": (_suite_weight_bound, {"n_max": 8,
-                                           "primes": (2, 3, 5, 7)}),
-    "springer": (_suite_springer, {"n_max": 6, "primes": (2, 3, 5),
-                                   "pairs": 20}),
-    "epsilon": (_suite_epsilon, {"n_max": 5, "primes": (2, 3, 5)}),
-    "conjugacy": (_suite_conjugacy, {"n_max": 4, "primes": (2, 3),
-                                     "twists": 10}),
-    "centralizer": (_suite_centralizer, {"n_max": 3, "primes": (2, 3)}),
-    "gcr": (_suite_gcr, {"n_max": 4, "primes": (2, 3)}),
-    "tilting": (_suite_tilting, {"n_max": 8, "primes": (2, 3, 5, 7)}),
-    "untwist": (_suite_untwist, {"primes": (2, 3, 5), "count": 100}),
-    "spaltenstein": (_suite_spaltenstein, {"n_max": 8,
-                                           "primes": (2, 3, 5, 7)}),
+_SUITES = {
+    "order-formula": _Suite("regular", {"n_max": 8, "primes": (2, 3, 5, 7)},
+                            (("order-conditions-agree", _order_formula),)),
+    "weight-bound": _Suite("admissible", {"n_max": 8, "primes": (2, 3, 5, 7)},
+                           (("ad-weights-within-2p-2", _weight_bound),)),
+    "springer": _Suite("all", {"n_max": 6, "primes": (2, 3, 5), "pairs": 20},
+                       (("springer-family-orbit-map", _springer),),
+                       seeded=True),
+    "epsilon": _Suite("admissible", {"n_max": 5, "primes": (2, 3, 5)},
+                      (("exp-alignment-and-kernels", _epsilon),)),
+    "conjugacy": _Suite("admissible",
+                        {"n_max": 4, "primes": (2, 3), "twists": 10},
+                        (("radical-conjugator-unique", _conjugacy),),
+                        seeded=True),
+    "centralizer": _Suite("admissible", {"n_max": 3, "primes": (2, 3)}, (
+        ("exp-centralizer-equals-x-centralizer", _exp_centralizer),
+        # the group comparison above is a skip; the Lie-level
+        # comparison still runs and gets a record of its own
+        ("exp-centralizer-lie-kernels-agree", _exp_kernels, _group_skipped),
+        ("image-centralizer-intersection", _image_centralizer))),
+    "gcr": _Suite("admissible", {"n_max": 4, "primes": (2, 3)},
+                  (("optimal-image-semisimple", _gcr),),
+                  extra=(("non-semisimple-control-flagged",
+                          {"generator": "1 + J3", "p": 2}, _gcr_control),)),
+    "tilting": _Suite("admissible", {"n_max": 8, "primes": (2, 3, 5, 7)},
+                      (("adjoint-module-tilting", _tilting),)),
+    "untwist": _Suite("index", {"primes": (2, 3, 5), "count": 100},
+                      (("frobenius-untwist-exact", _untwist),), seeded=True),
+    "spaltenstein": _Suite("all", {"n_max": 8, "primes": (2, 3, 5, 7)},
+                           (("centralizer-dim-characteristic-free",
+                             _spaltenstein),)),
 }
 
-SUITE_NAMES = tuple(sorted(_SUITE_FUNCS))
-
-
-def _check_budget(budget: int) -> None:
-    """A budget below 1 admits no candidate, so every brute-force check
-    would be skipped: a DomainError."""
-    if budget < 1:
-        raise DomainError("budget must be at least 1, got %d" % budget)
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(name: str, n_max: int | None = None, primes=None,
               seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET,
-              timings: bool = False) -> SuiteReport:
+              timings: bool = False, only=None,
+              twists: int | None = None) -> SuiteReport:
     """Run one suite over its grid and assemble the report.
 
-    n_max and primes override the suite defaults where applicable; a
-    grid that checks nothing (n_max below 1, no prime, a budget below
-    1) or checks an instance twice (a repeated prime) is a
-    DomainError.  timings adds wall-clock seconds per record (off by
-    default so that reports are byte-reproducible).
+    n_max, primes and twists override the suite defaults where
+    applicable; a grid that checks nothing (n_max or twists below 1, no
+    prime, a budget below 1) or checks an instance twice (a repeated
+    prime) is a DomainError.  only(instance) selects the instances to
+    check.  timings adds wall-clock seconds per record (off by default
+    so that reports are byte-reproducible).
     """
-    if name not in _SUITE_FUNCS:
+    if name not in _SUITES:
         raise OptSL2Error("unknown suite %r; choose from %s"
                           % (name, ", ".join(SUITE_NAMES)))
-    func, defaults = _SUITE_FUNCS[name]
-    grid = dict(defaults)
-    if n_max is not None:
-        if "n_max" not in grid:
-            raise OptSL2Error("suite %r does not take n_max" % name)
-        if n_max < 1:
-            raise DomainError("n_max must be at least 1, got %d" % n_max)
-        grid["n_max"] = n_max
+    suite = _SUITES[name]
+    grid = dict(suite.grid)
+    for key, value in (("n_max", n_max), ("twists", twists)):
+        if value is not None:
+            if key not in grid:
+                raise OptSL2Error("suite %r does not take %s" % (name, key))
+            if value < 1:
+                raise DomainError("%s must be at least 1, got %d"
+                                  % (key, value))
+            grid[key] = value
     if primes is not None:
         grid["primes"] = tuple(primes)
     if not grid["primes"] or len(set(grid["primes"])) < len(grid["primes"]):
@@ -449,19 +410,39 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
                           % list(grid["primes"]))
     for p in grid["primes"]:
         Fp(p)  # validates primality before any work happens
-    _check_budget(budget)
+    if budget < 1:
+        raise DomainError("budget must be at least 1, got %d" % budget)
 
+    ctx = _Context(grid, budget)
     records = []
-    for claim, instance, check in func(grid, seed, budget):
+
+    def run(claim, instance, check, p, point):
         t0 = time.perf_counter()
         try:
-            witness, verified = check()
+            witness, verified = check(p, point, ctx)
         except BudgetError:
             raise
         except OptSL2Error as exc:
             witness, verified = {"error": str(exc)}, False
         runtime = time.perf_counter() - t0 if timings else None
         records.append(Record(claim, instance, witness, verified, runtime))
+
+    for p, point in _points(suite.kind, grid):
+        if suite.seeded:
+            ctx.rnd = _rng(seed, name, p, point)
+        if suite.kind == "index":
+            # the draw fixes r, which is part of the instance
+            h, r = _random_additive(Fp(p), ctx.rnd)
+            instance, point = {"p": p, "index": point, "r": r}, (h, r)
+        else:
+            instance = {"partition": list(point), "p": p}
+        if only is None or only(instance):
+            for claim, check, *when in suite.rows:
+                if not when or when[0](p, point, ctx):
+                    run(claim, instance, check, p, point)
+    for claim, instance, check in suite.extra:
+        if only is None or only(instance):
+            run(claim, dict(instance), check, instance["p"], None)
     grid["primes"] = list(grid["primes"])
     return SuiteReport(suite=name, grid=grid, seed=seed, records=records,
                        metadata={"closure_note": CLOSURE_NOTES[name]})

@@ -5,6 +5,7 @@ import pytest
 
 from optsl2 import suites
 from optsl2.cli import main
+from optsl2.errors import InconsistencyError
 from optsl2.partitions import partitions_of
 
 
@@ -156,6 +157,29 @@ def test_optimal_conjugacy(capsys):
     assert out.count("skip radical-conjugator-unique") == 3
     assert run_cli(capsys, "optimal", "conjugacy", "--n", "0",
                    "--p", "2")[0] == 2
+
+
+def test_a_raising_check_is_one_falsified_conjugacy_record(capsys,
+                                                           monkeypatch):
+    argv = ("optimal", "conjugacy", "--n", "3", "--p", "2",
+            "--format", "json")
+    clean = json.loads(run_cli(capsys, *argv)[1])["records"]
+    exact = suites.radical_dim
+
+    def raising(lam):
+        if lam == (2, 1):
+            raise InconsistencyError("planted")
+        return exact(lam)
+
+    monkeypatch.setattr(suites, "radical_dim", raising)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    planted = json.loads(out)["records"]
+    assert [r["instance"]["partition"] for r in planted] == [[2, 1],
+                                                            [1, 1, 1]]
+    assert planted[0] == dict(clean[0], witness={"error": "planted"},
+                              verified=False)
+    assert planted[1] == clean[1]
 
 
 def test_optimal_gcr(capsys):

@@ -32,10 +32,63 @@ def test_grid_overrides_validated():
     with pytest.raises(OptSL2Error):
         # untwist runs on a fixed count, not an n ladder
         run_suite("untwist", n_max=3)
+    with pytest.raises(OptSL2Error, match="does not take twists"):
+        run_suite("epsilon", twists=3)
     # a grid that checks nothing, or checks an instance twice
     for kw in ({"n_max": 0}, {"primes": ()}, {"primes": (3, 2, 3)}):
         with pytest.raises(DomainError):
             run_suite("epsilon", **kw)
+    # a conjugacy record with no twist would verify a check it never ran
+    with pytest.raises(DomainError, match="twists must be at least 1"):
+        run_suite("conjugacy", twists=0)
+
+
+@pytest.mark.parametrize("name, kw, key", [
+    ("order-formula", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [3], "p": 3}),
+    ("weight-bound", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [2, 1], "p": 3}),
+    ("springer", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [2, 1], "p": 3}),
+    ("epsilon", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [2, 1], "p": 3}),
+    ("conjugacy", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [2, 1], "p": 3}),
+    # the skipped group gives the Lie kernels a record of their own
+    ("centralizer", {"n_max": 3, "primes": (2, 3), "budget": 81},
+     {"partition": [2, 1], "p": 3}),
+    ("gcr", {"n_max": 2, "primes": (2, 3)}, {"generator": "1 + J3", "p": 2}),
+    ("tilting", {"n_max": 3, "primes": (2, 3)}, {"partition": [3], "p": 3}),
+    ("untwist", {"primes": (2, 3)}, {"index": 5, "p": 3}),
+    # the full run takes the rational rank of (2, 1) at p = 2 first
+    ("spaltenstein", {"n_max": 3, "primes": (2, 3)},
+     {"partition": [2, 1], "p": 3}),
+])
+def test_only_gives_the_full_runs_records_of_one_instance(name, kw, key):
+    def wanted(instance):
+        return all(instance.get(k) == v for k, v in key.items())
+
+    full = [r for r in run_suite(name, **kw).records if wanted(r.instance)]
+    assert full and all(r.instance == full[0].instance for r in full)
+    if name == "centralizer":
+        assert [r.claim for r in full] == [
+            "exp-centralizer-equals-x-centralizer",
+            "exp-centralizer-lie-kernels-agree",
+            "image-centralizer-intersection"]
+    assert run_suite(name, only=wanted, **kw).records == full
+
+
+def test_only_builds_no_check_for_a_rejected_instance(monkeypatch):
+    def built(*args, **kw):
+        raise AssertionError("a check was built")
+
+    for attr in ("weight_bound_check", "gcr_check", "gcr_check_hom",
+                 "additive_untwist"):
+        monkeypatch.setattr(suites, attr, built)
+    for name in ("weight-bound", "gcr", "untwist"):
+        assert run_suite(name, only=lambda i: False).records == []
+    with pytest.raises(AssertionError, match="a check was built"):
+        run_suite("gcr", only=lambda i: "generator" in i)
 
 
 def test_report_shape_and_summary():
