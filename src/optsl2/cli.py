@@ -74,7 +74,7 @@ def _fmt_record(r: dict) -> str:
 def _suite_records(suite, args, **grid) -> list:
     """The records of one run_suite call, without their runtimes."""
     report = run_suite(suite, seed=args.seed, budget=args.budget, **grid)
-    return [{k: v for k, v in vars(r).items() if k != "runtime"}
+    return [{k: v for k, v in r._asdict().items() if k != "runtime"}
             for r in report.records]
 
 
@@ -85,7 +85,7 @@ def _cmd_verify(args) -> int:
                        seed=args.seed, budget=args.budget,
                        timings=args.timings or args.format == "text")
     summary = report.summary
-    records = [vars(r) for r in report.records]
+    records = [r._asdict() for r in report.records]
     if args.format == "json":
         obj = {
             "schema": SCHEMA,
@@ -194,7 +194,7 @@ def _cmd_tilt(args) -> int:
         print("fixed points: char p -> %d, char 0 -> %d"
               % (desc.fix_p, desc.fix_0))
         if dec is not None:
-            print("decomposition: %s" % dec)
+            print("decomposition: %s" % (dec,))
         else:
             print("decomposition: none (%s)" % reason)
         print("certified tilting: %s" % ("yes" if certified else "no"))

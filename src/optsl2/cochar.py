@@ -28,7 +28,7 @@ coordinates, so no grading question reads a Fraction entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, PreconditionError
 from .matrices import Mat, _Sandwich, inverse
@@ -164,16 +164,11 @@ class Cocharacter:
                 for r, c in self.mask(lambda e: e == w)]
 
 
-@dataclass
 class ParabolicData:
-    gamma: Cocharacter
-    dim_p: int = field(init=False)
-    dim_u: int = field(init=False)
-    dim_z: int = field(init=False)
-
-    def __post_init__(self):
-        self.dim_z = len(self.gamma.mask(lambda e: e == 0))
-        self.dim_u = len(self.gamma.mask(lambda e: e > 0))
+    def __init__(self, gamma: Cocharacter):
+        self.gamma = gamma
+        self.dim_z = len(gamma.mask(lambda e: e == 0))
+        self.dim_u = len(gamma.mask(lambda e: e > 0))
         self.dim_p = self.dim_z + self.dim_u
 
     def contains(self, M: Mat) -> bool:
@@ -215,8 +210,7 @@ def _radical_series(weights) -> list:
     return series
 
 
-@dataclass(frozen=True)
-class DistinguishedReport:
+class DistinguishedReport(NamedTuple):
     dim_levi: int
     dim_u_mod_comm: int
     dim_center: int

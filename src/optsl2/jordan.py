@@ -25,16 +25,15 @@ basis is verified to conjugate X into the block form exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError
 from .matrices import IncrementalSpan, Mat, hstack, rank, rank_nullspace
 from .partitions import check_partition, conjugate
 
 
-@dataclass(frozen=True)
-class NilpotentJordanData:
+class NilpotentJordanData(NamedTuple):
     partition: tuple
     basis: Mat  # columns are the Jordan basis, chains ordered longest first
 

@@ -10,7 +10,7 @@ type A form of the defining conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochar import Cocharacter, ParabolicData, radical_class
 from .errors import InconsistencyError, PreconditionError
@@ -35,8 +35,7 @@ def block_weights(lam) -> tuple:
     return tuple(ws)
 
 
-@dataclass(frozen=True)
-class AssociatedCocharacterData:
+class AssociatedCocharacterData(NamedTuple):
     psi: Cocharacter
     jordan: NilpotentJordanData
 
@@ -49,8 +48,7 @@ def associated_cocharacter(X: Mat) -> AssociatedCocharacterData:
     return AssociatedCocharacterData(psi=psi, jordan=jd)
 
 
-@dataclass(frozen=True)
-class InstabilityData:
+class InstabilityData(NamedTuple):
     psi: Cocharacter
     parabolic: ParabolicData
 
@@ -62,8 +60,7 @@ def instability_parabolic(X: Mat) -> InstabilityData:
     return InstabilityData(psi=psi, parabolic=ParabolicData(psi))
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(NamedTuple):
     partition: tuple
     dim_c: int
     formula_dim: int
@@ -86,8 +83,7 @@ def centralizer_report(X: Mat) -> CentralizerReport:
                              contained_in_p_psi=contained)
 
 
-@dataclass(frozen=True)
-class OrderFormulaReport:
+class OrderFormulaReport(NamedTuple):
     partition: tuple
     p: int
     unip_order: int
@@ -140,8 +136,7 @@ def order_formula_report(p: int, lam) -> OrderFormulaReport:
         all_agree=len(set(flags)) == 1)
 
 
-@dataclass(frozen=True)
-class WeightBoundReport:
+class WeightBoundReport(NamedTuple):
     partition: tuple
     p: int
     min_ad_weight: int

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .cochar import Cocharacter, ParabolicData, levi_limit
 from .errors import (BudgetError, DomainError, InconsistencyError,
@@ -190,8 +191,7 @@ def sym_power_dY(domain, m: int) -> Mat:
 
 # -- the homomorphisms --------------------------------------------------
 
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     X: Mat
     H: Mat
     Y: Mat
@@ -203,8 +203,8 @@ class OptimalSL2Hom:
     block_sizes is the partition (parts = Jordan block sizes, largest
     first); conjugator columns are the Jordan basis the blocks act on.
     psi, the torus cocharacter on that basis with the block weights,
-    is built once; X, radical_basis and generator_images are computed
-    on first use.
+    is built once; X, radical_basis, radical_coords and
+    generator_images are computed on first use.
     """
 
     def __init__(self, block_sizes, conjugator: Mat):
@@ -233,6 +233,11 @@ class OptimalSL2Hom:
     def radical_basis(self) -> list:
         """A basis of the Lie algebra of R_u(C(X))."""
         return positive_commutant_basis(self.X, self.psi)
+
+    @cached_property
+    def radical_coords(self) -> tuple:
+        """radical_basis in psi's eigenbasis coordinates."""
+        return tuple(self.psi.coords(B) for B in self.radical_basis)
 
     @cached_property
     def generator_images(self) -> tuple:
@@ -297,8 +302,7 @@ def conjugate_hom(phi: OptimalSL2Hom, g: Mat) -> OptimalSL2Hom:
     return OptimalSL2Hom(phi.block_sizes, g * phi.conjugator)
 
 
-@dataclass(frozen=True)
-class OptimalVerifyReport:
+class OptimalVerifyReport(NamedTuple):
     dx_matches: bool
     triple_brackets: bool
     torus_associated: bool
@@ -390,10 +394,13 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
     """The unique element of the unipotent radical of C(X) conjugating
     phi1 to phi2, for two optimal homomorphisms of the same X.
 
-    Writes x = 1 + sum c_i B_i over phi1.radical_basis and solves the
-    affine system (1 - Q2_w) x Q1_w = 0, one block per torus weight w,
-    that carries the torus restriction of phi1 to that of phi2.  One
-    elimination of the augmented matrix gives the solution and the
+    Writes x = 1 + sum c_i B_i over phi1.radical_basis.  x carries the
+    torus restriction of phi1 to that of phi2 exactly when it maps each
+    weight space of psi1 into the one of psi2 of the same weight, that
+    is when C2^-1 x C1 (C1, C2 the eigenbases) vanishes at every entry
+    (r, c) with psi2.weights[r] != psi1.weights[c].  With R = C2^-1 C1
+    that is R + sum c_i R coords1(B_i), an affine system in the c_i.
+    One elimination of the augmented matrix gives the solution and the
     rank; full column rank certifies that the transporter in the
     radical is unique.  The result is verified on generators.
     """
@@ -407,16 +414,17 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
         raise InconsistencyError("torus weight sets differ")
     basis = phi1.radical_basis
     k = len(basis)
-    ident = Mat.identity(dom, n)
-    # one row per entry of each weight block; column i holds the entry
-    # of (1 - Q2_w) B_i Q1_w, the last column that of -(1 - Q2_w) Q1_w
-    rows = []
-    for w in sorted(set(psi1.weights)):
-        P, Q = ident - psi2.weight_projection(w), psi1.weight_projection(w)
-        rows.extend(zip(*[(P * B * Q).data for B in basis],
-                        (-(P * Q)).data))
-    rk, piv, red = rref(Mat(dom, len(rows), k + 1,
-                            [v for row in rows for v in row]))
+    R = psi2.basis_inv * psi1.basis
+    # column i holds R coords1(B_i) at the entries whose weights differ,
+    # the last column -R there, all over one common denominator
+    cols = [R * D for D in phi1.radical_coords] + [-R]
+    den = lcm(*(M.den for M in cols))
+    scaled = [(M.num, den // M.den) for M in cols]
+    off = [r * n + c for r, w2 in enumerate(psi2.weights)
+           for c, w1 in enumerate(psi1.weights) if w2 != w1]
+    rk, piv, red = rref(Mat.from_ints(
+        dom, len(off), k + 1,
+        [num[i] * f for i in off for num, f in scaled], den))
     if piv and piv[-1] == k:
         raise InconsistencyError("transporter system has no solution in "
                                  "the radical")
@@ -526,8 +534,7 @@ def hom_conjugators_agree(phi1, phi2, x) -> bool:
 
 # -- centralizer comparisons --------------------------------------------
 
-@dataclass(frozen=True)
-class ExpCentralizerReport:
+class ExpCentralizerReport(NamedTuple):
     p: int
     n: int
     nullspaces_agree: bool
@@ -584,8 +591,7 @@ def exp_centralizer_check(X: Mat,
                                 group_size=group_size)
 
 
-@dataclass(frozen=True)
-class HomCentralizerReport:
+class HomCentralizerReport(NamedTuple):
     p: int
     n: int
     equal: bool
@@ -621,8 +627,7 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
 
 # -- Levi containment and limits ----------------------------------------
 
-@dataclass(frozen=True)
-class LeviContainmentReport:
+class LeviContainmentReport(NamedTuple):
     commutes_with_isotypic_torus: bool
     dets_one_on_isotypic_blocks: bool
 
@@ -706,8 +711,7 @@ class LimitHom:
         return levi_limit(self.gamma, eval_hom(self.phi, g))
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     multiplicative: bool
     exp_aligned_with_X0: bool
     torus_unchanged: bool
@@ -763,8 +767,7 @@ def _subspaces(p: int, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class GcrReport:
+class GcrReport(NamedTuple):
     p: int
     n: int
     n_subspaces: int
@@ -801,55 +804,38 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
                                  "Gaussian binomials give %d"
                                  % (len(subspaces), p, n, count))
 
-    def col_mat(cols):
-        return Mat(dom, n, len(cols),
-                   [cols[j][i] for i in range(n) for j in range(len(cols))])
+    # the bases are reduced column echelon, so v lies in a span exactly
+    # when v = sum_j v[pivot_j] col_j; images use the integer rows
+    gens = [[g.num[i * n:(i + 1) * n] for i in range(n)] for g in generators]
 
+    def inside(v, cols, pivots):
+        return all((x - sum(v[q] * c[i] for q, c in zip(pivots, cols))) % p
+                   == 0 for i, x in enumerate(v))
+
+    proper = subspaces[1:-1]  # 0 < k < n; the other two are invariant
     invariant = []
-    for k, cols in subspaces:
-        if k == 0 or k == n:
-            invariant.append((k, cols, True))
-            continue
-        span = IncrementalSpan(dom)
-        for c in cols:
-            span.add(c)
-        ok = True
-        for g in generators:
-            for c in cols:
-                img = g * Mat(dom, n, 1, c)
-                if not span.contains(img.data):
-                    ok = False
-                    break
-            if not ok:
-                break
-        invariant.append((k, cols, ok))
-
     inv_by_dim = {}
-    for k, cols, ok in invariant:
-        if ok:
+    for k, cols in proper:
+        pivots = [c.index(1) for c in cols]
+        if all(inside([sum(map(mul, row, c)) for row in g], cols, pivots)
+               for g in gens for c in cols):
+            invariant.append((k, cols))
             inv_by_dim.setdefault(k, []).append(cols)
 
-    semisimple = True
+    def direct(cols, cols2):
+        span = IncrementalSpan(dom)
+        return all(span.add(c) for c in cols + cols2)
+
+    # an invariant subspace of dimension n - k is a complement of one of
+    # dimension k exactly when the joined bases are independent
     offending = None
-    for k, cols, ok in invariant:
-        if not ok or k == 0 or k == n:
-            continue
-        found = False
-        for comp_cols in inv_by_dim.get(n - k, []):
-            trial = IncrementalSpan(dom)
-            for c in cols:
-                trial.add(c)
-            direct = all(trial.add(c) for c in comp_cols)
-            if direct and trial.dim == n:
-                found = True
-                break
-        if not found:
-            semisimple = False
-            offending = col_mat(cols)
+    for k, cols in invariant:
+        if not any(direct(cols, cols2) for cols2 in inv_by_dim.get(n - k, ())):
+            offending = Mat(dom, n, k, [c[i] for i in range(n) for c in cols])
             break
-    n_invariant = sum(1 for _, _, ok in invariant if ok)
+    n_invariant = len(subspaces) - len(proper) + len(invariant)
     return GcrReport(p=p, n=n, n_subspaces=len(subspaces),
-                     n_invariant=n_invariant, semisimple=semisimple,
+                     n_invariant=n_invariant, semisimple=offending is None,
                      offending=offending)
 
 

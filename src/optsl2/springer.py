@@ -19,8 +19,8 @@ has fewer than p powers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .jordan import jordan_block, nilpotent_partition, nilpotent_powers
@@ -152,8 +152,7 @@ def springer_invert(coeffs: SpringerCoeffs, X: Mat) -> Mat:
     return u
 
 
-@dataclass(frozen=True)
-class OrbitBijectionReport:
+class OrbitBijectionReport(NamedTuple):
     partition_u: tuple
     partition_a: tuple
     partition_b: tuple
@@ -279,8 +278,7 @@ def additive_untwist(h: AdditiveHom):
 
 # -- tangent map experiment on the regular centralizer ------------------
 
-@dataclass(frozen=True)
-class TangentReport:
+class TangentReport(NamedTuple):
     n: int
     matrix: Mat          # action on the basis e, e^2, ..., e^(n-1)
     is_scalar: bool

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, OptSL2Error
 from .jordan import jordan_block, nilpotent_powers
@@ -44,8 +44,7 @@ from .tilting import adjoint_descriptor, tilting_decompose
 DEFAULT_SEED = 7
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     claim: str
     instance: dict
     witness: dict
@@ -53,8 +52,7 @@ class Record:
     runtime: float | None = None
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     grid: dict
     seed: int
@@ -79,8 +77,7 @@ def _rng(seed, *key) -> random.Random:
     return random.Random("%d|%s" % (seed, "|".join(map(str, key))))
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     kind: str
     grid: dict
     rows: tuple
@@ -88,13 +85,14 @@ class _Suite:
     extra: tuple = ()     # (claim, instance, check), after the grid
 
 
-@dataclass
 class _Context:
     """What a check reads besides its grid point."""
-    grid: dict
-    budget: int
-    rnd: random.Random | None = None
-    memo: dict = field(default_factory=dict)  # lives for one run
+
+    def __init__(self, grid: dict, budget: int):
+        self.grid = grid
+        self.budget = budget
+        self.rnd: random.Random | None = None
+        self.memo = {}  # lives for one run
 
 
 def _points(kind, grid):

@@ -11,7 +11,7 @@ fixed-point equation rules out every non-tilting extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError, PreconditionError
 from .matrices import Mat, inverse, mul_operator, rank
@@ -138,8 +138,7 @@ def fixdim_of(kind: str, m: int, p: int, characteristic: int) -> int:
     raise DomainError("characteristic must be 0 or %d" % p)
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
+class ModuleDescriptor(NamedTuple):
     """Character plus unipotent fixed-point dimensions in
     characteristic p and in the characteristic-0 lift."""
     character: CharacterVector
@@ -147,8 +146,7 @@ class ModuleDescriptor:
     fix_0: int
 
 
-@dataclass(frozen=True)
-class TiltingDecomposition:
+class TiltingDecomposition(NamedTuple):
     """Certified decomposition: r[d] copies of T(2p-2-d) for
     0 <= d <= p-2 and v[d] copies of L(d) for 0 <= d <= p-1, with the
     fixed-point equation checked on both sides."""

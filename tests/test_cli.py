@@ -1,9 +1,20 @@
 import json
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from optsl2 import suites
+from optsl2 import (Cocharacter, Fp, Mat, QQ, SpringerCoeffs, adjoint_descriptor,
+                    associated_cocharacter, build_optimal, centralizer_report,
+                    d_hom, deform_to_levi, distinguished_check,
+                    exp_centralizer_check, gcr_check_hom,
+                    hom_centralizer_check, instability_parabolic,
+                    levi_containment_check, nilpotent_jordan,
+                    orbit_bijection_check, order_formula_report,
+                    rep_from_partition, run_suite,
+                    springer_tangent_experiment, suites, tilting_decompose,
+                    verify_limit, verify_optimal, weight_bound_check)
 from optsl2.cli import main
 from optsl2.errors import InconsistencyError
 from optsl2.partitions import partitions_of
@@ -63,8 +74,8 @@ def test_verify_text_output(capsys):
 
 def test_repro_line_carries_a_non_default_budget(capsys, monkeypatch):
     exact = suites.weight_bound_check
-    monkeypatch.setattr(suites, "weight_bound_check", lambda p, lam: replace(
-        exact(p, lam), within_bound=False))
+    monkeypatch.setattr(suites, "weight_bound_check", lambda p, lam: exact(
+        p, lam)._replace(within_bound=False))
     argv = ("verify", "weight-bound", "--n-max", "2", "--primes", "2")
     code, _, err = run_cli(capsys, *argv, "--budget", "1000")
     assert code == 1
@@ -268,3 +279,51 @@ def test_exit_codes(capsys):
         main(["verify", "frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- cold start and report types ----------------------------------------
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """A fresh `optsl2 verify` pays for what `import optsl2` loads; the
+    report types are NamedTuples, so neither dataclasses nor the
+    inspect module it pulls in is loaded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import optsl2, optsl2.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_report_fields_cannot_be_assigned():
+    """Every report type is immutable: assigning a field raises
+    AttributeError (FrozenInstanceError, for the types that were frozen
+    dataclasses, subclasses it)."""
+    dom = Fp(3)
+    X = rep_from_partition(dom, (2, 1))
+    phi = build_optimal(X)
+    u = Mat.identity(dom, 3) + X
+    trivial = Cocharacter.diagonal(dom, (0, 0, 0))  # P(trivial) = GL_3
+    ca = SpringerCoeffs(dom, (1, 0))
+    report = run_suite("gcr", n_max=1, primes=(2,))
+    desc = adjoint_descriptor((2, 1), 3)
+    reports = [
+        distinguished_check(phi.psi), nilpotent_jordan(X),
+        associated_cocharacter(X), instability_parabolic(X),
+        centralizer_report(X), order_formula_report(3, (2, 1)),
+        weight_bound_check(3, (2, 1)), d_hom(phi), verify_optimal(phi, X),
+        exp_centralizer_check(X), hom_centralizer_check(phi),
+        levi_containment_check(phi),
+        verify_limit(deform_to_levi(phi, trivial)), gcr_check_hom(phi),
+        orbit_bijection_check(ca, ca, u),
+        springer_tangent_experiment(SpringerCoeffs(QQ, (1, 0))),
+        desc, tilting_decompose(desc, 3), report, report.records[0],
+        suites._SUITES["gcr"],
+    ]
+    assert len({type(r) for r in reports}) == len(reports) == 21
+    for r in reports:
+        field = next(iter(type(r).__annotations__))
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))

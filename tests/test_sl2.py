@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -770,6 +771,21 @@ def test_gcr_budget_and_validation():
         gcr_check([])
     with pytest.raises(DomainError):
         gcr_check([Mat.identity(QQ, 2)])
+
+
+def test_gcr_memory_stays_polynomial_in_p():
+    """Under the identity all 1,988 subspaces of F_31^3 are invariant
+    and kept.  Holding each as its set of p^k vectors peaks near 100 MB
+    here; echelon membership and joined-basis ranks stay under 1 MB."""
+    tracemalloc.start()
+    try:
+        rep = gcr_check([Mat.identity(Fp(31), 3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.n_subspaces, rep.n_invariant, rep.semisimple) == (
+        1988, 1988, True)
+    assert peak < 8_000_000
 
 
 def test_planted_coordinate_subspaces_falsify_every_gcr_record(

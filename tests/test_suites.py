@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -382,7 +381,7 @@ def test_conjugacy_grid_to_n5_keeps_the_default_records():
     assert grown.summary["verified"] == 26
 
     def dump(r):
-        return json.dumps(dataclasses.asdict(r), sort_keys=True)
+        return json.dumps(r._asdict(), sort_keys=True)
 
     grown_dumps = [dump(r) for r in grown.records]
     assert all(dump(r) in grown_dumps for r in default.records)
