@@ -26,8 +26,7 @@ from .sl2 import (OptimalSL2Hom, build_optimal, conjugate_hom,
 from .springer import (AdditiveHom, SpringerCoeffs, additive_derivative,
                        additive_eval, additive_untwist, eps_exp, eps_log,
                        orbit_bijection_check, springer_apply,
-                       springer_coeffs_from_value, springer_invert,
-                       springer_tangent_experiment)
+                       springer_coeffs_from_value, springer_invert)
 from .suites import SUITE_NAMES, SuiteReport, run_suite
 from .tilting import (CharacterVector, ModuleDescriptor,
                       TiltingDecomposition, adjoint_descriptor, char_of,

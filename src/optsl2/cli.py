@@ -3,8 +3,12 @@
 Subcommands: verify (run a verification suite over a grid),
 orbit-table (per-partition invariants for one n and p), tilt (tilting
 certificate for an adjoint module), optimal (build / conjugacy / gcr
-for one instance), springer (apply and invert one coefficient family),
-demo (tangent-map experiments, no assertions).
+for one instance), springer (apply and invert one coefficient family).
+
+Each subcommand takes only the shared options it reads: --format
+everywhere, --seed where something is drawn (verify, optimal build,
+optimal conjugacy), --budget where something is enumerated (verify,
+optimal conjugacy, optimal gcr).
 
 JSON output is byte-reproducible for a fixed seed and grid; wall-clock
 timings are only included with --timings (JSON) and are always shown
@@ -28,8 +32,7 @@ from .orbits import orbit_summary, rep_from_partition
 from .partitions import admissible, check_partition, partitions_of
 from .scalars import Fp, QQ, parse_rational
 from .sl2 import build_optimal, verify_optimal
-from .springer import (SpringerCoeffs, springer_apply, springer_invert,
-                       springer_tangent_experiment)
+from .springer import SpringerCoeffs, springer_apply, springer_invert
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .tilting import adjoint_descriptor, tilting_decompose
 
@@ -71,9 +74,9 @@ def _fmt_record(r: dict) -> str:
     return line
 
 
-def _suite_records(suite, args, **grid) -> list:
+def _suite_records(suite, **grid) -> list:
     """The records of one run_suite call, without their runtimes."""
-    report = run_suite(suite, seed=args.seed, budget=args.budget, **grid)
+    report = run_suite(suite, **grid)
     return [{k: v for k, v in r._asdict().items() if k != "runtime"}
             for r in report.records]
 
@@ -208,7 +211,7 @@ def _cmd_optimal_build(args) -> int:
     dom = Fp(args.p)
     X = rep_from_partition(dom, lam)
     phi = build_optimal(X)
-    report = verify_optimal(phi, X)
+    report = verify_optimal(phi, X, random.Random(args.seed))
     psi = phi.psi
     obj = {
         "schema": SCHEMA,
@@ -240,8 +243,8 @@ def _cmd_optimal_build(args) -> int:
 def _cmd_optimal_conjugacy(args) -> int:
     """The conjugacy suite's check, one twist, for every admissible
     partition of n."""
-    records = _suite_records("conjugacy", args, n_max=args.n,
-                             primes=(args.p,), twists=1,
+    records = _suite_records("conjugacy", n_max=args.n, primes=(args.p,),
+                             seed=args.seed, budget=args.budget, twists=1,
                              only=lambda i: sum(i["partition"]) == args.n)
     ok = all(r["verified"] is not False for r in records)
     if args.format == "json":
@@ -259,8 +262,8 @@ def _cmd_optimal_gcr(args) -> int:
         raise PreconditionError("largest part %d exceeds p = %d, no optimal "
                                 "homomorphism" % (lam[0], args.p))
     instance = {"partition": list(lam), "p": args.p}
-    [obj] = _suite_records("gcr", args, n_max=sum(lam), primes=(args.p,),
-                           only=lambda i: i == instance)
+    [obj] = _suite_records("gcr", n_max=sum(lam), primes=(args.p,),
+                           budget=args.budget, only=lambda i: i == instance)
     witness = obj["witness"]
     if args.format == "json":
         print(_dump(dict(obj, schema=SCHEMA)))
@@ -283,8 +286,6 @@ def _cmd_springer(args) -> int:
         dom = QQ
         a = [parse_rational(x) for x in args.a.split(",")] if args.a else []
     else:
-        if args.p is None:
-            raise DomainError("springer needs --p or --q")
         dom = Fp(args.p)
         a = _parse_ints(args.a, "--a") if args.a else []
     lam = _parse_ints(args.partition, "--partition")
@@ -326,70 +327,17 @@ def _cmd_springer(args) -> int:
     return 0 if verified else 1
 
 
-# -- demo ---------------------------------------------------------------
-
-def _demo_grid(seed):
-    """Deterministic list of coefficient systems for the tangent-map
-    experiment: small n over Q and F_5, seeded coefficient draws."""
-    grid = []
-    for a1 in (1, 2, 3):
-        grid.append((QQ, [a1]))
-    for a1 in (1, 2):
-        grid.append((Fp(5), [a1]))
-    rnd = random.Random("%d|demo" % seed)
-    for _ in range(5):
-        grid.append((QQ, [rnd.choice([1, 2, 3, -1]),
-                          rnd.randint(-2, 2)]))
-    grid.append((Fp(5), [1, 1]))
-    for _ in range(3):
-        grid.append((Fp(5), [rnd.randrange(1, 5), rnd.randrange(5),
-                             rnd.randrange(5)]))
-    for _ in range(2):
-        grid.append((QQ, [rnd.choice([1, 2]), rnd.randint(-2, 2),
-                          rnd.randint(-2, 2)]))
-    return grid
-
-
-def _cmd_demo(args) -> int:
-    records = []
-    for dom, a in _demo_grid(args.seed):
-        rep = springer_tangent_experiment(SpringerCoeffs(dom, a))
-        records.append({
-            "n": rep.n,
-            "domain": "Q" if dom is QQ else "F_%d" % dom.p,
-            "a": [scalar_to_literal(dom, dom.of(c)) for c in a],
-            "is_scalar": rep.is_scalar,
-            "scalar": (scalar_to_literal(dom, rep.scalar)
-                       if rep.is_scalar else None),
-            "matrix": mat_to_literal(rep.matrix),
-        })
-    if args.format == "json":
-        print(_dump({"schema": SCHEMA, "demo": args.name,
-                     "seed": args.seed, "records": records}))
-        return 0
-    print("tangent map of f_a on the centralizer of a regular unipotent")
-    print("(experiment: outcomes are recorded, none is asserted)")
-    for r in records:
-        line = "n=%d %s a=%s: " % (r["n"], r["domain"], tuple(r["a"]))
-        if r["is_scalar"]:
-            line += "scalar, value %s" % r["scalar"]
-        else:
-            line += "not scalar"
-        print(line)
-    scalars = [r["is_scalar"] for r in records]
-    print("scalar in %d of %d runs" % (sum(scalars), len(scalars)))
-    return 0
-
-
 # -- wiring -------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"),
-                        default="text", help="output format")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for all randomized checks")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text",
+                     help="output format")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                      help="seed for all randomized checks")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget for brute-force checks")
 
     parser = argparse.ArgumentParser(
@@ -398,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "optimal SL2-homomorphisms in type A")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[fmt, seed, budget],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
@@ -409,13 +357,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(breaks byte-reproducibility)")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_table = sub.add_parser("orbit-table", parents=[common],
+    p_table = sub.add_parser("orbit-table", parents=[fmt],
                              help="per-partition invariants for one n, p")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--p", type=int, required=True)
     p_table.set_defaults(func=_cmd_orbit_table)
 
-    p_tilt = sub.add_parser("tilt", parents=[common],
+    p_tilt = sub.add_parser("tilt", parents=[fmt],
                             help="tilting certificate for an adjoint module")
     p_tilt.add_argument("--partition", required=True)
     p_tilt.add_argument("--p", type=int, required=True)
@@ -423,33 +371,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimal", help="single-instance reports")
     opt_sub = p_opt.add_subparsers(dest="subcommand", required=True)
-    p_build = opt_sub.add_parser("build", parents=[common])
+    p_build = opt_sub.add_parser("build", parents=[fmt, seed])
     p_build.add_argument("--partition", required=True)
     p_build.add_argument("--p", type=int, required=True)
     p_build.set_defaults(func=_cmd_optimal_build)
-    p_conj = opt_sub.add_parser("conjugacy", parents=[common])
+    p_conj = opt_sub.add_parser("conjugacy", parents=[fmt, seed, budget])
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--p", type=int, required=True)
     p_conj.set_defaults(func=_cmd_optimal_conjugacy)
-    p_gcr = opt_sub.add_parser("gcr", parents=[common])
+    p_gcr = opt_sub.add_parser("gcr", parents=[fmt, budget])
     p_gcr.add_argument("--partition", required=True)
     p_gcr.add_argument("--p", type=int, required=True)
     p_gcr.set_defaults(func=_cmd_optimal_gcr)
 
-    p_spr = sub.add_parser("springer", parents=[common],
+    p_spr = sub.add_parser("springer", parents=[fmt],
                            help="apply one coefficient family")
     p_spr.add_argument("--partition", required=True)
-    p_spr.add_argument("--p", type=int, default=None)
-    p_spr.add_argument("--q", action="store_true",
+    field = p_spr.add_mutually_exclusive_group(required=True)
+    field.add_argument("--p", type=int, help="work over F_p")
+    field.add_argument("--q", action="store_true",
                        help="work over the rationals")
     p_spr.add_argument("--a", default="",
                        help="comma-separated coefficients a1,...,a_{n-1}")
     p_spr.set_defaults(func=_cmd_springer)
-
-    p_demo = sub.add_parser("demo", parents=[common],
-                            help="tangent-map experiments")
-    p_demo.add_argument("name", choices=("springer-tangent",))
-    p_demo.set_defaults(func=_cmd_demo)
     return parser
 
 

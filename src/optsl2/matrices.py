@@ -53,7 +53,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import BudgetError, DomainError
-from .scalars import Domain, Fp, FpDomain, integer_numerators
+from .scalars import Fp, FpDomain, integer_numerators
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -61,7 +61,7 @@ DEFAULT_BUDGET = 2 ** 24
 class Mat:
     __slots__ = ("domain", "rows", "cols", "data", "num", "den")
 
-    def __init__(self, domain: Domain, rows: int, cols: int, data):
+    def __init__(self, domain, rows: int, cols: int, data):
         self.domain = domain
         self.rows = rows
         self.cols = cols

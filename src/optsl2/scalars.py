@@ -1,7 +1,9 @@
 """Exact scalar domains: prime fields F_p (p <= 251) and the rationals.
 
 A domain object owns the arithmetic; matrix entries are raw values
-(ints for F_p, Fraction for Q).  The matrix kernels do not call back
+(ints for F_p, Fraction for Q).  Both domain classes offer zero, one,
+add, sub, mul, neg, inv, `of` (coerce an int, string or Fraction) and
+the attribute `p`.  The matrix kernels do not call back
 into the domain per term: every matrix also holds one integer form,
 int numerators over one positive denominator (the residues over 1 on
 F_p), and the kernels compute on it in plain ints.  Over Q the form of
@@ -34,38 +36,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Domain:
-    """Common interface of the two scalar domains."""
-
-    p: int | None  # None for Q
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def of(self, x):
-        """Coerce an int, string or Fraction into a domain value."""
-        raise NotImplementedError
-
-
-class FpDomain(Domain):
+class FpDomain:
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p) or p > MAX_PRIME:
             raise DomainError("p must be a prime <= %d, got %r" % (MAX_PRIME, p))
@@ -116,7 +87,7 @@ class FpDomain(Domain):
         return hash(("Fp", self.p))
 
 
-class RationalDomain(Domain):
+class RationalDomain:
     p = None
 
     def zero(self):

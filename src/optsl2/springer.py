@@ -23,15 +23,15 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .jordan import jordan_block, nilpotent_partition, nilpotent_powers
+from .jordan import nilpotent_partition, nilpotent_powers
 from .matrices import Mat, commutes, hstack, lin_comb, rank, solve
-from .scalars import Domain, FpDomain
+from .scalars import FpDomain
 
 
 class SpringerCoeffs:
     """Coefficient system (a1, ..., a_{n-1}) with a1 invertible."""
 
-    def __init__(self, domain: Domain, a):
+    def __init__(self, domain, a):
         self.domain = domain
         self.a = tuple(domain.of(x) for x in a)
         # empty coefficient list is the n = 1 case, where there is no a1
@@ -274,54 +274,6 @@ def additive_untwist(h: AdditiveHom):
     if r == 0:
         return h, 0
     return AdditiveHom(h.domain, h.coeffs[r:]), r
-
-
-# -- tangent map experiment on the regular centralizer ------------------
-
-class TangentReport(NamedTuple):
-    n: int
-    matrix: Mat          # action on the basis e, e^2, ..., e^(n-1)
-    is_scalar: bool
-    scalar: object       # the scalar when is_scalar, else None
-
-
-def springer_tangent_experiment(coeffs: SpringerCoeffs) -> TangentReport:
-    """First-order behaviour of f along the centralizer of a regular
-    unipotent u = 1 + e.
-
-    Directions Z run over c(u) = span(e, ..., e^(n-1)), the curve is
-    the affine one v_s = u + s Z inside C(u), and the derivative is
-    sum a_i B_i, read off (v_s - 1)^i = e^i + s B_i + O(s^2) with
-    B_i = e^(i-1) Z + B_(i-1) e (dual-number bookkeeping on the powers
-    of e).  This is an experiment: the report records whether the
-    resulting endomorphism of c(u) is scalar, and no particular outcome
-    is asserted.
-    """
-    d = coeffs.domain
-    n = coeffs.n
-    e = jordan_block(d, n)
-    powers = nilpotent_powers(e)  # e, e^2, ..., e^(n-1)
-    previous = [Mat.identity(d, n)] + powers  # e^(i-1) for i = 1, ..., n
-    zero = Mat.zero(d, n)
-
-    columns = []
-    for Z in powers:
-        image = B = zero
-        for ai, prev in zip(coeffs.a, previous):
-            B = prev * Z + B * e
-            image = image + B.scale(ai)
-        # expand in the powers of e: coefficient of e^m sits at entry (0, m)
-        coords = [image[0, m] for m in range(1, n)]
-        rebuilt = lin_comb(zero, coords, powers)
-        if rebuilt != image:
-            raise InconsistencyError("tangent image left the span of e^k")
-        columns.append(coords)
-    m = n - 1
-    matrix = Mat(d, m, m, [columns[j][i] for i in range(m) for j in range(m)])
-    scalar = matrix[0, 0] if m else d.one()
-    is_scalar = matrix == Mat.identity(d, m).scale(scalar)
-    return TangentReport(n=n, matrix=matrix, is_scalar=is_scalar,
-                         scalar=scalar if is_scalar else None)
 
 
 def springer_coeffs_from_value(v: Mat, X: Mat) -> SpringerCoeffs:

@@ -1,23 +1,25 @@
+import argparse
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from optsl2 import (Cocharacter, Fp, Mat, QQ, SpringerCoeffs, adjoint_descriptor,
+from optsl2 import (Cocharacter, Fp, Mat, SpringerCoeffs, adjoint_descriptor,
                     associated_cocharacter, build_optimal, centralizer_report,
-                    d_hom, deform_to_levi, distinguished_check,
+                    cli, d_hom, deform_to_levi, distinguished_check,
                     exp_centralizer_check, gcr_check_hom,
                     hom_centralizer_check, instability_parabolic,
                     levi_containment_check, nilpotent_jordan,
                     orbit_bijection_check, order_formula_report,
-                    rep_from_partition, run_suite,
-                    springer_tangent_experiment, suites, tilting_decompose,
+                    rep_from_partition, run_suite, suites, tilting_decompose,
                     verify_limit, verify_optimal, weight_bound_check)
 from optsl2.cli import main
 from optsl2.errors import InconsistencyError
 from optsl2.partitions import partitions_of
+from optsl2.suites import DEFAULT_SEED
 
 
 def run_cli(capsys, *argv):
@@ -240,23 +242,76 @@ def test_springer_subcommand(capsys):
     assert "--a" in err
 
 
-def test_demo_springer_tangent(capsys):
-    code, out, _ = run_cli(capsys, "demo", "springer-tangent",
-                           "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["schema"] == 1
-    assert len(obj["records"]) == 16
-    for r in obj["records"]:
-        assert isinstance(r["is_scalar"], bool)
-        assert "entries" in r["matrix"]
-        if r["is_scalar"]:
-            assert r["scalar"] is not None
+def test_springer_needs_exactly_one_field(capsys):
+    for field in (("--p", "3", "--q"), ()):
+        with pytest.raises(SystemExit) as exc:
+            main(["springer", *field, "--partition", "2", "--a", "1"])
+        assert exc.value.code == 2, field
+        assert "--p" in capsys.readouterr().err
 
-    code, out, _ = run_cli(capsys, "demo", "springer-tangent")
-    assert code == 0
-    assert "none is asserted" in out
-    assert "of 16 runs" in out
+
+def test_optimal_build_draws_from_its_seed(capsys, monkeypatch):
+    states = []
+    exact = cli.verify_optimal
+
+    def recording(phi, X, rnd):
+        states.append(rnd.getstate())
+        return exact(phi, X, rnd)
+
+    def draws(rnd):
+        return [rnd.random() for _ in range(5)]
+
+    monkeypatch.setattr(cli, "verify_optimal", recording)
+    argv = ("optimal", "build", "--partition", "2,1", "--p", "3")
+    assert run_cli(capsys, *argv, "--seed", "11")[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    captured = []
+    for state in states:
+        rnd = random.Random()
+        rnd.setstate(state)
+        captured.append(draws(rnd))
+    assert captured == [draws(random.Random(11)),
+                        draws(random.Random(DEFAULT_SEED))]
+
+
+# Each subcommand's options: the shared --format, --seed and --budget
+# only where the command reads them, plus its own.
+SUBCOMMAND_OPTIONS = {
+    "verify": {"--format", "--seed", "--budget", "--n-max", "--primes",
+               "--timings"},
+    "optimal conjugacy": {"--format", "--seed", "--budget", "--n", "--p"},
+    "optimal build": {"--format", "--seed", "--partition", "--p"},
+    "optimal gcr": {"--format", "--budget", "--partition", "--p"},
+    "orbit-table": {"--format", "--n", "--p"},
+    "tilt": {"--format", "--partition", "--p"},
+    "springer": {"--format", "--partition", "--p", "--q", "--a"},
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) for every subcommand that runs."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, prefix + (name,))
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               - {"-h", "--help"}
+               for name, p in _leaf_parsers(cli._build_parser())}
+    assert options == SUBCOMMAND_OPTIONS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    named = set()
+    for line in block.splitlines():
+        words = line.split()[1:]
+        two = " ".join(words[:2])
+        named.add(two if two in options else words[0])
+    assert named == set(options)
 
 
 def test_exit_codes(capsys):
@@ -318,11 +373,10 @@ def test_report_fields_cannot_be_assigned():
         levi_containment_check(phi),
         verify_limit(deform_to_levi(phi, trivial)), gcr_check_hom(phi),
         orbit_bijection_check(ca, ca, u),
-        springer_tangent_experiment(SpringerCoeffs(QQ, (1, 0))),
         desc, tilting_decompose(desc, 3), report, report.records[0],
         suites._SUITES["gcr"],
     ]
-    assert len({type(r) for r in reports}) == len(reports) == 21
+    assert len({type(r) for r in reports}) == len(reports) == 20
     for r in reports:
         field = next(iter(type(r).__annotations__))
         with pytest.raises(AttributeError):

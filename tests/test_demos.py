@@ -30,13 +30,11 @@ DEMO_STDOUT_SHA = {
         "56cfb1569b9cb172cfd83ebedc04317841008cd6015ca47037f7e8d68aa75a58",
     "06_tilting_certificates.py":
         "9552cf6fe0fdb8a5dcc90e92c311bf40ccc0dcbb765ffaf10dc7ce47c1ca8cd8",
-    "07_tangent_experiment.py":
-        "579db7241b72bdc1efc9453b779355ea54b2afe3afa217fdc6e3f257177da8ee",
 }
 
 
 def test_all_demos_are_collected():
-    assert len(DEMOS) == 7
+    assert len(DEMOS) == 6
     assert sorted(DEMO_STDOUT_SHA) == [d.name for d in DEMOS]
 
 

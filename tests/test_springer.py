@@ -16,7 +16,7 @@ from optsl2.springer import (AdditiveHom, SpringerCoeffs, additive_derivative,
                              additive_eval, additive_untwist, eps_exp,
                              eps_log, orbit_bijection_check, reversion,
                              springer_apply, springer_coeffs_from_value,
-                             springer_invert, springer_tangent_experiment)
+                             springer_invert)
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -296,14 +296,6 @@ def test_additive_untwist_strips_frobenius_twists():
     assert additive_untwist(zero) == (zero, 0)
     plain = AdditiveHom(F5, (N,))
     assert additive_untwist(plain) == (plain, 0)
-
-
-def test_tangent_experiment_both_outcomes():
-    linear = springer_tangent_experiment(SpringerCoeffs(QQ, (3, 0)))
-    assert linear.is_scalar and linear.scalar == 3
-    quad = springer_tangent_experiment(SpringerCoeffs(QQ, (1, 1)))
-    assert not quad.is_scalar and quad.scalar is None
-    assert quad.matrix == Mat.from_rows(QQ, [[1, 0], [2, 1]])
 
 
 def test_coeffs_recovered_from_one_regular_value():

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from optsl2 import matrices, orbits, partitions, sl2, suites, tilting
+from optsl2 import (cochar, matrices, orbits, partitions, sl2, suites,
+                    tilting)
 from optsl2.cli import main
 from optsl2.errors import DomainError, InconsistencyError, OptSL2Error
 from optsl2.scalars import Fp
+from optsl2.springer import AdditiveHom
 from optsl2.suites import (CLOSURE_NOTES, DEFAULT_SEED, SUITE_NAMES,
                            run_suite)
 
@@ -190,6 +192,37 @@ def test_a_raising_check_is_one_falsified_record(monkeypatch):
             assert r.witness == {"error": "planted"}
         else:
             assert r == c
+
+
+def _falsified(report):
+    """(falsified records, those of them whose check returned a verdict
+    rather than raising)."""
+    bad = [r for r in report.records if r.verified is False]
+    return len(bad), sum("error" not in r.witness for r in bad)
+
+
+def test_planted_overstripping_untwist_falsifies_the_untwist_suite(
+        monkeypatch):
+    exact = suites.additive_untwist
+
+    def one_too_many(h):
+        h2, r = exact(h)
+        return AdditiveHom(h2.domain, h2.coeffs[1:]), r + 1
+
+    monkeypatch.setattr(suites, "additive_untwist", one_too_many)
+    report = run_suite("untwist")
+    falsified, returned = _falsified(report)
+    assert falsified == len(report.records) == 300
+    assert returned >= 196
+
+
+def test_planted_doubled_ad_weights_falsify_weight_bound(monkeypatch):
+    exact = cochar.Cocharacter.ad_weight_values
+    monkeypatch.setattr(cochar.Cocharacter, "ad_weight_values",
+                        lambda self: [2 * w for w in exact(self)])
+    falsified, returned = _falsified(run_suite("weight-bound"))
+    assert falsified >= 64
+    assert returned == falsified
 
 
 def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
