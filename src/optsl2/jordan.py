@@ -7,10 +7,15 @@ truncated exponential and logarithm) is a sum over its list.  The same
 nilpotent comes back many times (a Springer check applies, partitions
 and inverts through one u - 1), so the lists are memoised by matrix
 value in a process-local least-recently-used cache of _POWERS_CACHE_SIZE
-entries.  Mat is immutable and hashable, and its equality includes the
-domain, so equal residues over different F_p never share an entry.  The
+entries, and so are the Jordan types of nilpotent_partition, in a
+second cache of the same size (a springer check reads the type of one
+u - 1 per coefficient pair, and over a small field the images repeat).
+Mat is immutable and hashable, and its equality includes the domain,
+so equal residues over different F_p never share an entry.  The powers
 cache holds tuples and every call returns a fresh list; a raise is not
-cached, so a rejected input raises again on every call.
+cached, so a rejected input raises again on every call.  clear_memos
+empties both; suites.run_suite calls it when each instance starts, so
+that what a record computes does not depend on the records before it.
 
 There are two routes.  nilpotent_partition returns the Jordan type
 alone, read off the ranks of those powers: the conjugate partition is
@@ -82,6 +87,13 @@ def _nilpotent_powers(N: Mat) -> tuple:
     return tuple(powers)
 
 
+def clear_memos() -> None:
+    """Empty the memos of nilpotent_powers and nilpotent_partition, so
+    that what follows computes as it would in a fresh process."""
+    _nilpotent_powers.cache_clear()
+    _nilpotent_partition.cache_clear()
+
+
 def _conjugate_type(ranks) -> tuple:
     """The conjugate Jordan type lam' of a nilpotent N of index m from
     ranks = [rank N^0, rank N^1, ..., rank N^m = 0]:
@@ -93,6 +105,11 @@ def nilpotent_partition(N: Mat) -> tuple:
     """Jordan type of a nilpotent N, from the ranks of the powers that
     nilpotent_powers returns; no basis is built.  Raises DomainError
     when N is not square or not nilpotent, as nilpotent_powers does."""
+    return _nilpotent_partition(N)
+
+
+@lru_cache(maxsize=_POWERS_CACHE_SIZE)
+def _nilpotent_partition(N: Mat) -> tuple:
     powers = nilpotent_powers(N)
     if N.rows == 0:
         return ()

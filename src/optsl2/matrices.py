@@ -24,8 +24,13 @@ All elimination uses the same deterministic pivot rule: scan each
 column in order and take the first row with a nonzero entry.  The hot
 loops run on the integer rows of the form: over F_p on residues, over
 Q on numerator rows, each kept primitive while it is reduced, which
-leaves the row space and so the unique RREF unchanged; the pivot rows
-are divided by their pivots into Fractions once, at the end.
+leaves the row space and so the unique RREF unchanged.  rank is one
+forward pass: each pivot clears only the rows below it, right of its
+column, and nothing is divided.  rref, rank_nullspace, solve and
+inverse share one Gauss-Jordan loop, _rref_rows, which also clears
+above each pivot and divides the pivot rows into Fractions once, at
+the end; inverse reduces [num | 1] and scales the right half by den.
+Mat.identity is memoised, as Mat is immutable.
 IncrementalSpan keeps its rational echelon ladder as primitive integer
 rows too.  A change of coordinates M -> A M B by one fixed pair (A, B),
 the cocharacter coordinate change, is compiled once into the integer
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -129,6 +135,7 @@ class Mat:
         return Mat(domain, rows, cols, [z] * (rows * cols))
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def identity(domain, n):
         z, o = domain.zero(), domain.one()
         data = [o if i == j else z for i in range(n) for j in range(n)]
@@ -495,9 +502,48 @@ def rref(M: Mat):
 
 
 def rank(M: Mat) -> int:
+    """The number of pivots of one forward elimination on _elim_rows(M),
+    with the pivot rule of _rref_rows.  Each pivot clears only the rows
+    below it, and only the columns to its right: every entry to the left
+    of the pivot column is already zero in those rows, so a cleared row
+    keeps its columns from the next one on and is read from its right
+    end (column c at index c - n).  Over F_p on residues, over Q on
+    primitive integer rows, with no Fraction."""
     rows = _elim_rows(M)
-    rk, _ = _rref_rows(rows, M.domain)
-    return rk
+    m, n = M.rows, M.cols
+    p = M.domain.p
+    r = 0
+    for k in range(-n, 0):
+        if r == m:
+            break
+        for pr in range(r, m):
+            if rows[pr][k]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if k == -1:
+            return r + 1
+        pivot = rows[r][k + 1:]
+        a = rows[r][k]
+        if p is None:
+            for i in range(r + 1, m):
+                row = rows[i]
+                f = row[k]
+                if f:
+                    rows[i] = _primitive([a * x - f * y for x, y
+                                          in zip(row[k + 1:], pivot)])
+        else:
+            inv = pow(a, -1, p)
+            for i in range(r + 1, m):
+                row = rows[i]
+                f = row[k]
+                if f:
+                    f = f * inv % p
+                    rows[i] = [(x - f * y) % p for x, y
+                               in zip(row[k + 1:], pivot)]
+        r += 1
+    return r
 
 
 def rank_nullspace(M: Mat):
@@ -526,13 +572,16 @@ def inverse(M: Mat) -> Mat:
     if not M.is_square():
         raise DomainError("inverse of non-square matrix")
     n = M.rows
-    aug = hstack([M, Mat.identity(M.domain, n)])
-    rk, piv, red = rref(aug)
+    rows = _elim_rows(M)
+    for i, row in enumerate(rows):
+        row.extend([0] * n)
+        row[n + i] = 1
+    rk, piv = _rref_rows(rows, M.domain)
     if rk < n or piv[:n] != list(range(n)):
         raise DomainError("matrix is singular")
-    data = []
-    for i in range(n):
-        data.extend(red.row_values(i)[n:])
+    # [num | 1] reduces to [1 | num^-1], and M^-1 = den num^-1
+    den = M.den
+    data = [x * den for row in rows for x in row[n:]]
     return Mat(M.domain, n, n, data)
 
 

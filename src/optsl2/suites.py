@@ -12,7 +12,9 @@ the draw that fixes an index instance (the untwist suite's r).  A check
 that raises a library error other than BudgetError becomes one
 falsified record whose witness carries the error text, and the suite
 goes on.  Per-instance seeds derived from the suite seed make reports
-reproducible.
+reproducible, and the memos of jordan are emptied when each instance
+starts, before its draw, so a record makes the same products whether
+its instance runs alone or in the full grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, OptSL2Error
-from .jordan import jordan_block, nilpotent_powers
+from .jordan import clear_memos, jordan_block, nilpotent_powers
 from .matrices import (DEFAULT_BUDGET, Mat, ad_operator, inverse, lin_comb,
                        rank, random_invertible)
 from .orbits import (order_formula_report, rep_from_partition,
@@ -426,6 +428,7 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
         records.append(Record(claim, instance, witness, verified, runtime))
 
     for p, point in _points(suite.kind, grid):
+        clear_memos()
         if suite.seeded:
             ctx.rnd = _rng(seed, name, p, point)
         if suite.kind == "index":
@@ -439,6 +442,7 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
                 if not when or when[0](p, point, ctx):
                     run(claim, instance, check, p, point)
     for claim, instance, check in suite.extra:
+        clear_memos()
         if only is None or only(instance):
             run(claim, dict(instance), check, instance["p"], None)
     grid["primes"] = list(grid["primes"])

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -17,7 +19,7 @@ from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
 from optsl2.orbits import is_associated, rep_from_partition
-from optsl2.partitions import partitions_of
+from optsl2.partitions import centralizer_dim, partitions_of
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, eval_hom, exp_centralizer_check,
                         sl2_sample, sym_power_rep)
@@ -519,10 +521,11 @@ def test_intertwiner_counts_eliminate_nothing(monkeypatch):
             sides = _random_sides(Fp(p), n, rnd)
             cases.append((n, p, sides, _filtered_counts(n, p, sides)))
 
-    def no_elimination(rows, domain):
+    def no_elimination(*args):
         raise AssertionError("the walk eliminated")
 
     monkeypatch.setattr(matrices, "_rref_rows", no_elimination)
+    monkeypatch.setattr(matrices, "rank", no_elimination)
     for n, p, sides, expected in cases:
         assert intertwiner_counts(n, p, sides) == expected
 
@@ -719,6 +722,145 @@ def test_planted_integer_numerator_fault_falsifies_spaltenstein(
     err = capsys.readouterr().err
     assert "repro: optsl2 verify spaltenstein --primes 2 --seed 7 " \
         "--n-max 3" in err
+
+
+# -- rank by one forward pass ---------------------------------------------
+
+def _rank_cases(dom, rnd):
+    """The empty shapes, wide and tall matrices, dense random matrices
+    and rank-deficient products through thin factors, and ad X' of a
+    dense conjugate X' = g J g^-1 for every partition of n <= 5, with
+    its partition (None for the other cases).  On a Jordan form J itself
+    ad J needs almost no clearing; on X' the pivots clear dense rows."""
+    cases = [(Mat.zero(dom, r, c), None)
+             for r, c in ((0, 0), (0, 3), (3, 0))]
+    for r, c in ((2, 7), (7, 2), (5, 5), (6, 4)):
+        cases.append((random_mat(dom, r, c, rnd), None))
+        for k in (1, 2, 3):
+            cases.append((random_mat(dom, r, k, rnd)
+                          * random_mat(dom, k, c, rnd), None))
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            g = random_invertible(dom, n, rnd, bound=3)
+            X = g * rep_from_partition(dom, lam) * inverse(g)
+            cases.append((ad_operator(X), lam))
+    return cases
+
+
+def _rank_mismatches(rank_fn, cases) -> list:
+    """The matrices of (M, partition, reference rank) cases on which
+    rank_fn differs from the reference."""
+    return [M for M, lam, want in cases if rank_fn(M) != want]
+
+
+@pytest.fixture(scope="module")
+def rank_cases():
+    """_rank_cases over F_2, F_3, F_5, F_7 and Q, each with the rank that
+    Gauss-Jordan elimination (_rref_rows) gives."""
+    rnd = random.Random(61)
+    out = []
+    for dom in (F2, F3, F5, F7, QQ):
+        for M, lam in _rank_cases(dom, rnd):
+            want, _ = matrices._rref_rows(matrices._elim_rows(M), dom)
+            out.append((M, lam, want))
+    return out
+
+
+def test_forward_rank_matches_gauss_jordan(rank_cases, monkeypatch):
+    """rank eliminates forward only: it gives _rref_rows' rank on every
+    case with _rref_rows made to raise, and n^2 - rank ad X' is the
+    centralizer dimension of X's partition over every field."""
+    deficient = sum(want < min(M.rows, M.cols) for M, _, want in rank_cases)
+    assert deficient > 100
+    for M, lam, want in rank_cases:
+        if lam is not None:
+            assert M.rows - want == centralizer_dim(lam)
+
+    def no_gauss_jordan(rows, domain):
+        raise AssertionError("rank ran Gauss-Jordan elimination")
+
+    monkeypatch.setattr(matrices, "_rref_rows", no_gauss_jordan)
+    assert _rank_mismatches(rank, rank_cases) == []
+
+
+def _planted_rank(old, new):
+    """matrices.rank rebuilt from its own source with `old` replaced by
+    `new` in both clearing loops (F_p and Q)."""
+    source = inspect.getsource(matrices.rank)
+    assert source.count(old) == 2
+    namespace = dict(vars(matrices))
+    exec(source.replace(old, new), namespace)
+    return namespace["rank"]
+
+
+# the clearing loop skips the last row, or the row after the pivot
+_RANK_FAULTS = {"last-row": ("range(r + 1, m)", "range(r + 1, m - 1)"),
+                "next-row": ("range(r + 1, m)", "range(r + 2, m)")}
+
+
+def _rebind_rank(monkeypatch, planted):
+    """Put planted in place of every binding of matrices.rank in the
+    package."""
+    exact = matrices.rank
+    for name, module in list(sys.modules.items()):
+        if (name == "optsl2" or name.startswith("optsl2.")) and \
+                getattr(module, "rank", None) is exact:
+            monkeypatch.setattr(module, "rank", planted)
+
+
+def _falsified(suite, **grid):
+    return sum(r.verified is False for r in run_suite(suite, **grid).records)
+
+
+@pytest.mark.parametrize("fault", sorted(_RANK_FAULTS))
+def test_planted_forward_rank_faults_are_caught(fault, rank_cases,
+                                                monkeypatch):
+    """A clearing loop that skips one row of those below the pivot gives
+    wrong ranks on the kernel cases of at most 16 rows over every field,
+    and falsifies at least 10 of the 11 springer records of n <= 4 over
+    F_3 (Jordan types read off ranks of the powers of u - 1); skipping
+    the last row also falsifies at least 12 of the 44 default epsilon
+    records.  Spaltenstein and tilting take ranks of ad X and
+    M -> u M u^-1 on Jordan forms, where almost nothing is cleared, and
+    do not notice either fault.  (Over Q the rows a fault leaves
+    uncleared grow fast, so the larger cases are left out.)"""
+    assert _falsified("springer", n_max=4, primes=(3,)) == 0
+    planted = _planted_rank(*_RANK_FAULTS[fault])
+    wrong = _rank_mismatches(planted, [c for c in rank_cases
+                                       if c[0].rows <= 16])
+    assert {M.domain for M in wrong} == {F2, F3, F5, F7, QQ}
+    _rebind_rank(monkeypatch, planted)
+    assert _falsified("springer", n_max=4, primes=(3,)) >= 10
+    if fault == "last-row":
+        assert _falsified("epsilon") >= 12
+
+
+def test_inverse_reads_the_right_half_times_den():
+    """inverse gives the reference Gauss-Jordan inverse of [M | 1] on
+    rational matrices with large and small denominators, and over F_p,
+    and rejects singular matrices of both domains."""
+    rnd = random.Random(67)
+    for dens in ((1, 2, 3, 4, 6), (1, 7, 2 ** 61 - 1, 3 ** 30)):
+        for n in (0, 1, 2, 4, 6):
+            A = _random_rational(rnd, n, n, dens)
+            rows = [row + [Fraction(int(i == j)) for j in range(n)]
+                    for i, row in enumerate(A.to_lists())]
+            rk, piv, red = _rref_reference(rows)
+            if piv[:n] != list(range(n)):
+                with pytest.raises(DomainError):
+                    inverse(A)
+                continue
+            want = Mat(QQ, n, n, [x for row in red for x in row[n:]])
+            assert inverse(A) == want
+            assert A * want == want * A == Mat.identity(QQ, n)
+    for dom in (F2, F3, F7):
+        for _ in range(10):
+            A = random_invertible(dom, 4, rnd)
+            assert inverse(A) * A == Mat.identity(dom, 4)
+    for dom in (F3, QQ):
+        for M in (Mat.zero(dom, 2), Mat.from_rows(dom, [[1, 2], [2, 4]])):
+            with pytest.raises(DomainError):
+                inverse(M)
 
 
 # -- the canonical integer form of Q matrices ----------------------------

@@ -11,11 +11,13 @@ has the chain route's partition (nilpotent_jordan) as its reference.
 
 import random
 import sys
+from functools import lru_cache
 
 import pytest
 
 from optsl2 import cli
 from optsl2 import jordan
+from optsl2 import matrices
 from optsl2 import springer
 from optsl2.errors import (DomainError, InconsistencyError,
                            PreconditionError)
@@ -450,3 +452,71 @@ def test_powers_cache_stays_within_its_fixed_bound():
         nilpotent_powers(g * jordan_block(dom, 3) * inverse(g))
         assert cache.cache_info().currsize <= bound
     assert cache.cache_info().currsize == bound
+
+
+# -- the memo of nilpotent_partition ---------------------------------------
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_memoised_partitions_match_the_jordan_basis_route(dom):
+    """Repeated calls, in an order that revisits values after others
+    have been cached, give the chain route's partition; rejected inputs
+    raise on every call; the memo keeps at most _POWERS_CACHE_SIZE
+    entries, and clear_memos empties it and the powers memo."""
+    inputs = _nilpotent_inputs(dom, random.Random(59))
+    want = {X: nilpotent_jordan(X).partition for X in inputs}
+    for X in inputs + inputs[::-1] + inputs:
+        assert nilpotent_partition(X) == want[X], X
+    for X in _other_inputs(dom):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                nilpotent_partition(X)
+    memos = (jordan._nilpotent_powers, jordan._nilpotent_partition)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == jordan._POWERS_CACHE_SIZE
+    jordan.clear_memos()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+
+
+def _count_partitions_and_ranks(monkeypatch):
+    """[computations behind the nilpotent_partition memo, rank calls]:
+    the memo is replaced by one of the same size around a counted copy
+    of the computation, and rank is counted through every binding of it
+    in the package."""
+    calls = [0, 0]
+    compute = jordan._nilpotent_partition.__wrapped__
+    exact_rank = matrices.rank
+
+    def computed(N):
+        calls[0] += 1
+        return compute(N)
+
+    def counted_rank(M):
+        calls[1] += 1
+        return exact_rank(M)
+
+    monkeypatch.setattr(jordan, "_nilpotent_partition",
+                        lru_cache(maxsize=jordan._POWERS_CACHE_SIZE)(computed))
+    for name, module in list(sys.modules.items()):
+        if (name == "optsl2" or name.startswith("optsl2.")) and \
+                getattr(module, "rank", None) is exact_rank:
+            monkeypatch.setattr(module, "rank", counted_rank)
+    return calls
+
+
+def test_springer_partitions_are_computed_once_per_instance(monkeypatch):
+    """The seed-7 springer suite on n <= 4 over F_3 reads 660 Jordan
+    types (three per coefficient pair) in 40 computations and 503 rank
+    calls; without the memo it would take 660 and 1083.  The counts are
+    the same after the suite's second instance has run alone just
+    before, whose memo entries the full run would start from if the
+    memos were not emptied when each instance starts."""
+    calls = _count_partitions_and_ranks(monkeypatch)
+    for warm in (None, [2]):
+        if warm is not None:
+            run_suite("springer", n_max=4, primes=(3,),
+                      only=lambda i: i["partition"] == warm)
+        calls[:] = [0, 0]
+        records = run_suite("springer", n_max=4, primes=(3,)).records
+        assert len(records) == 11 and all(r.verified for r in records)
+        assert calls == [40, 503]

@@ -418,3 +418,62 @@ def test_conjugacy_grid_to_n5_keeps_the_default_records():
 
     grown_dumps = [dump(r) for r in grown.records]
     assert all(dump(r) in grown_dumps for r in default.records)
+
+
+
+def _count_check_products(monkeypatch, name):
+    """The Mat.__mul__ calls and the result of each check of a one-row
+    suite, in record order: the row's check is wrapped in the suite's
+    declaration."""
+    counts, calls = [], [0]
+    exact = matrices.Mat.__mul__
+
+    def counted_mul(a, b):
+        calls[0] += 1
+        return exact(a, b)
+
+    suite = suites._SUITES[name]
+    (claim, check), = suite.rows
+
+    def counted(p, point, ctx):
+        start = calls[0]
+        result = check(p, point, ctx)
+        counts.append((calls[0] - start, result))
+        return result
+
+    monkeypatch.setattr(matrices.Mat, "__mul__", counted_mul)
+    monkeypatch.setitem(suites._SUITES, name,
+                        suite._replace(rows=((claim, counted),)))
+    return counts
+
+
+class _Past(Exception):
+    """Raised by an only predicate once its one instance has run."""
+
+
+def test_untwist_records_cost_what_they_cost_alone(monkeypatch):
+    """The memos of jordan are emptied when each instance starts, so a
+    record's products do not depend on the records before it: every
+    untwist record of the default grid makes as many products, with the
+    same result, in the full run as when run_suite runs its instance
+    alone.  The lone run stops at the next instance, whose draw comes
+    after the lone check."""
+    counts = _count_check_products(monkeypatch, "untwist")
+    full = run_suite("untwist").records
+    in_full = list(counts)
+    assert len(in_full) == len(full) == 300
+    assert all(r.verified for r in full)
+    for record, want in zip(full, in_full):
+        instance = record.instance
+
+        def alone(i):
+            if i["index"] > instance["index"]:
+                raise _Past
+            return i == instance
+
+        counts.clear()
+        try:
+            run_suite("untwist", primes=(instance["p"],), only=alone)
+        except _Past:
+            pass
+        assert counts == [want], instance
