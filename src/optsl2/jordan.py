@@ -21,8 +21,10 @@ There are two routes.  nilpotent_partition returns the Jordan type
 alone, read off the ranks of those powers: the conjugate partition is
 lam'_i = rank N^(i-1) - rank N^i.  nilpotent_jordan also returns a
 Jordan basis, assembled from Jordan chains.  The basis is deterministic:
-kernels come from the standard RREF nullspace bases, chain seeds are
-taken greedily in that order, and chains are sorted longest first.  Its
+kernels come from the standard RREF nullspace bases, the chain seeds of
+length L are the ker X^L vectors that independent finds outside the
+span of ker X^(L-1) + X ker X^(L+1) and the seeds before them, exactly
+as many as the partition asks for, and chains go longest first.  Its
 partition comes from the nullities of the same kernels through the same
 rank differences, is compared with the chain lengths, and the change of
 basis is verified to conjugate X into the block form exactly.
@@ -34,7 +36,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError
-from .matrices import IncrementalSpan, Mat, hstack, rank, rank_nullspace
+from .matrices import Mat, hstack, independent, rank, rank_nullspace
 from .partitions import check_partition, conjugate
 
 
@@ -133,32 +135,27 @@ def nilpotent_jordan(X: Mat) -> NilpotentJordanData:
     partition = conjugate(lam_conj)
 
     # Chain seeds at level L span a complement of ker X^(L-1) + X ker X^(L+1)
-    # inside ker X^L; candidates are scanned in nullspace-basis order, which
-    # fixes "lowest original column index" as the tie break.
+    # inside ker X^L: the independent vectors that fall in the ker X^L block
+    # of [ker X^(L-1) | X ker X^(L+1) | ker X^L], in nullspace-basis order,
+    # which fixes "lowest original column index" as the tie break.
     chains = []
     for L in range(m, 0, -1):
         count = lam_conj[L - 1] - (lam_conj[L] if L < m else 0)
         if count == 0:
             continue
-        span = IncrementalSpan(d)
-        for v in kernels[L - 1]:
-            span.add_mat(v)
-        if L < m:
-            for v in kernels[L + 1]:
-                span.add_mat(X * v)
-        picked = 0
-        for v in kernels[L]:
-            if picked == count:
-                break
-            if span.add_mat(v):
-                picked += 1
-                # X^(L-1) v first, seed last
-                chain = [powers[i] * v for i in range(L - 2, -1, -1)] + [v]
-                chains.append((L, chain))
-        if picked != count:
+        below = kernels[L - 1] + ([X * v for v in kernels[L + 1]]
+                                  if L < m else [])
+        candidates = below + kernels[L]
+        seeds = [candidates[i] for i in independent(candidates)
+                 if i >= len(below)]
+        if len(seeds) != count:
             raise InconsistencyError("chain extraction found %d seeds of "
                                      "length %d, expected %d"
-                                     % (picked, L, count))
+                                     % (len(seeds), L, count))
+        for v in seeds:
+            # X^(L-1) v first, seed last
+            chain = [powers[i] * v for i in range(L - 2, -1, -1)] + [v]
+            chains.append((L, chain))
 
     chain_lengths = tuple(L for L, _ in chains)
     if chain_lengths != partition:

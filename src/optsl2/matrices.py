@@ -24,30 +24,31 @@ All elimination uses the same deterministic pivot rule: scan each
 column in order and take the first row with a nonzero entry.  The hot
 loops run on the integer rows of the form: over F_p on residues, over
 Q on numerator rows, each kept primitive while it is reduced, which
-leaves the row space and so the unique RREF unchanged.  rank is one
-forward pass: each pivot clears only the rows below it, right of its
-column, and nothing is divided.  rref, rank_nullspace, solve and
-inverse share one Gauss-Jordan loop, _rref_rows, which also clears
-above each pivot and divides the pivot rows into Fractions once, at
-the end; inverse reduces [num | 1] and scales the right half by den.
-Mat.identity is memoised, as Mat is immutable.
-IncrementalSpan keeps its rational echelon ladder as primitive integer
-rows too.  A change of coordinates M -> A M B by one fixed pair (A, B),
-the cocharacter coordinate change, is compiled once into the integer
-rows of A and columns of B over one common denominator, so each use is
-one fused triple product in ints, normalised once by from_ints, with
-no intermediate Mat.
+leaves the row space and so the unique RREF unchanged.  Every span
+question goes to one forward pass, _pivot_columns, whose pivots are
+the columns outside the span of those before them (each pivot clears
+only the rows below it, and nothing is divided): rank counts them, and
+independent(vectors) reads them off the vectors as columns.  rref,
+rank_nullspace, solve and inverse share one Gauss-Jordan loop,
+_rref_rows, which also clears above each pivot and divides the pivot
+rows into Fractions once, at the end; inverse reduces [num | 1] and
+scales the right half by den.  Mat.identity is memoised, as Mat is
+immutable.  A change of coordinates M -> A M B by one fixed pair
+(A, B), the cocharacter coordinate change, is compiled once into the
+integer rows of A and columns of B over one common denominator, so
+each use is one fused triple product in ints, normalised once by
+from_ints, with no intermediate Mat.
 
 The brute-force checks test matrices x against fixed pairs (A, B):
 intertwiner_forms compiles a pair once into the linear forms of
 x A - B x on x's flat tuple, so no product is built per element.
-intertwiner_test evaluates them on one x (commutes is its one-off
-case).  The group centralizers are counted by intertwiner_counts, one
-depth-first walk over GL_n(F_p) that fixes a row at a time and drops
-a prefix as soon as a form whose entries are all fixed is nonzero on
-every side, so it visits the centralizers rather than the group.  The
-walk keeps the span of the fixed rows as a set of vectors and
-eliminates nothing; enumerate_group is the same walk unpruned.
+intertwiner_test evaluates them on one x.  The group centralizers are
+counted by intertwiner_counts, one depth-first walk over GL_n(F_p)
+that fixes a row at a time and drops a prefix as soon as a form whose
+entries are all fixed is nonzero on every side, so it visits the
+centralizers rather than the group.  The walk keeps the span of the
+fixed rows as a set of vectors and eliminates nothing;
+enumerate_group is the same walk unpruned.
 """
 
 from __future__ import annotations
@@ -394,19 +395,21 @@ class _Sandwich:
 
 
 def hstack(mats):
+    """The matrices side by side, built from their numerators over the
+    lcm of their denominators; one row count and domain."""
     mats = list(mats)
-    d = mats[0].domain
-    r = mats[0].rows
-    rows = []
+    d, r = mats[0].domain, mats[0].rows
+    for m in mats:
+        if m.rows != r or m.domain != d:
+            raise DomainError("hstack mismatch")
+    den = lcm(*[m.den for m in mats])
+    blocks = [(m.cols, m.num if m.den == den
+               else [x * (den // m.den) for x in m.num]) for m in mats]
+    out = []
     for i in range(r):
-        row = []
-        for m in mats:
-            if m.rows != r or m.domain != d:
-                raise DomainError("hstack mismatch")
-            row.extend(m.row_values(i))
-        rows.append(row)
-    return Mat(d, r, sum(m.cols for m in mats),
-               [x for row in rows for x in row])
+        for w, num in blocks:
+            out.extend(num[i * w:(i + 1) * w])
+    return Mat.from_ints(d, r, sum(w for w, _ in blocks), out, den)
 
 
 # -- elimination --------------------------------------------------------
@@ -501,17 +504,17 @@ def rref(M: Mat):
     return rk, piv, Mat(M.domain, M.rows, M.cols, flat)
 
 
-def rank(M: Mat) -> int:
-    """The number of pivots of one forward elimination on _elim_rows(M),
-    with the pivot rule of _rref_rows.  Each pivot clears only the rows
-    below it, and only the columns to its right: every entry to the left
-    of the pivot column is already zero in those rows, so a cleared row
-    keeps its columns from the next one on and is read from its right
-    end (column c at index c - n).  Over F_p on residues, over Q on
-    primitive integer rows, with no Fraction."""
-    rows = _elim_rows(M)
-    m, n = M.rows, M.cols
-    p = M.domain.p
+def _pivot_columns(rows, p) -> list:
+    """The columns outside the span of the columns before them, as the
+    pivots of one forward elimination of the integer rows (residues mod
+    p, or ints over Q when p is None; consumed) with the pivot rule of
+    _rref_rows.  Each pivot clears only the rows below it, and only the
+    columns to its right: the entries left of it are zero there, so a
+    cleared row keeps its columns from the next one on and is read from
+    its right end (column c at index c - n).  No Fraction is built."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
     r = 0
     for k in range(-n, 0):
         if r == m:
@@ -522,8 +525,9 @@ def rank(M: Mat) -> int:
         else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
+        pivots.append(n + k)
         if k == -1:
-            return r + 1
+            break
         pivot = rows[r][k + 1:]
         a = rows[r][k]
         if p is None:
@@ -543,7 +547,25 @@ def rank(M: Mat) -> int:
                     rows[i] = [(x - f * y) % p for x, y
                                in zip(row[k + 1:], pivot)]
         r += 1
-    return r
+    return pivots
+
+
+def rank(M: Mat) -> int:
+    """The number of pivot columns of _elim_rows(M)."""
+    return len(_pivot_columns(_elim_rows(M), M.domain.p))
+
+
+def independent(vectors) -> list:
+    """The indices i of the vectors outside the span of vectors[:i], for
+    Mats of one domain and shape read as the vectors of their entries:
+    the pivot columns of the matrix whose columns are their numerators
+    (a scaled column keeps its independence).  Raises DomainError on
+    mixed domains or shapes."""
+    vectors = list(vectors)
+    for v in vectors[1:]:
+        vectors[0]._check(v, same_shape=True)
+    rows = [list(row) for row in zip(*[v.num for v in vectors])]
+    return _pivot_columns(rows, vectors[0].domain.p) if vectors else []
 
 
 def rank_nullspace(M: Mat):
@@ -602,85 +624,11 @@ def solve(A: Mat, b: Mat):
 
 # -- span utilities -----------------------------------------------------
 
-class IncrementalSpan:
-    """Growing row-space with cheap membership tests.
-
-    Vectors are reduced against a maintained echelon ladder, so adding m
-    vectors of length n costs O(m * rank * n) instead of re-running full
-    elimination per candidate.  Over F_p the ladder rows are residues
-    scaled to pivot 1; over Q they are primitive integer rows, as in
-    _rref_rows: a vector is scaled to its integer numerators and each
-    reduction step a v - f row is divided by its content, which keeps
-    the row space and so every answer unchanged.
-    """
-
-    def __init__(self, domain):
-        self.domain = domain
-        self._rows = []  # (pivot index, row list), sorted by pivot
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _residual(self, vec):
-        p = self.domain.p
-        if p is not None:
-            v = [x % p for x in vec]
-            for piv, row in self._rows:
-                f = v[piv]
-                if f:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-            return v
-        return self._reduce(integer_numerators(vec)[0])
-
-    def _reduce(self, v):
-        """Residual of an integer vector over Q, as a primitive row."""
-        v = _primitive(v)
-        for piv, row in self._rows:
-            f = v[piv]
-            if f:
-                a = row[piv]
-                v = _primitive([a * x - f * y for x, y in zip(v, row)])
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self._residual(vec))
-
-    def add(self, vec) -> bool:
-        """Add a vector; True if it enlarged the span."""
-        return self._insert(self._residual(vec))
-
-    def _insert(self, v) -> bool:
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        p = self.domain.p
-        if p is not None and v[piv] != 1:
-            inv = pow(v[piv], p - 2, p)
-            v = [(x * inv) % p for x in v]
-        self._rows.append((piv, v))
-        self._rows.sort(key=lambda t: t[0])
-        return True
-
-    def add_mat(self, M: Mat) -> bool:
-        """Add M's entries as one vector; over Q its numerators, the
-        same vector scaled by its denominator."""
-        if self.domain.p is None:
-            return self._insert(self._reduce(M.num))
-        return self.add(M.data)
-
-
 def same_span(vs, ws) -> bool:
+    """Whether two lists of Mats of one domain and shape span one space."""
     vs, ws = list(vs), list(ws)
-    if not vs and not ws:
-        return True
-    if not vs:
-        return all(w.is_zero() for w in ws)
-    if not ws:
-        return all(v.is_zero() for v in vs)
-    a, b = hstack(vs), hstack(ws)
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(hstack([a, b]))
+    return (len(independent(vs)) == len(independent(ws))
+            == len(independent(vs + ws)))
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -881,11 +829,10 @@ def intertwiner_test(A: Mat, B: Mat):
 
 
 def commutes(a: Mat, b: Mat) -> bool:
-    """Whether ab = ba, for square matrices of one size and domain: the
-    forms of intertwiner_test(b, b), built for this one call, evaluated
-    on a's entries.  Raises DomainError on mixed domains or shapes."""
+    """Whether ab = ba, for square matrices of one size and domain, by
+    the two products.  Raises DomainError on mixed domains or shapes."""
     a._check(b, same_shape=True)
-    return intertwiner_test(b, b)(a.data)
+    return a * b == b * a
 
 
 def det(M: Mat):

@@ -16,8 +16,8 @@ from .cochar import Cocharacter, ParabolicData, radical_class
 from .errors import InconsistencyError, PreconditionError
 from .jordan import (NilpotentJordanData, jordan_form, nilpotent_jordan,
                      nilpotent_partition, nilpotent_powers)
-from .matrices import (IncrementalSpan, Mat, ad_operator, devectorize,
-                       hstack, inverse, rank, rank_nullspace)
+from .matrices import (Mat, ad_operator, devectorize, hstack, inverse,
+                       rank, rank_nullspace)
 from .partitions import admissible, centralizer_dim, check_partition
 from .scalars import Fp
 
@@ -165,7 +165,7 @@ def _unit_bracket(C: Mat, r: int, c: int) -> list:
     """[E_rc, C] scaled by C's denominator, as a flat row-major list of
     ints written straight from C's numerators: E_rc C is row c of C in
     row r, C E_rc is column r of C in column c.  Entries are left
-    unreduced over F_p; IncrementalSpan reduces."""
+    unreduced over F_p; Mat.from_ints reduces."""
     n, x = C.rows, C.num
     v = [0] * (n * n)
     v[r * n:(r + 1) * n] = x[c * n:(c + 1) * n]
@@ -178,14 +178,15 @@ def is_associated(psi: Cocharacter, Y: Mat) -> bool:
     """Whether psi is associated to the nilpotent Y: Y lies in degree 2
     and bracketing degree 0 against Y fills all of degree 2.  In
     eigenbasis coordinates C of Y the degree-0 piece is spanned by the
-    units E_rc, so the image is spanned by the brackets [E_rc, C]."""
+    units E_rc, so the image is spanned by the brackets [E_rc, C]: its
+    dimension is the rank of the matrix of their rows."""
     C = psi.coords(Y)
     if psi.masked(C, lambda e: e == 2) != C:
         return False
-    image = IncrementalSpan(psi.domain)
-    for r, c in psi.mask(lambda e: e == 0):
-        image.add(_unit_bracket(C, r, c))
-    return image.dim == len(psi.mask(lambda e: e == 2))
+    units = psi.mask(lambda e: e == 0)
+    image = [x for r, c in units for x in _unit_bracket(C, r, c)]
+    return rank(Mat.from_ints(psi.domain, len(units), C.rows * C.cols,
+                              image, 1)) == len(psi.mask(lambda e: e == 2))
 
 
 def regular_richardson_for_borel(psi: Cocharacter) -> Mat:

@@ -23,8 +23,8 @@ from .cochar import Cocharacter, ParabolicData, levi_limit
 from .errors import (BudgetError, DomainError, InconsistencyError,
                      PreconditionError)
 from .jordan import jordan_block, nilpotent_jordan
-from .matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat, ad_operator,
-                       bracket, commutes, det, devectorize,
+from .matrices import (DEFAULT_BUDGET, Mat, _pivot_columns, ad_operator,
+                       bracket, commutes, det, devectorize, independent,
                        intertwiner_counts, intertwiner_test, inverse,
                        lin_comb, mul_operator, rank_nullspace, rref,
                        same_span)
@@ -381,13 +381,10 @@ def positive_commutant_basis(X: Mat, psi: Cocharacter):
     gl_n; 1 + this space is the unipotent radical of C(X)."""
     n = X.rows
     _, null = rank_nullspace(ad_operator(X))
-    span = IncrementalSpan(X.domain)
-    basis = []
-    for v in null:
-        for w, comp in psi.components(devectorize(v, n)).items():
-            if w > 0 and span.add_mat(comp):
-                basis.append(comp)
-    return basis
+    comps = [comp for v in null
+             for w, comp in psi.components(devectorize(v, n)).items()
+             if w > 0]
+    return [comps[i] for i in independent(comps)]
 
 
 def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
@@ -781,7 +778,9 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     the given invertible matrices over F_p: every invariant subspace
     has an invariant complement, by exhaustive subspace enumeration.
     The enumeration is held against the sum of the Gaussian binomials
-    [n, k]_p, and a different count raises InconsistencyError."""
+    [n, k]_p, and a different count raises InconsistencyError.  Raises
+    DomainError unless every generator is n x n over the first one's
+    F_p."""
     if not generators:
         raise DomainError("at least one generator required")
     dom = generators[0].domain
@@ -789,6 +788,10 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
         raise DomainError("finite field expected")
     p = dom.p
     n = generators[0].rows
+    for g in generators:
+        if g.domain != dom or g.rows != n or g.cols != n:
+            raise DomainError("generators must be %dx%d over F_%d"
+                              % (n, n, p))
     count = 0
     for k in range(n + 1):
         c = 1
@@ -823,8 +826,8 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
             inv_by_dim.setdefault(k, []).append(cols)
 
     def direct(cols, cols2):
-        span = IncrementalSpan(dom)
-        return all(span.add(c) for c in cols + cols2)
+        return len(_pivot_columns([list(row) for row in zip(*cols, *cols2)],
+                                  p)) == n
 
     # an invariant subspace of dimension n - k is a complement of one of
     # dimension k exactly when the joined bases are independent

@@ -7,8 +7,8 @@ from optsl2 import cli, cochar, matrices, orbits
 from optsl2.cochar import (Cocharacter, ParabolicData, distinguished_check,
                            levi_limit, radical_class)
 from optsl2.errors import DomainError, PreconditionError
-from optsl2.matrices import (IncrementalSpan, Mat, bracket, hstack, inverse,
-                             random_invertible, random_mat, rank)
+from optsl2.matrices import (Mat, bracket, hstack, inverse,
+                             random_invertible, random_mat, rank, rref)
 from optsl2.orbits import is_associated, rep_from_partition
 from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ, integer_numerators
@@ -261,31 +261,32 @@ def _dense_u_basis(gamma):
             for r in range(n) for c in range(n) if ws[r] - ws[c] == w]
 
 
+def _spanning_subset(mats):
+    """The mats outside the span of those before them: the pivot columns
+    of the Gauss-Jordan RREF of their vectorisations side by side."""
+    if not mats:
+        return []
+    _, pivots, _ = rref(hstack([M.vectorize() for M in mats]))
+    return [mats[i] for i in pivots]
+
+
 def _dense_radical_class(gamma):
     layer = full = _dense_u_basis(gamma)
     cls = 0
     while layer:
         cls += 1
-        span = IncrementalSpan(gamma.domain)
-        nxt = []
-        for a in full:
-            for b in layer:
-                c = bracket(a, b)
-                if span.add_mat(c):
-                    nxt.append(c)
-        layer = nxt
+        layer = _spanning_subset([bracket(a, b) for a in full
+                                  for b in layer])
     return cls
 
 
 def _dense_distinguished(gamma):
     u_basis = _dense_u_basis(gamma)
-    comm = IncrementalSpan(gamma.domain)
-    for a in u_basis:
-        for b in u_basis:
-            comm.add_mat(bracket(a, b))
+    comm = _spanning_subset([bracket(a, b) for a in u_basis
+                             for b in u_basis])
     ws = gamma.weights
     dim_levi = sum(1 for a in ws for b in ws if a == b)
-    dim_u_mod = len(u_basis) - comm.dim
+    dim_u_mod = len(u_basis) - len(comm)
     return dim_levi, dim_u_mod, dim_levi == dim_u_mod + 1
 
 
@@ -389,7 +390,7 @@ def test_planted_unit_bracket_fault_disagrees_with_dense(monkeypatch):
     def planted(C, r, c):
         n = C.rows
         v = [0] * (n * n)
-        v[r * n:(r + 1) * n] = C.data[c * n:(c + 1) * n]
+        v[r * n:(r + 1) * n] = C.num[c * n:(c + 1) * n]
         return v
 
     monkeypatch.setattr(orbits, "_unit_bracket", planted)

@@ -9,18 +9,19 @@ import pytest
 
 from optsl2 import cli, jordan, matrices, sl2
 from optsl2.cochar import Cocharacter
-from optsl2.errors import BudgetError, DomainError
-from optsl2.matrices import (DEFAULT_BUDGET, IncrementalSpan, Mat,
+from optsl2.errors import BudgetError, DomainError, OptSL2Error
+from optsl2.matrices import (DEFAULT_BUDGET, Mat,
                              ad_operator, bracket, commutes, det,
                              devectorize, enumerate_group, hstack,
-                             intertwiner_counts, intertwiner_test,
-                             inverse, mul_operator,
+                             independent, intertwiner_counts,
+                             intertwiner_test, inverse, mul_operator,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
 from optsl2.orbits import is_associated, rep_from_partition
 from optsl2.partitions import centralizer_dim, partitions_of
 from optsl2.scalars import Fp, QQ
+from optsl2.jordan import nilpotent_jordan
 from optsl2.sl2 import (build_optimal, eval_hom, exp_centralizer_check,
                         sl2_sample, sym_power_rep)
 from optsl2.springer import eps_exp
@@ -180,7 +181,7 @@ def test_span_membership_helpers():
 
 
 def _span_candidates(dom, rnd, length=6):
-    """Vectors for IncrementalSpan: seeded random ones (over Q with
+    """Vectors for independent: seeded random ones (over Q with
     denominators up to 12), the first twelve combinations of three
     fixed ones so the span stays small a while, scaled duplicates of
     earlier vectors and the zero vector."""
@@ -214,31 +215,64 @@ def _span_candidates(dom, rnd, length=6):
     return drawn
 
 
-def test_incremental_span_tracks_full_elimination():
+def test_independent_matches_fraction_gauss_jordan():
+    """independent gives the candidates that raise the reference rank of
+    the ones before them, which are the reference pivot columns of the
+    matrix they form as columns: Fraction Gauss-Jordan over Q, on
+    residues over F_p.  Matrices of any shape count as the vectors of
+    their entries; mixed domains and shapes raise."""
     rnd = random.Random(4)
-    for dom in (F2, F3, QQ):
-        span = IncrementalSpan(dom)
-        added = []
-        grows = []
-        for v in _span_candidates(dom, rnd):
-            col = Mat(dom, 6, 1, v)
-            before = [Mat(dom, 6, 1, a) for a in added]
-            assert span.contains(v) == in_span(before, col)
-            grew = span.add(v)
-            assert grew == (not in_span(before, col))
-            if grew:
-                added.append(v)
-            grows.append(grew)
-            assert span.contains(v)
-            assert span.dim == span_rank(
-                [Mat(dom, 6, 1, list(a)) for a in added])
-        assert span.dim == 6
-        assert grows[:12].count(True) <= 3 and False in grows[12:]
+    for dom in (F2, F3, F5, F7, QQ):
+        cands = _span_candidates(dom, rnd)
+        found = independent(Mat(dom, 6, 1, v) for v in cands)
+        columns = [[v[i] for v in cands] for i in range(6)]
+        ranks = [_rref_reference([row[:k] for row in columns], dom.p)[0]
+                 for k in range(len(cands) + 1)]
+        assert found == [k for k in range(len(cands))
+                         if ranks[k + 1] > ranks[k]]
+        assert found == _rref_reference(columns, dom.p)[1]
+        assert len(found) == 6
+        assert sum(k < 12 for k in found) <= 3
+        assert set(range(12, len(cands))) - set(found)
         M = random_mat(dom, 3, 3, rnd)
-        span2 = IncrementalSpan(dom)
-        assert span2.add_mat(M) or M.is_zero()
-        assert span2.contains(M.scale(dom.of(1)).data)
-        assert not span2.add([dom.zero()] * 9)
+        Z = Mat.zero(dom, 3)
+        assert independent([Z, M, M.scale(dom.of(-1)), Z]) == \
+            ([] if M.is_zero() else [1])
+        assert independent([]) == []
+    for vs in ([Mat.zero(F3, 2, 1), Mat.zero(F5, 2, 1)],
+               [Mat.zero(F3, 2, 1), Mat.zero(QQ, 2, 1)],
+               [Mat.zero(F3, 2, 1), Mat.zero(F3, 3, 1)],
+               [Mat.zero(F3, 2, 1), Mat.zero(F3, 1, 2)]):
+        with pytest.raises(DomainError):
+            independent(vs)
+
+
+def test_hstack_builds_one_integer_form():
+    """hstack over Q reads only the integer forms: inputs built by
+    from_ints keep their Fractions unbuilt, and the result equals the
+    matrix built from the Fraction entries side by side.  Mismatched
+    row counts or domains raise."""
+    rnd = random.Random(28)
+    for _ in range(20):
+        r = rnd.randint(0, 4)
+        mats = [_q_case(rnd, r, rnd.randint(1, 3))
+                for _ in range(rnd.randint(1, 4))]
+        mats = [Mat.from_ints(QQ, M.rows, M.cols, M.num, M.den)
+                for M in mats]
+        H = hstack(mats)
+        assert all(M._entries is None for M in mats)
+        want = [x for i in range(r) for M in mats
+                for x in M.data[i * M.cols:(i + 1) * M.cols]]
+        assert H == Mat(QQ, r, sum(M.cols for M in mats), want)
+    for dom in (F2, F7):
+        A, B = random_mat(dom, 3, 2, rnd), random_mat(dom, 3, 1, rnd)
+        assert hstack([A, B]).to_lists() == [a + b for a, b in
+                                             zip(A.to_lists(), B.to_lists())]
+    for mats in ([Mat.zero(F3, 2, 1), Mat.zero(F3, 3, 1)],
+                 [Mat.zero(F3, 2, 1), Mat.zero(F5, 2, 1)],
+                 [Mat.zero(QQ, 2, 1), Mat.zero(F3, 2, 1)]):
+        with pytest.raises(DomainError):
+            hstack(mats)
 
 
 def test_vectorize_devectorize_round_trip():
@@ -627,9 +661,13 @@ def test_rational_product_matches_schoolbook():
     assert all(type(x) is Fraction for x in Z.data)
 
 
-def _rref_reference(rows):
-    """Reference Q Gauss-Jordan, one Fraction operation per term, with
-    the same pivot rule: (rank, pivots, reduced rows)."""
+def _rref_reference(rows, p=None):
+    """Reference Q Gauss-Jordan, one Fraction operation per term (over
+    F_p, given p, one operation per term on residues, each reduced mod
+    p), with the same pivot rule: (rank, pivots, reduced rows)."""
+    def red(x):
+        return x if p is None else x % p
+
     rows = [list(row) for row in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -642,12 +680,12 @@ def _rref_reference(rows):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        rows[r] = [red(x * inv) for x in rows[r]]
         for i in range(m):
             f = rows[i][c]
             if i != r and f != 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [red(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return r, pivots, rows
@@ -783,14 +821,14 @@ def test_forward_rank_matches_gauss_jordan(rank_cases, monkeypatch):
     assert _rank_mismatches(rank, rank_cases) == []
 
 
-def _planted_rank(old, new):
-    """matrices.rank rebuilt from its own source with `old` replaced by
-    `new` in both clearing loops (F_p and Q)."""
-    source = inspect.getsource(matrices.rank)
+def _planted_pivots(old, new):
+    """matrices._pivot_columns rebuilt from its own source with `old`
+    replaced by `new` in both clearing loops (F_p and Q)."""
+    source = inspect.getsource(matrices._pivot_columns)
     assert source.count(old) == 2
     namespace = dict(vars(matrices))
     exec(source.replace(old, new), namespace)
-    return namespace["rank"]
+    return namespace["_pivot_columns"]
 
 
 # the clearing loop skips the last row, or the row after the pivot
@@ -798,38 +836,62 @@ _RANK_FAULTS = {"last-row": ("range(r + 1, m)", "range(r + 1, m - 1)"),
                 "next-row": ("range(r + 1, m)", "range(r + 2, m)")}
 
 
-def _rebind_rank(monkeypatch, planted):
-    """Put planted in place of every binding of matrices.rank in the
-    package."""
-    exact = matrices.rank
+def _rebind_pivots(monkeypatch, planted):
+    """Put planted in place of every binding of matrices._pivot_columns
+    in the package, so rank, independent and their callers all use it."""
+    exact = matrices._pivot_columns
     for name, module in list(sys.modules.items()):
         if (name == "optsl2" or name.startswith("optsl2.")) and \
-                getattr(module, "rank", None) is exact:
-            monkeypatch.setattr(module, "rank", planted)
+                getattr(module, "_pivot_columns", None) is exact:
+            monkeypatch.setattr(module, "_pivot_columns", planted)
 
 
 def _falsified(suite, **grid):
     return sum(r.verified is False for r in run_suite(suite, **grid).records)
 
 
+def _dense_conjugates():
+    """(partition, g J g^-1) for a seeded dense conjugate of the Jordan
+    form J of every partition of n <= 5, over F_3 and Q."""
+    rnd = random.Random(71)
+    return [(lam, g * rep_from_partition(dom, lam) * inverse(g))
+            for dom in (F3, QQ) for n in range(1, 6)
+            for lam in partitions_of(n)
+            for g in [random_invertible(dom, n, rnd, bound=3)]]
+
+
+def _wrong_jordan(conjugates) -> int:
+    """How many conjugates nilpotent_jordan rejects or gives a wrong
+    partition."""
+    wrong = 0
+    for lam, X in conjugates:
+        try:
+            wrong += nilpotent_jordan(X).partition != lam
+        except OptSL2Error:
+            wrong += 1
+    return wrong
+
+
 @pytest.mark.parametrize("fault", sorted(_RANK_FAULTS))
 def test_planted_forward_rank_faults_are_caught(fault, rank_cases,
                                                 monkeypatch):
-    """A clearing loop that skips one row of those below the pivot gives
-    wrong ranks on the kernel cases of at most 16 rows over every field,
-    and falsifies at least 10 of the 11 springer records of n <= 4 over
-    F_3 (Jordan types read off ranks of the powers of u - 1); skipping
-    the last row also falsifies at least 12 of the 44 default epsilon
-    records.  Spaltenstein and tilting take ranks of ad X and
-    M -> u M u^-1 on Jordan forms, where almost nothing is cleared, and
-    do not notice either fault.  (Over Q the rows a fault leaves
+    """A clearing loop of _pivot_columns that skips one row of those
+    below the pivot gives wrong ranks on the kernel cases of at most 16
+    rows over every field, makes nilpotent_jordan reject or mistype a
+    dense conjugate of n <= 5 over F_3 and Q (its chain seeds are the
+    independent vectors), and falsifies at least 10 of the 11 springer
+    records of n <= 4 over F_3 (Jordan types read off ranks of the
+    powers of u - 1); skipping the last row also falsifies at least 12
+    of the 44 default epsilon records.  (Over Q the rows a fault leaves
     uncleared grow fast, so the larger cases are left out.)"""
     assert _falsified("springer", n_max=4, primes=(3,)) == 0
-    planted = _planted_rank(*_RANK_FAULTS[fault])
-    wrong = _rank_mismatches(planted, [c for c in rank_cases
-                                       if c[0].rows <= 16])
+    conjugates = _dense_conjugates()
+    assert _wrong_jordan(conjugates) == 0
+    _rebind_pivots(monkeypatch, _planted_pivots(*_RANK_FAULTS[fault]))
+    wrong = _rank_mismatches(rank, [c for c in rank_cases
+                                    if c[0].rows <= 16])
     assert {M.domain for M in wrong} == {F2, F3, F5, F7, QQ}
-    _rebind_rank(monkeypatch, planted)
+    assert _wrong_jordan(conjugates) >= 1
     assert _falsified("springer", n_max=4, primes=(3,)) >= 10
     if fault == "last-row":
         assert _falsified("epsilon") >= 12

@@ -23,8 +23,8 @@ from optsl2.errors import (DomainError, InconsistencyError,
                            PreconditionError)
 from optsl2.jordan import (jordan_block, nilpotent_jordan,
                            nilpotent_partition, nilpotent_powers)
-from optsl2.matrices import (IncrementalSpan, Mat, hstack, inverse,
-                             random_invertible, rank_nullspace)
+from optsl2.matrices import (Mat, hstack, inverse, random_invertible,
+                             rank_nullspace, rref)
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import conjugate, partitions_of
 from optsl2.scalars import Fp, FpDomain, QQ
@@ -142,24 +142,19 @@ def _ref_nilpotent_jordan(X):
     chains = []
     for L in range(m, 0, -1):
         count = lam_conj[L - 1] - (lam_conj[L] if L < m else 0)
-        span = IncrementalSpan(d)
-        for v in kernels[L - 1]:
-            span.add_mat(v)
+        below = list(kernels[L - 1])
         if L < m:
-            for v in kernels[L + 1]:
-                span.add_mat(X * v)
-        picked = 0
-        for v in kernels[L]:
-            if picked == count:
-                break
-            if span.add_mat(v):
-                picked += 1
-                chain = []
-                w = v
-                for _ in range(L):
-                    chain.append(w)
-                    w = X * w
-                chains.extend(reversed(chain))
+            below += [X * v for v in kernels[L + 1]]
+        candidates = below + kernels[L]
+        # the seeds are the RREF pivot columns in the ker X^L block
+        _, pivots, _ = rref(hstack(candidates))
+        for i in [i for i in pivots if i >= len(below)][:count]:
+            chain = []
+            w = candidates[i]
+            for _ in range(L):
+                chain.append(w)
+                w = X * w
+            chains.extend(reversed(chain))
     if n == 0:
         return (), Mat.zero(d, 0, 0)
     return conjugate(lam_conj), hstack(chains)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,9 +8,11 @@ from optsl2.errors import DomainError, InconsistencyError
 from optsl2.jordan import (jordan_block, jordan_form, nilpotent_jordan,
                            nilpotent_powers)
 from optsl2.matrices import Mat, inverse, random_invertible, rank_nullspace
+from optsl2.orbits import associated_cocharacter
 from optsl2.partitions import (admissible, check_partition, conjugate,
                                partitions_of)
 from optsl2.scalars import Fp, QQ
+from optsl2.sl2 import positive_commutant_basis
 
 F2 = Fp(2)
 F3 = Fp(3)
@@ -154,3 +157,39 @@ def test_nilpotent_jordan_eliminates_only_nonzero_powers(monkeypatch):
             calls[0] = 0
             assert nilpotent_jordan(X).partition == lam
             assert calls[0] == len(nilpotent_powers(X)) == lam[0] - 1
+
+
+def _basis_cases():
+    """(domain, Y) for the Jordan form and one seeded dense conjugate
+    g J g^-1 of every partition of n <= 6, over F_2, F_3, F_7 and Q."""
+    rnd = random.Random(28)
+    for dom in (F2, F3, Fp(7), QQ):
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                J = jordan_form(dom, lam)
+                g = random_invertible(dom, n, rnd, bound=3)
+                yield dom, J
+                yield dom, g * J * inverse(g)
+
+
+# SHA-256 of the bases below on the cases of _basis_cases
+_BASES_SHA = ("30ceb317c68230f828bc357c9f0dbbcc"
+              "78e40dfdc62f4a9792bd2e9a097c7c6f")
+
+
+def test_jordan_and_radical_bases_are_pinned():
+    """The reports carry no bases, so this pins the choice of basis: the
+    Jordan basis of nilpotent_jordan and positive_commutant_basis under
+    the associated cocharacter, on 232 cases, hashed by integer form."""
+    digest = hashlib.sha256()
+    cases = 0
+    for dom, Y in _basis_cases():
+        psi = associated_cocharacter(Y).psi
+        for M in [nilpotent_jordan(Y).basis] + \
+                positive_commutant_basis(Y, psi):
+            digest.update(repr((dom.p, M.rows, M.cols, M.num,
+                                M.den)).encode())
+        digest.update(b";")
+        cases += 1
+    assert cases == 232
+    assert digest.hexdigest() == _BASES_SHA

@@ -773,6 +773,23 @@ def test_gcr_budget_and_validation():
         gcr_check([Mat.identity(QQ, 2)])
 
 
+_MISMATCHED_GENERATORS = {
+    "size": lambda: [Mat.identity(F3, 2), jordan_block(F3, 3)],
+    "non-square": lambda: [Mat.from_rows(F3, [[1, 0, 0], [0, 1, 0]])],
+    "prime": lambda: [Mat.identity(F3, 2),
+                      Mat.from_rows(F5, [[1, 4], [0, 1]])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISMATCHED_GENERATORS))
+def test_gcr_rejects_mismatched_generators(case):
+    """Every generator must be n x n over the first one's F_p; a matrix
+    of another size, a non-square one or one over another prime is a
+    DomainError rather than a verdict on truncated or reduced entries."""
+    with pytest.raises(DomainError):
+        gcr_check(_MISMATCHED_GENERATORS[case]())
+
+
 def test_gcr_memory_stays_polynomial_in_p():
     """Under the identity all 1,988 subspaces of F_31^3 are invariant
     and kept.  Holding each as its set of p^k vectors peaks near 100 MB

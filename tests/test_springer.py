@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from optsl2 import matrices
 from optsl2.errors import DomainError, PreconditionError
 from optsl2.jordan import jordan_block
 from optsl2.matrices import (Mat, commutes, inverse, lin_comb,
@@ -11,7 +12,7 @@ from optsl2.matrices import (Mat, commutes, inverse, lin_comb,
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import partitions_of
 from optsl2.scalars import Fp, QQ
-from optsl2.suites import _random_additive
+from optsl2.suites import _random_additive, run_suite
 from optsl2.springer import (AdditiveHom, SpringerCoeffs, additive_derivative,
                              additive_eval, additive_untwist, eps_exp,
                              eps_log, orbit_bijection_check, reversion,
@@ -279,6 +280,25 @@ def test_additive_eval_is_a_homomorphism():
             assert (additive_eval(h, s) * additive_eval(h, t)
                     == additive_eval(h, (s + t) % 3))
     assert additive_eval(h, 0) == Mat.identity(F3, 3)
+
+
+def test_commuting_coefficients_compile_no_intertwiner_forms(monkeypatch):
+    """commutes compares the two products, so AdditiveHom compiles no
+    intertwiner forms: with intertwiner_forms made to raise, additive
+    homomorphisms on commuting coefficients build and evaluate, a
+    non-commuting pair is still rejected, and a small untwist run stays
+    verified."""
+    def no_forms(A, B):
+        raise AssertionError("intertwiner_forms compiled")
+
+    monkeypatch.setattr(matrices, "intertwiner_forms", no_forms)
+    N = jordan_block(F3, 3)
+    h = AdditiveHom(F3, (N, N * N, Mat.zero(F3, 3, 3)))
+    assert additive_eval(h, 1) * additive_eval(h, 2) == Mat.identity(F3, 3)
+    with pytest.raises(PreconditionError):
+        AdditiveHom(F3, (Mat.unit(F3, 3, 3, 0, 1), Mat.unit(F3, 3, 3, 1, 0)))
+    records = run_suite("untwist", primes=(2, 3)).records
+    assert len(records) == 200 and all(r.verified for r in records)
 
 
 def test_additive_untwist_strips_frobenius_twists():
