@@ -147,15 +147,19 @@ class Cocharacter:
         return self.from_coords(self.masked(self.coords(M),
                                             lambda e: e == w))
 
-    def components(self, M: Mat) -> dict:
-        """All nonzero graded components, as a weight -> Mat map."""
+    def components(self, M: Mat, keep=lambda w: True) -> dict:
+        """The nonzero graded components of M whose weight keep accepts,
+        as a weight -> Mat map by increasing weight, built alone."""
+        n, wt = self.n, self.weights
         C = self.coords(M)
-        out = {}
-        for w in self.ad_weight_values():
-            part = self.masked(C, lambda e: e == w)
-            if not part.is_zero():
-                out[w] = self.from_coords(part)
-        return out
+        parts = {}
+        for r, c in self.mask(keep):
+            if C.num[r * n + c]:
+                part = parts.setdefault(wt[r] - wt[c], [0] * (n * n))
+                part[r * n + c] = C.num[r * n + c]
+        return {w: self.from_coords(Mat.from_ints(self.domain, n, n,
+                                                  parts[w], C.den))
+                for w in sorted(parts)}
 
     def piece_basis(self, w: int):
         """Basis matrices of the degree-w graded piece of gl_n."""

@@ -39,16 +39,15 @@ integer rows of A and columns of B over one common denominator, so
 each use is one fused triple product in ints, normalised once by
 from_ints, with no intermediate Mat.
 
-The brute-force checks test matrices x against fixed pairs (A, B):
-intertwiner_forms compiles a pair once into the linear forms of
-x A - B x on x's flat tuple, so no product is built per element.
-intertwiner_test evaluates them on one x.  The group centralizers are
-counted by intertwiner_counts, one depth-first walk over GL_n(F_p)
-that fixes a row at a time and drops a prefix as soon as a form whose
-entries are all fixed is nonzero on every side, so it visits the
-centralizers rather than the group.  The walk keeps the span of the
-fixed rows as a set of vectors and eliminates nothing;
-enumerate_group is the same walk unpruned.
+The brute-force checks count the x with x A == B x for fixed pairs
+(A, B): intertwiner_forms compiles a pair once into the linear forms
+of x A - B x on x's flat tuple, so no product is built per element.
+Two depth-first walks test each form once its entries are fixed, with
+one pruning step that drops a prefix when every side has a nonzero
+form: intertwiner_counts fixes a row of x in GL_n(F_p) at a time
+(enumerate_group is the same walk unpruned), and combination_walk a
+coefficient of x = 1 + sum c_i B_i at a time, which in sl2 walks the
+unipotent radical of C(X).  Nothing is eliminated.
 """
 
 from __future__ import annotations
@@ -676,7 +675,7 @@ def _row_walk(n: int, p: int, budget: int, step=None, state=()):
 
 def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
     """Yield every g in GL_n(F_p) exactly once, as its flat row-major
-    tuple of residues, the input intertwiner_test's predicates read.
+    tuple of residues, the tuple intertwiner_forms' forms read.
 
     The stream equals the scan of all p^(n*n) matrices in lexicographic
     entry order (row-major) that keeps those of rank n, so it is
@@ -687,18 +686,68 @@ def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
         yield g
 
 
-def _depth_buckets(forms, n: int) -> list:
-    """The forms of intertwiner_forms, which read x's flat tuple, moved
-    onto the tuple of w0 x w0 (w0 the antidiagonal permutation), which
-    is x's tuple reversed, and grouped by the row of w0 x w0 that holds
-    their last index: bucket r lists the forms a top-down walk can
-    evaluate once its row r is fixed."""
-    last = n * n - 1
-    buckets = [[] for _ in range(n)]
+def _expect_square(M: Mat, n: int, p: int) -> None:
+    if M.domain.p != p or M.rows != n or M.cols != n:
+        raise DomainError("expected %dx%d matrices over F_%d" % (n, n, p))
+
+
+def _side_forms(side, n: int, p: int) -> list:
+    """The intertwiner_forms of a side's pairs, each n x n over F_p."""
+    forms = []
+    for A, B in side:
+        _expect_square(A, n, p)
+        forms.extend(intertwiner_forms(A, B))
+    return forms
+
+
+def _depth_buckets(forms, width: int, depths: int) -> list:
+    """Bucket d lists the forms whose last index a walk fixing `width`
+    entries per depth fixes at depth d, where they are evaluated."""
+    buckets = [[] for _ in range(depths)]
     for form in forms:
-        moved = tuple((last - t, c) for t, c in form)
-        buckets[max(t for t, _ in moved) // n].append(moved)
+        buckets[max(t for t, _ in form) // width].append(form)
     return buckets
+
+
+def _pruning_step(p: int, sides, width: int, depths: int):
+    """step(depth, prefix, alive) of a pruned walk (see _row_walk) whose
+    sides are lists of linear forms on the walked tuple: the sides in
+    alive whose forms bucketed at this depth vanish mod p on the prefix,
+    or None to drop the prefix when none is left."""
+    buckets = [_depth_buckets(forms, width, depths) for forms in sides]
+    # levels[d][s]: the forms of side s evaluated at depth d; None where
+    # no side has one, so the depth keeps every side
+    levels = [[b[d] for b in buckets] for d in range(depths)]
+    levels = [level if any(level) else None for level in levels]
+
+    def step(depth, prefix, alive):
+        level = levels[depth]
+        if level is None:
+            return alive or None
+        kept = []
+        for s in alive:
+            for form in level[s]:
+                acc = 0
+                for t, c in form:
+                    acc += prefix[t] * c
+                if acc % p:
+                    break
+            else:
+                kept.append(s)
+        return kept or None
+
+    return step
+
+
+def _tally(walk, nsides: int):
+    """(union, counts) of a pruned walk: counts[s] values keep side s
+    alive, union values keep some side; with no sides it is not run."""
+    union, counts = 0, [0] * nsides
+    for _, alive in (walk if nsides else ()):
+        union += 1
+        for s in alive:
+            counts[s] += 1
+    return union, counts
 
 
 def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
@@ -709,56 +758,58 @@ def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
     can be nonzero, holds everywhere, and with no sides the result is
     (0, []).
 
-    One _row_walk over y = w0 x w0 with each side's intertwiner_forms
-    grouped by _depth_buckets: at each fixed row the forms whose entries
-    are all fixed are evaluated, a side drops out at its first nonzero
-    form, and a prefix is dropped when no side is left, so its
-    completions are never built.  For upper-triangular pairs, such as a
-    nilpotent in Jordan form, its truncated exponentials and the image
-    of x1(1), the rows of x are fixed last-to-first and each row pins
-    down the forms of its own row.  The forms are exact; nothing is
-    eliminated.  Raises BudgetError up front when p^(n*n) exceeds the
-    budget, as enumerate_group does.
+    One pruned _row_walk over y = w0 x w0 (x's tuple reversed), testing
+    each form at the row that fixes its last entry, so for upper-
+    triangular pairs (a Jordan nilpotent, its truncated exponentials,
+    the image of x1(1)) each row of x pins down the forms of its own
+    row.  Raises BudgetError up front when p^(n*n) exceeds the budget.
     """
-    buckets = []
+    last = n * n - 1
+    moved = [[tuple((last - t, c) for t, c in form)
+              for form in _side_forms(side, n, p)] for side in sides]
+    walk = _row_walk(n, p, budget, _pruning_step(p, moved, n, n),
+                     range(len(sides)))
+    return _tally(walk, len(sides))
+
+
+def combination_walk(p: int, n: int, basis, sides):
+    """(c, alive) for each c in F_p^k, in itertools.product order, whose
+    x = 1 + c_1 B_1 + ... + c_k B_k satisfies some side, a list of pairs
+    (A, B) with x A == B x; alive lists the sides it satisfies.  Each
+    form of a side, composed with the flat tuples of 1, B_1, ..., B_k,
+    is a linear form on (1, c), tested once the walk, which fixes 1 and
+    then one coefficient at a time, fixes its last coefficient.  Raises
+    DomainError unless the B_i and the pairs are n x n over F_p.
+    """
+    cols = [Mat.identity(Fp(p), n).num]
+    for B in basis:
+        _expect_square(B, n, p)
+        cols.append(B.num)
+
+    def on_coefficients(form):
+        values = [sum(a * col[t] for t, a in form) % p for col in cols]
+        return tuple((j, v) for j, v in enumerate(values) if v)
+
+    composed = []
     for side in sides:
-        forms = []
-        for A, B in side:
-            if A.domain.p != p or A.rows != n:
-                raise DomainError("expected %dx%d matrices over F_%d"
-                                  % (n, n, p))
-            forms.extend(intertwiner_forms(A, B))
-        buckets.append(_depth_buckets(forms, n))
-    # levels[r][s]: the forms of side s evaluated at row r; None where
-    # no side has one, so the row keeps every side
-    levels = [level if any(level) else None for level in zip(*buckets)]
+        forms = map(on_coefficients, _side_forms(side, n, p))
+        composed.append([g for g in forms if g])
+    step = _pruning_step(p, composed, 1, len(cols))
+    choices = [(1,)] + [range(p)] * len(basis)
 
-    def step(depth, y, alive):
-        level = levels[depth]
-        if level is None:
-            return alive
-        kept = []
-        for s in alive:
-            for form in level[s]:
-                acc = 0
-                for t, c in form:
-                    acc += y[t] * c
-                if acc % p:
-                    break
+    def completions(prefix, alive):
+        depth = len(prefix)
+        for c in choices[depth]:
+            v = prefix + (c,)
+            kept = step(depth, v, alive)
+            if kept is None:
+                continue
+            if depth == len(basis):
+                yield v[1:], kept
             else:
-                kept.append(s)
-        return kept or None
+                yield from completions(v, kept)
 
-    walk = _row_walk(n, p, budget, step, range(len(sides)))
-    if not sides:
-        return 0, []
-    union = 0
-    counts = [0] * len(sides)
-    for _, alive in walk:
-        union += 1
-        for s in alive:
-            counts[s] += 1
-    return union, counts
+    return completions((), range(len(sides)))
 
 
 def intertwiner_forms(A: Mat, B: Mat) -> list:
@@ -796,36 +847,6 @@ def intertwiner_forms(A: Mat, B: Mat) -> list:
             if form:
                 forms.append(form)
     return forms
-
-
-def intertwiner_test(A: Mat, B: Mat):
-    """Predicate on the flat row-major tuple x of an n x n matrix: whether
-    x A == B x.  The forms of intertwiner_forms(A, B) are built once;
-    each call evaluates them in order and stops at the first nonzero
-    one, so testing many x against one (A, B) pays the compile step
-    once.  Raises DomainError on mixed domains or shapes.
-    """
-    forms = intertwiner_forms(A, B)
-    p = A.domain.p
-    if p is None:
-        def test(x):
-            for form in forms:
-                s = 0
-                for t, c in form:
-                    s += x[t] * c
-                if s:
-                    return False
-            return True
-    else:
-        def test(x):
-            for form in forms:
-                s = 0
-                for t, c in form:
-                    s += x[t] * c
-                if s % p:
-                    return False
-            return True
-    return test
 
 
 def commutes(a: Mat, b: Mat) -> bool:

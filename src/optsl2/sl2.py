@@ -23,11 +23,11 @@ from .cochar import Cocharacter, ParabolicData, levi_limit
 from .errors import (BudgetError, DomainError, InconsistencyError,
                      PreconditionError)
 from .jordan import jordan_block, nilpotent_jordan
-from .matrices import (DEFAULT_BUDGET, Mat, _pivot_columns, ad_operator,
-                       bracket, commutes, det, devectorize, independent,
-                       intertwiner_counts, intertwiner_test, inverse,
-                       lin_comb, mul_operator, rank_nullspace, rref,
-                       same_span)
+from .matrices import (DEFAULT_BUDGET, Mat, _pivot_columns, _tally,
+                       ad_operator, bracket, combination_walk, commutes,
+                       det, devectorize, independent, intertwiner_counts,
+                       inverse, lin_comb, mul_operator, rank_nullspace,
+                       rref, same_span)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain
@@ -381,9 +381,8 @@ def positive_commutant_basis(X: Mat, psi: Cocharacter):
     gl_n; 1 + this space is the unipotent radical of C(X)."""
     n = X.rows
     _, null = rank_nullspace(ad_operator(X))
-    comps = [comp for v in null
-             for w, comp in psi.components(devectorize(v, n)).items()
-             if w > 0]
+    comps = [comp for v in null for comp in
+             psi.components(devectorize(v, n), lambda w: w > 0).values()]
     return [comps[i] for i in independent(comps)]
 
 
@@ -437,24 +436,24 @@ def conjugate_optimal(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom) -> Mat:
 
 def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
                                 budget: int = DEFAULT_BUDGET):
-    """Exhaustive list of radical elements x = 1 + N, N in the positive
-    commutant, with Int(x) carrying the torus cocharacter of phi1 to
-    that of phi2.  Over F_p only."""
-    dom = phi1.domain
+    """Every radical_element x, c in F_p^k in product order, with Int(x)
+    carrying psi1 to psi2: x P1 = P2 x for the projections onto each
+    weight space, by one combination_walk (x is 1 + nilpotent, hence
+    invertible).  Over F_p only."""
+    dom, basis = phi1.domain, phi1.radical_basis
     if not isinstance(dom, FpDomain):
         raise DomainError("exhaustive search needs a finite field")
     if phi1.X != phi2.X:  # Mat equality includes the domain
         raise DomainError("the homomorphisms differentiate to different "
                           "nilpotents")
-    psi1, psi2 = phi1.psi, phi2.psi
-    basis = phi1.radical_basis
-    p = dom.p
-    if p ** len(basis) > budget:
+    if dom.p ** len(basis) > budget:
         raise BudgetError("radical has %d^%d elements, budget %d"
-                          % (p, len(basis), budget))
+                          % (dom.p, len(basis), budget))
+    psi1, psi2 = phi1.psi, phi2.psi
     projections = [(psi1.weight_projection(w), psi2.weight_projection(w))
                    for w in sorted(set(psi1.weights))]
-    return list(radical_intertwiners(dom, phi1.n, basis, projections))
+    walk = combination_walk(dom.p, phi1.n, basis, [projections])
+    return [radical_element(dom, phi1.n, basis, c) for c, _ in walk]
 
 
 def radical_element(domain, n: int, basis, coeffs) -> Mat:
@@ -462,63 +461,23 @@ def radical_element(domain, n: int, basis, coeffs) -> Mat:
     return lin_comb(Mat.identity(domain, n), coeffs, basis)
 
 
-def _radical_tuples(p: int, n: int, basis):
-    """The flat tuple mod p of every radical_element 1 + sum c_i B_i,
-    one per coefficient vector c in F_p^k, in itertools.product order.
-    The one element builder of the radical searches."""
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    # multiples[i][c] is the flat tuple of c B_i, so the product over
-    # the multiples runs through the coefficients in product order
-    multiples = [[B.scale(c).data for c in range(p)] for B in basis]
-    for terms in itertools.product(*multiples):
-        yield tuple(map(p.__rmod__, map(sum, zip(ident, *terms))))
-
-
-def radical_intertwiners(domain, n: int, basis, pairs):
-    """Every radical_element x with c in F_p^k, one per coefficient
-    vector in itertools.product order of the coefficients, that has
-    x A = B x for every pair (A, B).  For a basis of the positive
-    commutant the candidates are the F_p points of the unipotent radical
-    of C(X).  Each x is 1 + nilpotent, hence invertible, so this is
-    x A x^-1 = B without the inverse.
-
-    Each pair is compiled once by intertwiner_test; each x is built as
-    a flat tuple of residues mod p and becomes a Mat only when it
-    matches.  An empty basis leaves the identity as the one candidate.
-    """
-    tests = [intertwiner_test(A, B) for A, B in pairs]
-    for x in _radical_tuples(domain.p, n, basis):
-        if all(test(x) for test in tests):
-            yield Mat(domain, n, n, x)
-
-
 def _conjugator_tests(phi1: OptimalSL2Hom, phi2s):
-    """Per twist phi2, the compiled tests x phi1(g) = phi2(g) x for g in
-    y1(1), x1(1), which generate SL_2(F_p), so agreement there pins the
-    homomorphisms down everywhere.  The images are the generator_images
-    of each homomorphism, built once per object and read again by
-    hom_conjugators_agree in conjugate_optimal.  y1(1) comes first: when
-    phi1 and phi2 differentiate to the same X, every radical element
-    passes the x1(1) test, since phi1(x1(1)) = phi2(x1(1)) = eps(X), and
-    only the y1(1) test tells them apart."""
+    """Per twist phi2, the pairs (phi1(g), phi2(g)) of generator_images
+    for g = y1(1), x1(1), which generate SL_2(F_p).  y1(1) comes first:
+    when phi1 and phi2 differentiate to the same X, every radical element
+    has x phi1(x1(1)) = phi2(x1(1)) x, as both are eps(X)."""
     x1, y1 = phi1.generator_images[:2]
-    return [[intertwiner_test(y1, phi2.generator_images[1]),
-             intertwiner_test(x1, phi2.generator_images[0])]
+    return [[(y1, phi2.generator_images[1]), (x1, phi2.generator_images[0])]
             for phi2 in phi2s]
 
 
 def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
-    """For each phi2 in phi2s, how many radical elements x (see
-    radical_intertwiners) satisfy Int(x) o phi1 = phi2 on x1(1) and
-    y1(1).  One pass over the radical serves every phi2: each x is built
-    once and tested against each twist's compiled predicates."""
-    per_twist = _conjugator_tests(phi1, phi2s)
-    counts = [0] * len(per_twist)
-    for x in _radical_tuples(phi1.domain.p, phi1.n, basis):
-        for i, tests in enumerate(per_twist):
-            if all(test(x) for test in tests):
-                counts[i] += 1
-    return counts
+    """For each phi2 in phi2s, how many radical_element x, c in F_p^k,
+    have Int(x) o phi1 = phi2 on x1(1) and y1(1), by one combination_walk
+    with a side per twist (x is 1 + nilpotent, hence invertible)."""
+    sides = _conjugator_tests(phi1, phi2s)
+    walk = combination_walk(phi1.domain.p, phi1.n, basis, sides)
+    return _tally(walk, len(sides))[1]
 
 
 def hom_conjugators_agree(phi1, phi2, x) -> bool:

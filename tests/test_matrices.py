@@ -11,10 +11,10 @@ from optsl2 import cli, jordan, matrices, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError, OptSL2Error
 from optsl2.matrices import (DEFAULT_BUDGET, Mat,
-                             ad_operator, bracket, commutes, det,
-                             devectorize, enumerate_group, hstack,
-                             independent, intertwiner_counts,
-                             intertwiner_test, inverse, mul_operator,
+                             ad_operator, bracket, combination_walk,
+                             commutes, det, devectorize, enumerate_group,
+                             hstack, independent, intertwiner_counts,
+                             intertwiner_forms, inverse, mul_operator,
                              random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
@@ -415,7 +415,16 @@ def test_commutes_rejects_mixed_domains_and_shapes():
             commutes(a, b)
 
 
+def _forms_vanish(forms, x, p):
+    """Whether every (index, coefficient) form is zero on the flat tuple
+    x: mod p over F_p, exactly over Q (p None)."""
+    values = (sum(x[t] * c for t, c in form) for form in forms)
+    return not any(v % p if p else v for v in values)
+
+
 def test_intertwiner_test_matches_products():
+    """The forms of intertwiner_forms(P, Q) vanish on x exactly when
+    x P == Q x, over F_p and Q."""
     rnd = random.Random(10)
     for dom in (F2, F3, F5, F7, QQ):
         for n in range(5):
@@ -430,10 +439,12 @@ def test_intertwiner_test_matches_products():
                 pairs = ((A, A), (A, conj), (A, random_mat(dom, n, n, rnd)))
                 xs = (zero, one, g, random_mat(dom, n, n, rnd, bound=3))
                 for P, Q in pairs:
-                    test = intertwiner_test(P, Q)
+                    forms = intertwiner_forms(P, Q)
                     for x in xs:
-                        assert test(x.data) == (x * P == Q * x)
-                assert intertwiner_test(A, conj)(g.data)
+                        assert _forms_vanish(forms, x.data, dom.p) == \
+                            (x * P == Q * x)
+                assert _forms_vanish(intertwiner_forms(A, conj), g.data,
+                                     dom.p)
 
 
 def test_intertwiner_test_rejects_mixed_domains_and_shapes():
@@ -443,17 +454,19 @@ def test_intertwiner_test_rejects_mixed_domains_and_shapes():
                  (A3, random_mat(F3, 3, 3, rnd)),
                  (random_mat(F3, 2, 3, rnd), random_mat(F3, 2, 3, rnd))):
         with pytest.raises(DomainError):
-            intertwiner_test(a, b)
+            intertwiner_forms(a, b)
 
 
 def _filtered_counts(n, p, sides):
     """Reference for intertwiner_counts: every element of GL_n(F_p)
     from enumerate_group, tested on every pair of every side by
-    intertwiner_test (held against literal products above)."""
-    tests = [[intertwiner_test(A, B) for A, B in side] for side in sides]
+    evaluating all of intertwiner_forms (held against literal products
+    above)."""
+    compiled = [[intertwiner_forms(A, B) for A, B in side] for side in sides]
     union, counts = 0, [0] * len(sides)
     for g in enumerate_group(n, p):
-        hits = [all(test(g) for test in side) for side in tests]
+        hits = [all(_forms_vanish(forms, g, p) for forms in side)
+                for side in compiled]
         union += any(hits)
         for s, hit in enumerate(hits):
             counts[s] += hit
@@ -500,6 +513,7 @@ def test_intertwiner_counts_match_a_filtered_enumeration():
     assert intertwiner_counts(2, 3, [[]]) == (48, [48])
     assert intertwiner_counts(2, 3, []) == (0, [])
     assert intertwiner_counts(0, 2, [[]]) == (1, [1])
+    assert intertwiner_counts(0, 2, []) == (0, [])
 
 
 def test_intertwiner_counts_match_on_the_centralizer_suite_sides(
@@ -564,27 +578,75 @@ def test_intertwiner_counts_eliminate_nothing(monkeypatch):
         assert intertwiner_counts(n, p, sides) == expected
 
 
-def test_planted_early_cut_is_caught(monkeypatch):
-    """Each form evaluated one row early, its entries not yet fixed read
-    as zero, prunes prefixes whose completions lie in a centralizer."""
+def _one_level_early(monkeypatch):
+    """Plant an unsound cut in the bucketing both walks share: each form
+    is evaluated one depth early (one row, or one coefficient), with the
+    entries that depth does not fix yet read as zero."""
     exact = matrices._depth_buckets
 
-    def one_row_early(forms, n):
-        buckets = exact(forms, n)
+    def one_level_early(forms, width, depths):
+        buckets = exact(forms, width, depths)
         early = [list(buckets[0])]
-        for r in range(1, n):
+        for d in range(1, depths):
             early[-1].extend(form for form in (
-                tuple((t, c) for t, c in form if t < r * n)
-                for form in buckets[r]) if form)
+                tuple((t, c) for t, c in form if t < d * width)
+                for form in buckets[d]) if form)
             early.append([])
         return early
 
+    monkeypatch.setattr(matrices, "_depth_buckets", one_level_early)
+
+
+def test_planted_early_cut_is_caught(monkeypatch):
+    """Each form evaluated one row early, its entries not yet fixed read
+    as zero, prunes prefixes whose completions lie in a centralizer."""
     X = rep_from_partition(F3, (3,))
     sides = [[(u, u)] for u in (X, eps_exp(X), eps_exp(X.scale(2)))]
     expected = _filtered_counts(3, 3, sides)
     assert intertwiner_counts(3, 3, sides) == expected == (18, [18] * 3)
-    monkeypatch.setattr(matrices, "_depth_buckets", one_row_early)
+    _one_level_early(monkeypatch)
     assert intertwiner_counts(3, 3, sides) != expected
+
+
+def test_planted_early_coefficient_cut_is_caught(monkeypatch):
+    """The same cut in the coefficient walk, each form evaluated one
+    coefficient early: it loses radical conjugators, so counts change
+    and the conjugacy suite falsifies records."""
+    phi1 = build_optimal(rep_from_partition(F3, (2, 1)))
+    basis = phi1.radical_basis
+    twists = [sl2.radical_element(F3, 3, basis, c)
+              for c in itertools.product(range(3), repeat=len(basis))]
+    phi2s = [sl2.conjugate_hom(phi1, x) for x in twists]
+    assert sl2.radical_conjugator_counts(phi1, phi2s, basis) == \
+        [1] * len(twists)
+    _one_level_early(monkeypatch)
+    assert sl2.radical_conjugator_counts(phi1, phi2s, basis) != \
+        [1] * len(twists)
+    assert run_suite("conjugacy").falsified
+
+
+def test_combination_walk_checks_its_inputs():
+    """Every basis element and every pair must be n x n over F_p: a
+    basis over another prime, a basis of another size and pairs over
+    another prime each raise, where they were once read mod p or cut
+    short."""
+    A = rep_from_partition(F3, (2,))
+    for basis, sides in (([Mat.unit(F5, 2, 2, 0, 1)], [[(A, A)]]),
+                         ([Mat.unit(F3, 3, 3, 0, 1)], [[(A, A)]]),
+                         ([Mat.unit(F3, 2, 3, 0, 1)], [[(A, A)]]),
+                         ([A], [[(rep_from_partition(F5, (2,)),) * 2]]),
+                         ([A], [[(A, A)], [(Mat.identity(F3, 3),) * 2]]),
+                         ([A], [[(Mat.identity(QQ, 2),) * 2]])):
+        with pytest.raises(DomainError):
+            combination_walk(3, 2, basis, sides)
+    with pytest.raises(DomainError):
+        combination_walk(4, 2, [], [])
+    # with no sides nothing holds, so nothing is yielded
+    assert list(combination_walk(3, 2, [A], [])) == []
+    # the same inputs over F_3 walk: 1 + c A commutes with A for all c
+    assert [(c, list(alive)) for c, alive in
+            combination_walk(3, 2, [A], [[(A, A)]])] == \
+        [((c,), [0]) for c in range(3)]
 
 
 def test_walk_prunes_the_regular_nilpotent(monkeypatch):

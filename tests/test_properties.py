@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from optsl2.jordan import nilpotent_jordan, nilpotent_partition
-from optsl2.matrices import Mat, intertwiner_test, inverse
+from optsl2.matrices import Mat, intertwiner_forms, inverse
 from optsl2.orbits import rep_from_partition
 from optsl2.partitions import admissible, partitions_of
 from optsl2.scalars import Fp, QQ
@@ -144,4 +144,8 @@ def test_intertwiner_test_matches_products(data):
                                    data.draw(square(dom, n)))))
     x = data.draw(st.sampled_from((Mat.zero(dom, n), Mat.identity(dom, n), g,
                                    data.draw(square(dom, n)))))
-    assert intertwiner_test(A, B)(x.data) == (x * A == B * x)
+    # the forms of intertwiner_forms vanish on x exactly when x A == B x
+    values = [sum(x.data[t] * c for t, c in form)
+              for form in intertwiner_forms(A, B)]
+    p = dom.p
+    assert (not any(v % p if p else v for v in values)) == (x * A == B * x)

@@ -7,13 +7,14 @@ from math import comb
 
 import pytest
 
-from optsl2 import cli, sl2
+from optsl2 import cli, matrices, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import (BudgetError, DomainError, InconsistencyError,
                            PreconditionError)
 from optsl2.jordan import jordan_block
-from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket, det, hstack,
-                             inverse, random_invertible, rank)
+from optsl2.matrices import (DEFAULT_BUDGET, Mat, bracket,
+                             combination_walk, det, hstack, inverse,
+                             random_invertible, rank)
 from optsl2.orbits import associated_cocharacter, rep_from_partition
 from optsl2.scalars import Fp, QQ
 from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
@@ -24,7 +25,7 @@ from optsl2.sl2 import (build_optimal, conjugate_hom, conjugate_optimal,
                         positive_commutant_basis, primitive_root,
                         radical_cochar_transporters,
                         radical_conjugator_counts, radical_element,
-                        radical_intertwiners, sl2_elements,
+                        sl2_elements,
                         sl2_generators, sl2_sample, sl2_torus, sl2_x1, sl2_y1,
                         sym_power_dH, sym_power_dX, sym_power_dY,
                         sym_power_rep, verify_limit, verify_optimal)
@@ -470,6 +471,13 @@ def _radical_search_reference(dom, n, basis, pairs):
     return found
 
 
+def _walked_elements(dom, n, basis, pairs):
+    """The radical_element of every c the coefficient walk yields for
+    the one side `pairs`."""
+    return [radical_element(dom, n, basis, c)
+            for c, _ in combination_walk(dom.p, n, basis, [pairs])]
+
+
 def test_radical_search_matches_inverse_reference():
     grid = _SUITES["conjugacy"].grid
     rnd = random.Random(46)
@@ -498,8 +506,7 @@ def test_radical_search_matches_inverse_reference():
                 # fault test reaches each element more than once
                 for b in (basis, basis + basis[:1]):
                     expected = _radical_search_reference(dom, n, b, images)
-                    assert list(radical_intertwiners(dom, n, b, images)) \
-                        == expected
+                    assert _walked_elements(dom, n, b, images) == expected
                     assert radical_conjugator_counts(phi1, [phi2], b)[0] \
                         == len(expected)
                     assert twist in expected
@@ -555,17 +562,87 @@ def test_radical_conjugator_counts_match_literal_products():
     assert radical_conjugator_counts(phi1, [], basis) == []
 
 
+def test_radical_counts_on_every_default_conjugacy_instance(monkeypatch):
+    """The pruned coefficient walk on every default conjugacy instance,
+    on the radical basis and on the basis with a repeated element: its
+    counts equal the literal-product reference, and stay the same with
+    every elimination routine made to raise (the bases and the
+    generator images are built before)."""
+    grid = _SUITES["conjugacy"].grid
+    rnd = random.Random(48)
+    cases = []
+    for p in grid["primes"]:
+        dom = Fp(p)
+        for n in range(1, grid["n_max"] + 1):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                phi1 = build_optimal(rep_from_partition(dom, lam))
+                basis = phi1.radical_basis
+                twists = [radical_element(dom, n, basis,
+                                          [rnd.randrange(p) for _ in basis])
+                          for _ in range(2)]
+                twists.append(random_invertible(dom, n, rnd))
+                phi2s = [conjugate_hom(phi1, g) for g in twists]
+                for phi in [phi1] + phi2s:
+                    phi.generator_images
+                for b in (basis, basis + basis[:1]):
+                    expected = [_literal_conjugator_count(phi1, phi2, b)
+                                for phi2 in phi2s]
+                    radical = p if len(b) > len(basis) else 1
+                    assert expected[:2] == [radical] * 2
+                    assert radical_conjugator_counts(phi1, phi2s, b) == \
+                        expected
+                    cases.append((phi1, phi2s, b, expected))
+    assert len(cases) == 2 * 18  # the 18 records of the default report
+
+    def no_elimination(*args):
+        raise AssertionError("the walk eliminated")
+
+    for name in ("_rref_rows", "rank", "_pivot_columns"):
+        monkeypatch.setattr(matrices, name, no_elimination)
+    for phi1, phi2s, b, expected in cases:
+        assert radical_conjugator_counts(phi1, phi2s, b) == expected
+
+
+def test_coefficient_walk_prunes_the_radical(monkeypatch):
+    """Tier-1 guard on the pruning of the coefficient walk: for the
+    partition (3, 2) over F_5 the radical has 5^7 = 78,125 elements,
+    and the walk tests 536 coefficient prefixes for ten seeded twists,
+    where the unpruned tree has 97,656."""
+    visited = []
+    exact = matrices._pruning_step
+
+    def counted(*args):
+        step = exact(*args)
+
+        def counting(depth, prefix, alive):
+            visited.append(depth)
+            return step(depth, prefix, alive)
+        return counting
+
+    dom = Fp(5)
+    phi1 = build_optimal(rep_from_partition(dom, (3, 2)))
+    basis = phi1.radical_basis
+    assert len(basis) == 7
+    rnd = random.Random(49)
+    phi2s = [conjugate_hom(phi1, radical_element(
+        dom, 5, basis, [rnd.randrange(5) for _ in basis])) for _ in range(10)]
+    monkeypatch.setattr(matrices, "_pruning_step", counted)
+    assert radical_conjugator_counts(phi1, phi2s, basis) == [1] * 10
+    assert len(visited) == 536
+
+
 def test_radical_intertwiners_with_empty_basis_yield_the_identity():
     for dom in (F2, F3, F5):
         for n in (1, 2, 3):
             A = rep_from_partition(dom, (n,))
             ident = Mat.identity(dom, n)
-            assert list(radical_intertwiners(dom, n, [], [])) == [ident]
-            assert list(radical_intertwiners(dom, n, [], [(A, A)])) == [ident]
+            assert _walked_elements(dom, n, [], []) == [ident]
+            assert _walked_elements(dom, n, [], [(A, A)]) == [ident]
             if n > 1:
                 shifted = A + ident
-                assert list(radical_intertwiners(dom, n, [],
-                                                 [(A, shifted)])) == []
+                assert _walked_elements(dom, n, [], [(A, shifted)]) == []
         # partition [1]: the radical is trivial and the identity is the
         # one conjugator of phi to itself
         X = rep_from_partition(dom, (1,))

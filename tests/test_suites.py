@@ -403,6 +403,14 @@ def test_conjugacy_notes_follow_the_twist_order(monkeypatch, count_twist,
                 "solver returned a different conjugator"
 
 
+def test_conjugacy_reaches_n5_over_f5():
+    """The pruned radical walk takes the conjugacy suite to n <= 5 over
+    F_5, whose radicals reach 5^8 elements: every record verified."""
+    report = run_suite("conjugacy", n_max=5, primes=(5,))
+    assert len(report.records) == 18
+    assert report.summary["verified"] == 18
+
+
 def test_conjugacy_grid_to_n5_keeps_the_default_records():
     """The grid of the next growth step: n <= 5 over F_2 and F_3.  Every
     instance is seeded by itself, so the default grid's records come
