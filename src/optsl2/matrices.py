@@ -14,7 +14,7 @@ representation: over F_p it reduces num / den to residues, over Q it
 divides by the gcd and returns a matrix whose tuple of Fractions is
 built only when `data` is first read.  The shared kernels (negation,
 block diagonals, linear combinations, the compiled coordinate change,
-the operator matrices ad X and M -> A M B, and sym_power_rep in sl2)
+the operator matrix of ad X, and sym_power_rep in sl2)
 compute on the forms of their inputs in plain ints and hand the result
 to from_ints, with no domain branch.  Products, sums, differences and
 scaling keep a loop of their own over F_p, which reduces each entry in
@@ -47,7 +47,11 @@ one pruning step that drops a prefix when every side has a nonzero
 form: intertwiner_counts fixes a row of x in GL_n(F_p) at a time
 (enumerate_group is the same walk unpruned), and combination_walk a
 coefficient of x = 1 + sum c_i B_i at a time, which in sl2 walks the
-unipotent radical of C(X).  Nothing is eliminated.
+unipotent radical of C(X).  Nothing is eliminated.  Below the last
+row that any form reads no test can fail, so intertwiner_counts stops
+there and counts the completions of each prefix, the row at depth i
+having p^n - p^i choices; with no form at all (X = 0) its walk is one
+count.  enumerate_group and combination_walk still yield every element.
 """
 
 from __future__ import annotations
@@ -642,18 +646,23 @@ def _row_walk(n: int, p: int, budget: int, step=None, state=()):
     no candidate is eliminated.  When step is given, step(depth,
     prefix, state) is called on each prefix whose last row (index
     depth) is out of the span, and returns the state its completions
-    carry, or None to drop them.  Raises BudgetError when p^(n*n)
-    exceeds the budget, on the call, before the walk starts.
+    carry, or None to drop them.  A step that reads no row below some
+    depth names that depth as step.last (see _pruning_step; -1 when it
+    reads no row): the walk stops there and yields each prefix of
+    step.last + 1 rows in place of its completions, which the step
+    cannot tell apart, and _completions counts them.  Raises
+    BudgetError when p^(n*n) exceeds the budget, on the call, before the
+    walk starts.
     """
     Fp(p)  # validates p before the walk starts
     total = p ** (n * n)
     if total > budget:
         raise BudgetError("enumeration of %d candidate matrices exceeds "
                           "budget %d" % (total, budget))
-    if n == 0:
+    last = getattr(step, "last", n - 1)
+    if last < 0:
         return iter([((), state)])
     vectors = list(itertools.product(range(p), repeat=n))
-    last = n - 1
 
     def completions(prefix, span, depth, state):
         for v in vectors:
@@ -671,6 +680,17 @@ def _row_walk(n: int, p: int, budget: int, step=None, state=()):
                 yield from completions(x, wider, depth + 1, kept)
 
     return completions((), {vectors[0]}, 0, state)
+
+
+def _completions(n: int, p: int, rows: int) -> int:
+    """How many invertible matrices complete `rows` independent rows of
+    F_p^n, counted the way _row_walk's loop meets them: the row at depth
+    i has p^n - p^i choices outside the span of the p^i vectors of the
+    rows above it."""
+    count = 1
+    for i in range(rows, n):
+        count *= p ** n - p ** i
+    return count
 
 
 def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
@@ -713,7 +733,9 @@ def _pruning_step(p: int, sides, width: int, depths: int):
     """step(depth, prefix, alive) of a pruned walk (see _row_walk) whose
     sides are lists of linear forms on the walked tuple: the sides in
     alive whose forms bucketed at this depth vanish mod p on the prefix,
-    or None to drop the prefix when none is left."""
+    or None to drop the prefix when none is left.  step.last is the
+    deepest depth with a form, -1 when there is none: below it every
+    prefix keeps the sides it has."""
     buckets = [_depth_buckets(forms, width, depths) for forms in sides]
     # levels[d][s]: the forms of side s evaluated at depth d; None where
     # no side has one, so the depth keeps every side
@@ -736,17 +758,22 @@ def _pruning_step(p: int, sides, width: int, depths: int):
                 kept.append(s)
         return kept or None
 
+    step.last = max((d for d, level in enumerate(levels)
+                     if level is not None), default=-1)
     return step
 
 
-def _tally(walk, nsides: int):
+def _tally(walk, nsides: int, weight=None):
     """(union, counts) of a pruned walk: counts[s] values keep side s
-    alive, union values keep some side; with no sides it is not run."""
+    alive, union values keep some side, each yielded value counted
+    weight(value) times (once when weight is None); with no sides the
+    walk is not run."""
     union, counts = 0, [0] * nsides
-    for _, alive in (walk if nsides else ()):
-        union += 1
+    for x, alive in (walk if nsides else ()):
+        w = 1 if weight is None else weight(x)
+        union += w
         for s in alive:
-            counts[s] += 1
+            counts[s] += w
     return union, counts
 
 
@@ -762,14 +789,20 @@ def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
     each form at the row that fixes its last entry, so for upper-
     triangular pairs (a Jordan nilpotent, its truncated exponentials,
     the image of x1(1)) each row of x pins down the forms of its own
-    row.  Raises BudgetError up front when p^(n*n) exceeds the budget.
+    row.  Below the last row any form reads, no completion can change
+    the sides a prefix keeps, so the walk stops there and each prefix
+    counts for its _completions; with no form at all (X = 0, identity
+    images) the walk is that one count, |GL_n(F_p)|.  Raises BudgetError
+    up front when p^(n*n) exceeds the budget.
     """
     last = n * n - 1
     moved = [[tuple((last - t, c) for t, c in form)
               for form in _side_forms(side, n, p)] for side in sides]
     walk = _row_walk(n, p, budget, _pruning_step(p, moved, n, n),
                      range(len(sides)))
-    return _tally(walk, len(sides))
+    # a prefix of r rows, r * n entries, stands for its completions
+    tails = {r * n: _completions(n, p, r) for r in range(n + 1)}
+    return _tally(walk, len(sides), lambda y: tails[len(y)])
 
 
 def combination_walk(p: int, n: int, basis, sides):
@@ -919,33 +952,6 @@ def ad_operator(X: Mat) -> Mat:
                 if v:
                     data[base + i * n + l] -= v
     return Mat.from_ints(X.domain, N, N, data, X.den)
-
-
-def mul_operator(A: Mat, B: Mat) -> Mat:
-    """Matrix of M -> A M B acting on vectorized n x n matrices.
-
-    Entry (i, j), (k, l) is the single term A[i, k] B[l, j], the product
-    of two numerators over the product of the denominators, assigned
-    when both factors are nonzero.
-    """
-    if not (A.is_square() and B.is_square() and A.rows == B.rows):
-        raise DomainError("square matrices of equal size expected")
-    n = A.rows
-    a, b = A.num, B.num
-    N = n * n
-    data = [0] * (N * N)
-    for i in range(n):
-        for k in range(n):
-            aik = a[i * n + k]
-            if not aik:
-                continue
-            for j in range(n):
-                base = (i * n + j) * N + k * n
-                for l in range(n):
-                    blj = b[l * n + j]
-                    if blj:
-                        data[base + l] = aik * blj
-    return Mat.from_ints(A.domain, N, N, data, A.den * B.den)
 
 
 def devectorize(v: Mat, n: int) -> Mat:

@@ -26,8 +26,7 @@ from .jordan import jordan_block, nilpotent_jordan
 from .matrices import (DEFAULT_BUDGET, Mat, _pivot_columns, _tally,
                        ad_operator, bracket, combination_walk, commutes,
                        det, devectorize, independent, intertwiner_counts,
-                       inverse, lin_comb, mul_operator, rank_nullspace,
-                       rref, same_span)
+                       lin_comb, rank_nullspace, rref, same_span)
 from .orbits import block_weights, is_associated
 from .partitions import admissible, check_partition
 from .scalars import Fp, FpDomain
@@ -501,17 +500,16 @@ class ExpCentralizerReport(NamedTuple):
 
 def exp_kernels_agree(X: Mat) -> bool:
     """The Lie-level fixed spaces agree: the kernel of ad X equals the
-    kernel of Ad(eps(tX)) - 1 for every t in F_p^*."""
+    kernel of Ad(eps(tX)) - 1 for every t in F_p^*.  That kernel is
+    ker ad(u) for u = eps(tX), as Ad(u)M - M = [u, M] u^-1, so no
+    inverse or operator of M -> u M u^-1 is built."""
     dom = X.domain
     if not isinstance(dom, FpDomain):
         raise DomainError("finite field expected")
-    n = X.rows
     _, null_ad = rank_nullspace(ad_operator(X))
-    ident_op = Mat.identity(dom, n * n)
     agree = True
     for t in range(1, dom.p):
-        u = eps_exp(X.scale(t))
-        _, null_u = rank_nullspace(mul_operator(u, inverse(u)) - ident_op)
+        _, null_u = rank_nullspace(ad_operator(eps_exp(X.scale(t))))
         if not same_span(null_ad, null_u):
             agree = False
     return agree
@@ -527,7 +525,9 @@ def exp_centralizer_check(X: Mat,
     sides [X] and [eps(tX)] for each t: C(X) has counts[0] elements,
     and the centralizers agree when every side counts the whole union.
     The walk visits only prefixes that some side's centralizer still
-    completes, and counts every element of GL_n(F_p) that lies in one.
+    completes, and counts every element of GL_n(F_p) that lies in one;
+    below the last row any side's forms read it counts completions
+    without visiting them, so for X = 0 it is one count of GL_n(F_p).
     """
     agree = exp_kernels_agree(X)
     p = X.domain.p
@@ -732,6 +732,12 @@ class GcrReport(NamedTuple):
     offending: Mat | None
 
 
+def _distinct_generators(generators) -> list:
+    """The generators that can move a subspace, each tested once: the
+    distinct ones (equal by value) other than the identity, in order."""
+    return [g for g in dict.fromkeys(generators) if not g.is_identity()]
+
+
 def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     """Semisimplicity of the natural module for the group generated by
     the given invertible matrices over F_p: every invariant subspace
@@ -739,7 +745,10 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     The enumeration is held against the sum of the Gaussian binomials
     [n, k]_p, and a different count raises InconsistencyError.  Raises
     DomainError unless every generator is n x n over the first one's
-    F_p."""
+    F_p.  After that check, invariance is tested once per distinct
+    non-identity generator (_distinct_generators): the identity and a
+    repeat generate nothing new, so under the images of the partition
+    1^n every subspace is invariant without a test."""
     if not generators:
         raise DomainError("at least one generator required")
     dom = generators[0].domain
@@ -768,7 +777,8 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
 
     # the bases are reduced column echelon, so v lies in a span exactly
     # when v = sum_j v[pivot_j] col_j; images use the integer rows
-    gens = [[g.num[i * n:(i + 1) * n] for i in range(n)] for g in generators]
+    gens = [[g.num[i * n:(i + 1) * n] for i in range(n)]
+            for g in _distinct_generators(generators)]
 
     def inside(v, cols, pivots):
         return all((x - sum(v[q] * c[i] for q, c in zip(pivots, cols))) % p

@@ -249,12 +249,14 @@ class AdditiveHom:
 
 
 def additive_eval(h: AdditiveHom, s) -> Mat:
+    """h(s) = eps(s X0) eps(s^p X1) eps(s^p^2 X2) ..., the product
+    started at the first factor: one product per further coefficient."""
     d = h.domain
     s = d.of(s)
-    out = Mat.identity(d, h.n)
+    out = None
     for i, X in enumerate(h.coeffs):
-        scalar = pow(s, d.p ** i, d.p)
-        out = out * eps_exp(X.scale(scalar))
+        factor = eps_exp(X.scale(pow(s, d.p ** i, d.p)))
+        out = factor if out is None else out * factor
     return out
 
 

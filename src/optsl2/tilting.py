@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, InconsistencyError, PreconditionError
-from .matrices import Mat, inverse, mul_operator, rank
+from .matrices import ad_operator, rank
 from .orbits import block_weights, rep_from_partition
 from .partitions import admissible, centralizer_dim, check_partition
 from .scalars import Fp
@@ -254,8 +254,10 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
 
     The character is the multiset of weight differences of the
     associated cocharacter; fix_p is computed from the group element
-    phi(x1(1)) acting by conjugation; fix_0 is the characteristic-0
-    centralizer dimension, centralizer_dim(lam).
+    u = phi(x1(1)) acting by conjugation, as n^2 - rank(ad u): the fixed
+    points of M -> u M u^-1 are ker ad(u), since u M u^-1 - M =
+    [u, M] u^-1; fix_0 is the characteristic-0 centralizer dimension,
+    centralizer_dim(lam).
     """
     lam = check_partition(lam)
     if not admissible(lam, p):
@@ -270,8 +272,7 @@ def adjoint_descriptor(lam, p: int) -> ModuleDescriptor:
     phi = build_optimal(rep_from_partition(dom, lam))
     u = eval_hom(phi, sl2_x1(dom, 1))
     n = sum(lam)
-    op = mul_operator(u, inverse(u)) - Mat.identity(dom, n * n)
-    fix_p = n * n - rank(op)
+    fix_p = n * n - rank(ad_operator(u))
 
     fix_0 = centralizer_dim(lam)
     return ModuleDescriptor(character=ch, fix_p=fix_p, fix_0=fix_0)

@@ -7,23 +7,23 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from optsl2 import cli, jordan, matrices, sl2
+from optsl2 import cli, jordan, matrices, partitions, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError, OptSL2Error
 from optsl2.matrices import (DEFAULT_BUDGET, Mat,
                              ad_operator, bracket, combination_walk,
                              commutes, det, devectorize, enumerate_group,
                              hstack, independent, intertwiner_counts,
-                             intertwiner_forms, inverse, mul_operator,
-                             random_invertible,
+                             intertwiner_forms, inverse, random_invertible,
                              random_mat, rank, rank_nullspace, rref,
                              same_span, solve)
 from optsl2.orbits import is_associated, rep_from_partition
-from optsl2.partitions import centralizer_dim, partitions_of
+from optsl2.partitions import (centralizer_dim, centralizer_order,
+                               partitions_of)
 from optsl2.scalars import Fp, QQ
 from optsl2.jordan import nilpotent_jordan
 from optsl2.sl2 import (build_optimal, eval_hom, exp_centralizer_check,
-                        sl2_sample, sym_power_rep)
+                        hom_centralizer_check, sl2_sample, sym_power_rep)
 from optsl2.springer import eps_exp
 from optsl2.suites import run_suite
 
@@ -284,15 +284,16 @@ def test_operator_matrices_agree_with_direct_action():
     rnd = random.Random(5)
     for dom in (F3, QQ):
         X = random_mat(dom, 3, 3, rnd, bound=2)
-        A = random_mat(dom, 3, 3, rnd, bound=2)
-        B = random_mat(dom, 3, 3, rnd, bound=2)
+        random_mat(dom, 3, 3, rnd, bound=2)  # keeps the seeded draws
+        random_mat(dom, 3, 3, rnd, bound=2)
         u = random_invertible(dom, 3, rnd, bound=2)
         M = random_mat(dom, 3, 3, rnd, bound=2)
         v = M.vectorize()
         assert devectorize(ad_operator(X) * v, 3) == bracket(X, M)
-        assert devectorize(mul_operator(u, inverse(u)) * v, 3) \
-            == u * M * inverse(u)
-        assert devectorize(mul_operator(A, B) * v, 3) == A * M * B
+        # conjugation moves M by [u, M] u^-1, so its fixed points are
+        # ker ad(u), the identity exp_kernels_agree and tilting rely on
+        assert devectorize(ad_operator(u) * v, 3) * inverse(u) \
+            == u * M * inverse(u) - M
 
 
 def _ad_reference(X):
@@ -312,20 +313,6 @@ def _ad_reference(X):
     return Mat(d, N, N, data)
 
 
-def _mul_reference(A, B):
-    """M -> A M B term by term: d.add of d.mul(A[i, k], B[l, j])."""
-    n, d = A.rows, A.domain
-    N = n * n
-    data = [d.zero()] * (N * N)
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    t = (i * n + j) * N + k * n + l
-                    data[t] = d.add(data[t], d.mul(A[i, k], B[l, j]))
-    return Mat(d, N, N, data)
-
-
 def test_operator_matrices_match_term_by_term_reference():
     rnd = random.Random(48)
     for dom in (F2, F3, F5, QQ):
@@ -338,12 +325,9 @@ def test_operator_matrices_match_term_by_term_reference():
                                     for x in X.data])
                 for M in (X, S, Mat.zero(dom, n), Mat.identity(dom, n)):
                     assert ad_operator(M) == _ad_reference(M)
-                    assert mul_operator(M, B) == _mul_reference(M, B)
-                    assert mul_operator(A, M) == _mul_reference(A, M)
                 if dom is QQ:
                     assert all(isinstance(v, Fraction)
-                               for v in ad_operator(X).data
-                               + mul_operator(A, B).data)
+                               for v in ad_operator(X).data)
 
 
 def test_enumerate_group_order_and_determinism():
@@ -530,8 +514,125 @@ def test_intertwiner_counts_match_on_the_centralizer_suite_sides(
     assert not run_suite("centralizer").falsified
     # both checks of every admissible (p, partition) of n <= 3
     assert len(walks) == 2 * 11
+    # and of every admissible partition of n <= 4 at p = 2, where the
+    # walks of 1^n are one count each
+    assert not run_suite("centralizer", n_max=4, primes=(2,)).falsified
+    assert len(walks) == 2 * 11 + 2 * 8
     for n, p, sides, result in walks:
         assert result == _filtered_counts(n, p, sides)
+
+
+def _tail_cases():
+    """(n, p, sides, last row any form reads): the commutant of every
+    partition of n <= 4 at p = 2 beside a side with no pairs, which
+    reads row n - 1 unless X = 0; X = 0 with the identity; and a scalar
+    pair (c, c + E_0k) beside X = 0, whose forms (c - B) x read only row
+    k of x, row n - 1 - k of the walk (x reversed), so its count is 0
+    while the union is |GL_n(F_p)|."""
+    cases = []
+    for p, n_max in ((2, 4), (3, 3)):
+        dom = Fp(p)
+        for n in range(1, n_max + 1):
+            zero, one = Mat.zero(dom, n), Mat.identity(dom, n)
+            cases.append((n, p, [[(zero, zero)], [(one, one), (zero, zero)]],
+                          -1))
+            for k in range(1, n):
+                c = one.scale(p - 1)
+                cases.append((n, p, [[(c, c + Mat.unit(dom, n, n, 0, k))],
+                                     [(zero, zero)]], n - 1 - k))
+            if p == 2:
+                for lam in partitions_of(n):
+                    X = rep_from_partition(dom, lam)
+                    cases.append((n, p, [[(X, X)], []],
+                                  n - 1 if lam[0] > 1 else -1))
+    return cases
+
+
+def test_tail_counts_match_the_enumeration():
+    """The walk that counts the completions below the last row any form
+    reads gives the counts of the full enumeration: on the commutant of
+    every partition of n <= 4 at p = 2, on X = 0 and on walks that stop
+    at every depth from 0 to n - 2."""
+    for n, p, sides, last in _tail_cases():
+        forms = [[tuple((n * n - 1 - t, c) for t, c in form)
+                  for A, B in side for form in intertwiner_forms(A, B)]
+                 for side in sides]
+        assert matrices._pruning_step(p, forms, n, n).last == last
+        assert intertwiner_counts(n, p, sides) == \
+            _filtered_counts(n, p, sides), (n, p, sides)
+
+
+def test_zero_nilpotent_walks_test_no_row(monkeypatch):
+    """Tier-1 guard on the tail count: for X = 0 no side has a form, so
+    both centralizer walks of the partition 1^n are one count of
+    GL_n(F_p), 11,232 for (1, 1, 1) over F_3, and call the pruning step
+    zero times."""
+    tested = []
+    exact = matrices._pruning_step
+
+    def counted(*args):
+        step = exact(*args)
+
+        def counting(depth, prefix, alive):
+            tested.append(depth)
+            return step(depth, prefix, alive)
+        counting.last = step.last
+        return counting
+
+    monkeypatch.setattr(matrices, "_pruning_step", counted)
+    for p, lam in ((2, (1, 1)), (2, (1, 1, 1, 1)), (3, (1, 1, 1))):
+        X = rep_from_partition(Fp(p), lam)
+        rep = exp_centralizer_check(X)
+        assert rep.group_agree and rep.group_size == centralizer_order(lam, p)
+        assert hom_centralizer_check(build_optimal(X)) \
+            .image_centralizer_size == centralizer_order(lam, p)
+    assert tested == []
+    # the counting step is in place: the regular nilpotent tests rows
+    assert exp_centralizer_check(rep_from_partition(F3, (3,))).group_size \
+        == 18
+    assert tested
+
+
+def test_planted_tail_count_fault_is_caught(monkeypatch):
+    """A tail count that takes p^(i+1) for the p^i vectors of the span
+    at depth i disagrees with the full enumeration on every walk that
+    stops early."""
+    def shifted(n, p, rows):
+        count = 1
+        for i in range(rows, n):
+            count *= p ** n - p ** (i + 1)
+        return count
+
+    cases = [(n, p, sides, _filtered_counts(n, p, sides))
+             for n, p, sides, last in _tail_cases() if last < n - 1]
+    monkeypatch.setattr(matrices, "_completions", shifted)
+    for n, p, sides, expected in cases:
+        assert intertwiner_counts(n, p, sides) != expected, (n, p, sides)
+    assert intertwiner_counts(3, 3, [[]]) != (11232, [11232])
+
+
+def test_planted_gl_order_fault_falsifies_the_zero_records(monkeypatch):
+    """The tail count is a second route to |GL_n(F_p)|: with
+    partitions._gl_order one factor short, the closed forms move and
+    both group records of the partition (1, 1, 1), X = 0, are
+    falsified, because the walk does not read _gl_order."""
+    def one_factor_short(m, q):
+        order = 1
+        for i in range(m - 1):
+            order *= q ** m - q ** i
+        return order
+
+    monkeypatch.setattr(partitions, "_gl_order", one_factor_short)
+    zero = [r for r in run_suite("centralizer").records
+            if r.instance["partition"] == [1, 1, 1]]
+    claims = {"exp-centralizer-equals-x-centralizer",
+              "image-centralizer-intersection"}
+    assert sorted(r.instance["p"] for r in zero if r.claim in claims) == \
+        [2, 2, 3, 3]
+    assert all(r.verified is False for r in zero if r.claim in claims)
+    assert {(r.instance["p"], r.witness.get("group_size",
+             r.witness.get("centralizer_size"))) for r in zero
+            if r.claim in claims} == {(2, 168), (3, 11232)}
 
 
 def test_intertwiner_counts_on_one_by_one_and_budget():
@@ -1177,8 +1278,7 @@ def test_fp_kernels_build_residues_over_one():
                 want = [x + Fraction(c) * y for x, y in zip(want, B.data)]
             _assert_residues(matrices.lin_comb(A, coeffs, same), want)
             _assert_residues(ad_operator(A), _ad_reference(A).data)
-            B = rnd.choice(same)
-            _assert_residues(mul_operator(A, B), _mul_reference(A, B).data)
+            rnd.choice(same)  # keeps the seeded draws
             if n:
                 g = random_invertible(dom, n, rnd)
                 g_inv = inverse(g)
@@ -1211,15 +1311,14 @@ def test_fp_kernels_build_residues_over_one():
 
 
 def test_rational_operator_kernels_build_the_canonical_form():
-    """ad_operator, mul_operator and Cocharacter.masked over Q build the
-    canonical integer form and agree with a Fraction-entry reference."""
+    """ad_operator and Cocharacter.masked over Q build the canonical
+    integer form and agree with a Fraction-entry reference."""
     rnd = random.Random(21)
     cases = _q_square_cases(rnd)
     for A in cases:
         n = A.rows
         _assert_canonical(ad_operator(A), _ad_reference(A))
-        B = rnd.choice([B for B in cases if B.rows == n])
-        _assert_canonical(mul_operator(A, B), _mul_reference(A, B))
+        rnd.choice([B for B in cases if B.rows == n])  # keeps the draws
         if n:
             g = random_invertible(QQ, n, rnd, bound=3).scale(
                 Fraction(1, rnd.randint(1, 12)))
@@ -1251,11 +1350,11 @@ def test_rational_kernels_read_no_fraction_entries(monkeypatch):
         C = phi.psi.coords(L)
         F = phi.psi.from_coords(C)
         K = phi.psi.masked(C, lambda e: e > 0)
-        ad, mo = ad_operator(K), mul_operator(A, F)
+        ad = ad_operator(K)
         sym, hom = sym_power_rep(3, h), eval_hom(phi, h)
-        return [P, S, L, D, C, F, K, -K, ad, mo, sym, hom,
+        return [P, S, L, D, C, F, K, -K, ad, sym, hom,
                 is_associated(phi.psi, X), P == S, hash(D), K.is_zero(),
-                rank(ad), rank(mo), rank(D)]
+                rank(ad), rank(D)]
 
     def unreadable(self):
         raise AssertionError("a kernel read Fraction entries")
@@ -1264,7 +1363,7 @@ def test_rational_kernels_read_no_fraction_entries(monkeypatch):
     monkeypatch.setattr(matrices._IntMat, "data", property(unreadable))
     got = chain()
     assert got == want
-    assert got[12] is True
+    assert got[11] is True
 
 
 def test_equal_rational_values_share_one_powers_entry(monkeypatch):

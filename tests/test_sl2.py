@@ -882,6 +882,57 @@ def test_gcr_memory_stays_polynomial_in_p():
     assert peak < 8_000_000
 
 
+def _gcr_generator_sets():
+    """The generator lists of every default gcr record (the optimal
+    images, and the 1 + J3 control), then lists with repeated and
+    identity generators over F_2 and F_3."""
+    grid = _SUITES["gcr"].grid
+    sets = [list(build_optimal(rep_from_partition(Fp(p), lam))
+                 .generator_images)
+            for p in grid["primes"] for n in range(1, grid["n_max"] + 1)
+            for lam in partitions_of(n) if admissible(lam, p)]
+    u, one = Mat.identity(F2, 3) + jordan_block(F2, 3), Mat.identity(F2, 3)
+    sets += [[u], [one], [one, one], [u, u, one], [one, u, one, u * u, u]]
+    x, y = sl2_x1(F3, 1), sl2_y1(F3, 1)
+    sets += [[x, x], [x, Mat.identity(F3, 2), x], [y, x, y, x * x, x]]
+    return sets
+
+
+def _gcr_reports(monkeypatch, distinct):
+    monkeypatch.setattr(sl2, "_distinct_generators", distinct)
+    return [gcr_check(gens) for gens in _gcr_generator_sets()]
+
+
+def test_gcr_tests_each_distinct_generator_once(monkeypatch):
+    """Dropping identity and repeated generators before the subspace
+    loop gives the report of the full list on every default gcr
+    instance, the 1 + J3 control and lists with repeats and identities;
+    for the partitions 1^n no generator is left to test."""
+    exact = sl2._distinct_generators
+    sets = _gcr_generator_sets()
+    kept = [exact(gens) for gens in sets]
+    assert sum(map(len, kept)) < sum(map(len, sets))
+    assert [] in kept and [k for k in kept if len(k) == 3]
+    deduped = _gcr_reports(monkeypatch, exact)
+    assert deduped == _gcr_reports(monkeypatch, list)
+    assert any(not rep.semisimple for rep in deduped)
+
+
+def test_planted_shape_dedupe_is_caught(monkeypatch):
+    """A dedupe that keeps one generator per shape drops distinct ones:
+    its reports differ from the full list's, and the gcr suite
+    falsifies optimal-image records."""
+    full = _gcr_reports(monkeypatch, list)
+
+    def by_shape(generators):
+        return list({(g.rows, g.cols): g for g in generators}.values())
+
+    assert _gcr_reports(monkeypatch, by_shape) != full
+    records = run_suite("gcr").records
+    assert any(r.verified is False for r in records
+               if r.claim == "optimal-image-semisimple")
+
+
 def test_planted_coordinate_subspaces_falsify_every_gcr_record(
         monkeypatch, capsys):
     """An enumeration that yields only the coordinate subspaces misses

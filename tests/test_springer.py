@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from optsl2 import matrices
+from optsl2 import matrices, springer
 from optsl2.errors import DomainError, PreconditionError
 from optsl2.jordan import jordan_block
 from optsl2.matrices import (Mat, commutes, inverse, lin_comb,
@@ -280,6 +280,44 @@ def test_additive_eval_is_a_homomorphism():
             assert (additive_eval(h, s) * additive_eval(h, t)
                     == additive_eval(h, (s + t) % 3))
     assert additive_eval(h, 0) == Mat.identity(F3, 3)
+
+
+def test_additive_eval_makes_one_product_per_further_factor(monkeypatch):
+    """h(s) is the product of its k factors eps(s^(p^i) X_i), started at
+    the first: k - 1 products, not k from an identity start.  The
+    factors are looked up, so only additive_eval's own products count;
+    the values are the literal products."""
+    rnd = random.Random(31)
+    cases = []
+    for p in (2, 3, 5):
+        dom = Fp(p)
+        for _ in range(6):
+            h, _ = _random_additive(dom, rnd)
+            for s in range(p):
+                factors = [eps_exp(X.scale(pow(s, p ** i, p)))
+                           for i, X in enumerate(h.coeffs)]
+                want = Mat.identity(dom, h.n)
+                for f in factors:
+                    want = want * f
+                cases.append((h, s, factors, want))
+    exps = {}
+    for h, s, factors, _ in cases:
+        for i, X in enumerate(h.coeffs):
+            exps[X.scale(pow(s, h.domain.p ** i, h.domain.p))] = factors[i]
+    products = []
+    exact = Mat.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return exact(a, b)
+
+    monkeypatch.setattr(springer, "eps_exp", exps.__getitem__)
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    for h, s, factors, want in cases:
+        products.clear()
+        assert additive_eval(h, s) == want
+        assert len(products) == len(h.coeffs) - 1
+    assert {len(h.coeffs) for h, *_ in cases} >= {1, 2, 3}
 
 
 def test_commuting_coefficients_compile_no_intertwiner_forms(monkeypatch):
