@@ -43,7 +43,7 @@ rep = exp_centralizer_check(rep_from_partition(Fp(3), (2, 1)))
 print("C(X) vs C(eps(tX)) for the (2,1) orbit over F_3:")
 print("  Lie-level kernels agree: %s" % rep.nullspaces_agree)
 print("  group centralizers coincide (%d elements each): %s"
-      % (rep.group_size or 0, rep.group_agree))
+      % (rep.group_size, rep.group_agree))
 print()
 
 # an additive homomorphism with a hidden Frobenius twist

@@ -2,8 +2,8 @@
 
 Three failure families are kept apart so callers can react sensibly:
 structurally bad input (DomainError), valid input that violates an
-operation's hypotheses (PreconditionError), and enumerations that would
-exceed the configured budget (BudgetError).  InconsistencyError is
+operation's hypotheses (PreconditionError), and walks that visit more
+candidates than their budget (BudgetError).  InconsistencyError is
 reserved for computations that contradict a statement the library is
 supposed to certify; it should never fire on correct code.
 """
@@ -22,7 +22,7 @@ class PreconditionError(OptSL2Error):
 
 
 class BudgetError(OptSL2Error):
-    """An exhaustive enumeration would exceed the allowed budget."""
+    """An exhaustive walk visited more candidates than its budget."""
 
 
 class InconsistencyError(OptSL2Error):

@@ -52,6 +52,8 @@ row that any form reads no test can fail, so intertwiner_counts stops
 there and counts the completions of each prefix, the row at depth i
 having p^n - p^i choices; with no form at all (X = 0) its walk is one
 count.  enumerate_group and combination_walk still yield every element.
+Each walk charges its _meter with a prefix's candidates before it scans
+them, and raises BudgetError once the charge passes the budget.
 """
 
 from __future__ import annotations
@@ -85,11 +87,6 @@ class Mat:
             self.num = tuple(num)
         else:
             self.num, self.den = data, 1
-
-    def int_form(self):
-        """(num, den): the entries are num[i] / den, den > 0; residues
-        over 1 over F_p, and gcd(den, *num) = 1 over Q."""
-        return self.num, self.den
 
     # -- constructors ---------------------------------------------------
 
@@ -636,6 +633,20 @@ def same_span(vs, ws) -> bool:
 
 # -- exhaustive enumeration --------------------------------------------
 
+def _meter(budget: int):
+    """charge(k) adds k candidates to one walk's visits, and raises
+    BudgetError once they pass the budget."""
+    spent = 0
+
+    def charge(k):
+        nonlocal spent
+        spent += k
+        if spent > budget:
+            raise BudgetError("walk of %d candidates exceeds budget %d"
+                              % (spent, budget))
+    return charge
+
+
 def _row_walk(n: int, p: int, budget: int, step=None, state=()):
     """The one depth-first walk over GL_n(F_p) by rows, top-down.
 
@@ -650,18 +661,16 @@ def _row_walk(n: int, p: int, budget: int, step=None, state=()):
     depth names that depth as step.last (see _pruning_step; -1 when it
     reads no row): the walk stops there and yields each prefix of
     step.last + 1 rows in place of its completions, which the step
-    cannot tell apart, and _completions counts them.  Raises
-    BudgetError when p^(n*n) exceeds the budget, on the call, before the
-    walk starts.
+    cannot tell apart, and _completions counts them.  It charges the
+    p^n rows of each prefix it extends, the first on the call before it
+    builds them, and a walk that reads no row charges nothing.
     """
     Fp(p)  # validates p before the walk starts
-    total = p ** (n * n)
-    if total > budget:
-        raise BudgetError("enumeration of %d candidate matrices exceeds "
-                          "budget %d" % (total, budget))
     last = getattr(step, "last", n - 1)
     if last < 0:
         return iter([((), state)])
+    charge = _meter(budget)
+    charge(p ** n)
     vectors = list(itertools.product(range(p), repeat=n))
 
     def completions(prefix, span, depth, state):
@@ -675,6 +684,7 @@ def _row_walk(n: int, p: int, budget: int, step=None, state=()):
             if depth == last:
                 yield x, kept
             else:
+                charge(len(vectors))
                 wider = {tuple((a + c * b) % p for a, b in zip(s, v))
                          for s in span for c in range(p)}
                 yield from completions(x, wider, depth + 1, kept)
@@ -699,8 +709,7 @@ def enumerate_group(n: int, p: int, budget: int = DEFAULT_BUDGET):
 
     The stream equals the scan of all p^(n*n) matrices in lexicographic
     entry order (row-major) that keeps those of rank n, so it is
-    deterministic and restartable: the unpruned _row_walk.  Raises
-    BudgetError up front when p^(n*n) exceeds the budget.
+    deterministic and restartable: the unpruned _row_walk.
     """
     for g, _ in _row_walk(n, p, budget):
         yield g
@@ -792,8 +801,8 @@ def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
     row.  Below the last row any form reads, no completion can change
     the sides a prefix keeps, so the walk stops there and each prefix
     counts for its _completions; with no form at all (X = 0, identity
-    images) the walk is that one count, |GL_n(F_p)|.  Raises BudgetError
-    up front when p^(n*n) exceeds the budget.
+    images) the walk is that one count, |GL_n(F_p)|, and charges
+    nothing.  Raises BudgetError once the walk passes the budget.
     """
     last = n * n - 1
     moved = [[tuple((last - t, c) for t, c in form)
@@ -805,14 +814,16 @@ def intertwiner_counts(n: int, p: int, sides, budget: int = DEFAULT_BUDGET):
     return _tally(walk, len(sides), lambda y: tails[len(y)])
 
 
-def combination_walk(p: int, n: int, basis, sides):
+def combination_walk(p: int, n: int, basis, sides,
+                     budget: int = DEFAULT_BUDGET):
     """(c, alive) for each c in F_p^k, in itertools.product order, whose
     x = 1 + c_1 B_1 + ... + c_k B_k satisfies some side, a list of pairs
     (A, B) with x A == B x; alive lists the sides it satisfies.  Each
     form of a side, composed with the flat tuples of 1, B_1, ..., B_k,
     is a linear form on (1, c), tested once the walk, which fixes 1 and
     then one coefficient at a time, fixes its last coefficient.  Raises
-    DomainError unless the B_i and the pairs are n x n over F_p.
+    DomainError unless the B_i and the pairs are n x n over F_p, and
+    BudgetError once the values of c_i it scans pass the budget.
     """
     cols = [Mat.identity(Fp(p), n).num]
     for B in basis:
@@ -829,9 +840,11 @@ def combination_walk(p: int, n: int, basis, sides):
         composed.append([g for g in forms if g])
     step = _pruning_step(p, composed, 1, len(cols))
     choices = [(1,)] + [range(p)] * len(basis)
+    charge = _meter(budget)
 
     def completions(prefix, alive):
         depth = len(prefix)
+        charge(len(choices[depth]))
         for c in choices[depth]:
             v = prefix + (c,)
             kept = step(depth, v, alive)

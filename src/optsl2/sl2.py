@@ -20,10 +20,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .cochar import Cocharacter, ParabolicData, levi_limit
-from .errors import (BudgetError, DomainError, InconsistencyError,
-                     PreconditionError)
+from .errors import DomainError, InconsistencyError, PreconditionError
 from .jordan import jordan_block, nilpotent_jordan
-from .matrices import (DEFAULT_BUDGET, Mat, _pivot_columns, _tally,
+from .matrices import (DEFAULT_BUDGET, Mat, _meter, _pivot_columns, _tally,
                        ad_operator, bracket, combination_walk, commutes,
                        det, devectorize, independent, intertwiner_counts,
                        lin_comb, rank_nullspace, rref, same_span)
@@ -438,20 +437,18 @@ def radical_cochar_transporters(phi1: OptimalSL2Hom, phi2: OptimalSL2Hom,
     """Every radical_element x, c in F_p^k in product order, with Int(x)
     carrying psi1 to psi2: x P1 = P2 x for the projections onto each
     weight space, by one combination_walk (x is 1 + nilpotent, hence
-    invertible).  Over F_p only."""
+    invertible), which raises BudgetError once it passes the budget.
+    Over F_p only."""
     dom, basis = phi1.domain, phi1.radical_basis
     if not isinstance(dom, FpDomain):
         raise DomainError("exhaustive search needs a finite field")
     if phi1.X != phi2.X:  # Mat equality includes the domain
         raise DomainError("the homomorphisms differentiate to different "
                           "nilpotents")
-    if dom.p ** len(basis) > budget:
-        raise BudgetError("radical has %d^%d elements, budget %d"
-                          % (dom.p, len(basis), budget))
     psi1, psi2 = phi1.psi, phi2.psi
     projections = [(psi1.weight_projection(w), psi2.weight_projection(w))
                    for w in sorted(set(psi1.weights))]
-    walk = combination_walk(dom.p, phi1.n, basis, [projections])
+    walk = combination_walk(dom.p, phi1.n, basis, [projections], budget)
     return [radical_element(dom, phi1.n, basis, c) for c, _ in walk]
 
 
@@ -470,12 +467,14 @@ def _conjugator_tests(phi1: OptimalSL2Hom, phi2s):
             for phi2 in phi2s]
 
 
-def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis) -> list:
+def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis,
+                              budget: int = DEFAULT_BUDGET) -> list:
     """For each phi2 in phi2s, how many radical_element x, c in F_p^k,
     have Int(x) o phi1 = phi2 on x1(1) and y1(1), by one combination_walk
-    with a side per twist (x is 1 + nilpotent, hence invertible)."""
+    with a side per twist (x is 1 + nilpotent, hence invertible), which
+    raises BudgetError once it passes the budget."""
     sides = _conjugator_tests(phi1, phi2s)
-    walk = combination_walk(phi1.domain.p, phi1.n, basis, sides)
+    walk = combination_walk(phi1.domain.p, phi1.n, basis, sides, budget)
     return _tally(walk, len(sides))[1]
 
 
@@ -493,9 +492,8 @@ class ExpCentralizerReport(NamedTuple):
     p: int
     n: int
     nullspaces_agree: bool
-    group_checked: bool
-    group_agree: bool | None
-    group_size: int | None
+    group_agree: bool
+    group_size: int
 
 
 def exp_kernels_agree(X: Mat) -> bool:
@@ -519,32 +517,26 @@ def exp_centralizer_check(X: Mat,
                           budget: int = DEFAULT_BUDGET) -> ExpCentralizerReport:
     """Centralizers of X and of eps(tX) coincide, t nonzero.
 
-    Always compares the Lie-level fixed spaces (exp_kernels_agree);
-    when p^(n^2) fits the budget also compares the finite group
-    centralizers elementwise, by one intertwiner_counts walk with the
-    sides [X] and [eps(tX)] for each t: C(X) has counts[0] elements,
-    and the centralizers agree when every side counts the whole union.
-    The walk visits only prefixes that some side's centralizer still
-    completes, and counts every element of GL_n(F_p) that lies in one;
-    below the last row any side's forms read it counts completions
-    without visiting them, so for X = 0 it is one count of GL_n(F_p).
+    Compares the Lie-level fixed spaces (exp_kernels_agree) and the
+    finite group centralizers elementwise, by one intertwiner_counts
+    walk with the sides [X] and [eps(tX)] for each t: C(X) has
+    counts[0] elements, and the centralizers agree when every side
+    counts the whole union.  The walk visits only prefixes that some
+    side's centralizer still completes, and counts every element of
+    GL_n(F_p) that lies in one; below the last row any side's forms
+    read it counts completions without visiting them, so for X = 0 it
+    is one count of GL_n(F_p).  Raises BudgetError once the walk passes
+    the budget.
     """
     agree = exp_kernels_agree(X)
     p = X.domain.p
     n = X.rows
-    group_checked = p ** (n * n) <= budget
-    group_agree = None
-    group_size = None
-    if group_checked:
-        sides = [[(X, X)]] + [[(u, u)] for u in
-                              (eps_exp(X.scale(t)) for t in range(1, p))]
-        union, counts = intertwiner_counts(n, p, sides, budget)
-        group_size = counts[0]
-        group_agree = all(c == union for c in counts)
+    sides = [[(X, X)]] + [[(u, u)] for u in
+                          (eps_exp(X.scale(t)) for t in range(1, p))]
+    union, counts = intertwiner_counts(n, p, sides, budget)
     return ExpCentralizerReport(p=p, n=n, nullspaces_agree=agree,
-                                group_checked=group_checked,
-                                group_agree=group_agree,
-                                group_size=group_size)
+                                group_agree=all(c == union for c in counts),
+                                group_size=counts[0])
 
 
 class HomCentralizerReport(NamedTuple):
@@ -563,8 +555,8 @@ def hom_centralizer_check(phi: OptimalSL2Hom,
     centralizes it when g commutes with every weight projection.  One
     intertwiner_counts walk takes the sides [generator_images] and
     [X and the weight projections]; the sets are equal when both sizes
-    equal the size of their union.  The walk raises BudgetError before
-    it starts when p^(n^2) exceeds the budget.
+    equal the size of their union.  Raises BudgetError once the walk
+    passes the budget.
     """
     dom = phi.domain
     if not isinstance(dom, FpDomain):
@@ -742,13 +734,15 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
     """Semisimplicity of the natural module for the group generated by
     the given invertible matrices over F_p: every invariant subspace
     has an invariant complement, by exhaustive subspace enumeration.
-    The enumeration is held against the sum of the Gaussian binomials
-    [n, k]_p, and a different count raises InconsistencyError.  Raises
-    DomainError unless every generator is n x n over the first one's
-    F_p.  After that check, invariance is tested once per distinct
-    non-identity generator (_distinct_generators): the identity and a
-    repeat generate nothing new, so under the images of the partition
-    1^n every subspace is invariant without a test."""
+    It visits every subspace, so it charges their number, the sum of
+    the Gaussian binomials [n, k]_p, once before it builds them (past
+    the budget, BudgetError), and a different count of what it builds
+    raises InconsistencyError.  Raises DomainError unless every
+    generator is n x n over the first one's F_p.  After that check,
+    invariance is tested once per distinct non-identity generator
+    (_distinct_generators): the identity and a repeat generate nothing
+    new, so under the images of the partition 1^n every subspace is
+    invariant without a test."""
     if not generators:
         raise DomainError("at least one generator required")
     dom = generators[0].domain
@@ -766,8 +760,7 @@ def gcr_check(generators, budget: int = DEFAULT_BUDGET) -> GcrReport:
         for i in range(k):
             c = c * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
         count += c
-    if count > budget:
-        raise BudgetError("%d subspaces exceed budget %d" % (count, budget))
+    _meter(budget)(count)
 
     subspaces = _subspaces(p, n)
     if len(subspaces) != count:

@@ -4,14 +4,16 @@ Each suite declares a grid kind, its default grid and its rows.  The
 kinds: regular (lam = (n), n <= n_max), all (every partition of n <=
 n_max), admissible (those with no part above p) and index (count
 seeded draws), each per prime.  A row (claim, check[, only_when]) gives
-a record at every grid point where only_when holds; extra rows run once
-after the grid.  run_suite alone enumerates grids and turns checks into
-records, keeping only the instances its only predicate accepts.  A
-record's runtime times its check alone, not the instance's seeding or
-the draw that fixes an index instance (the untwist suite's r).  A check
-that raises a library error other than BudgetError becomes one
-falsified record whose witness carries the error text, and the suite
-goes on.  Per-instance seeds derived from the suite seed make reports
+a record at every grid point where only_when holds of the records its
+instance has so far; extra rows run once after the grid.  run_suite
+alone enumerates grids and turns checks into records, keeping only the
+instances its only predicate accepts.  A record's runtime times its
+check alone, not the instance's seeding or the draw that fixes an index
+instance (the untwist suite's r).  A check whose walk passes the
+budget raises BudgetError, a skipped record (verified None) with the
+error text as witness budget_exceeded; any other library error is one
+falsified record with witness error.  Either way the suite goes on.
+Per-instance seeds derived from the suite seed make reports
 reproducible, and the memos of jordan are emptied when each instance
 starts, before its draw, so a record makes the same products whether
 its instance runs alone or in the full grid.
@@ -183,8 +185,6 @@ def _conjugacy(p, lam, ctx):
         note = "radical dimension %d, expected %d" % (len(basis),
                                                        radical_dim(lam))
         return {"twists": twists, "radical_size": size, "failure": note}, False
-    if p ** len(basis) > ctx.budget:
-        return {"radical_size": size}, None
     drawn = [radical_element(dom, X.rows, basis,
                              [rnd.randrange(p) for _ in basis])
              for _ in range(twists)]
@@ -192,7 +192,7 @@ def _conjugacy(p, lam, ctx):
     # one pass over the radical counts every twist's conjugators; the
     # counts have no side effects, so judging the twists in order, the
     # solver before the count, keeps the note of the first failure
-    counts = radical_conjugator_counts(phi1, phi2s, basis)
+    counts = radical_conjugator_counts(phi1, phi2s, basis, ctx.budget)
     note = None
     for twist, phi2, matches in zip(drawn, phi2s, counts):
         if conjugate_optimal(phi1, phi2) != twist:
@@ -209,21 +209,18 @@ def _conjugacy(p, lam, ctx):
 # test, so a fault in it cancels there; the counted size is therefore
 # also held against its closed form from the partition.
 
-def _group_skipped(p, lam, ctx):
-    """GL_n(F_p), p^(n^2) candidate matrices, exceeds the budget."""
-    n = sum(lam)
-    return p ** (n * n) > ctx.budget
+def _group_skipped(earlier):
+    """The instance's first record, its group comparison, is a skip."""
+    return earlier[0].verified is None
 
 
 def _exp_centralizer(p, lam, ctx):
-    if _group_skipped(p, lam, ctx):
-        return {"group_checked": False, "group_size": None}, None
     rep = exp_centralizer_check(rep_from_partition(Fp(p), lam),
                                 budget=ctx.budget)
     verified = (rep.nullspaces_agree and rep.group_agree
                 and rep.group_size == centralizer_order(lam, p))
-    return ({"group_checked": rep.group_checked,
-             "group_size": rep.group_size}, verified)
+    # group_checked is always true; REPORT_SHA pins these witness bytes
+    return {"group_checked": True, "group_size": rep.group_size}, verified
 
 
 def _exp_kernels(p, lam, ctx):
@@ -232,8 +229,6 @@ def _exp_kernels(p, lam, ctx):
 
 
 def _image_centralizer(p, lam, ctx):
-    if _group_skipped(p, lam, ctx):
-        return {"matrices": "%d^%d" % (p, sum(lam) ** 2)}, None
     rep = hom_centralizer_check(build_optimal(rep_from_partition(Fp(p), lam)),
                                 budget=ctx.budget)
     return ({"centralizer_size": rep.image_centralizer_size},
@@ -357,7 +352,7 @@ _SUITES = {
                         seeded=True),
     "centralizer": _Suite("admissible", {"n_max": 3, "primes": (2, 3)}, (
         ("exp-centralizer-equals-x-centralizer", _exp_centralizer),
-        # the group comparison above is a skip; the Lie-level
+        # when the group comparison above is a skip, the Lie-level
         # comparison still runs and gets a record of its own
         ("exp-centralizer-lie-kernels-agree", _exp_kernels, _group_skipped),
         ("image-centralizer-intersection", _image_centralizer))),
@@ -420,8 +415,8 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
         t0 = time.perf_counter()
         try:
             witness, verified = check(p, point, ctx)
-        except BudgetError:
-            raise
+        except BudgetError as exc:
+            witness, verified = {"budget_exceeded": str(exc)}, None
         except OptSL2Error as exc:
             witness, verified = {"error": str(exc)}, False
         runtime = time.perf_counter() - t0 if timings else None
@@ -438,8 +433,9 @@ def run_suite(name: str, n_max: int | None = None, primes=None,
         else:
             instance = {"partition": list(point), "p": p}
         if only is None or only(instance):
+            start = len(records)
             for claim, check, *when in suite.rows:
-                if not when or when[0](p, point, ctx):
+                if not when or when[0](records[start:]):
                     run(claim, instance, check, p, point)
     for claim, instance, check in suite.extra:
         clear_memos()

@@ -204,6 +204,24 @@ def test_optimal_gcr(capsys):
     assert obj["witness"]["subspaces"] == 5
 
 
+def test_optimal_gcr_past_the_budget_is_a_skip(capsys):
+    """F_2^2 has 5 subspaces, more than a budget of 3: the record is a
+    skip in both formats, the text names the reason, and the exit
+    status is 0, as for a skipped conjugacy record."""
+    argv = ("optimal", "gcr", "--partition", "2", "--p", "2",
+            "--budget", "3")
+    reason = "walk of 5 candidates exceeds budget 3"
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["verified"] is None
+    assert obj["witness"] == {"budget_exceeded": reason}
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "  budget_exceeded: %s\n" % reason in out
+    assert "semisimple: None" in out
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_is_a_usage_error(capsys, budget):
     # with no candidate admitted every group check would be a skip
@@ -319,11 +337,12 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "verify", "epsilon", "--primes", "9")
     assert code == 2
     assert "error" in err
-    # enumeration too large for the budget
-    code, _, err = run_cli(capsys, "verify", "gcr", "--n-max", "2",
-                           "--primes", "2", "--budget", "3")
-    assert code == 3
-    assert "budget" in err
+    # walks past the budget are skipped records, and the run goes on
+    code, out, err = run_cli(capsys, "verify", "gcr", "--n-max", "2",
+                             "--primes", "2", "--budget", "3")
+    assert code == 0
+    assert err == ""
+    assert "summary: 4 instances, 1 verified, 0 falsified, 3 skipped" in out
     # a grid that checks nothing, or checks an instance twice
     for argv in (("epsilon", "--n-max", "0"), ("untwist", "--primes", "3,3")):
         code, _, err = run_cli(capsys, "verify", *argv)

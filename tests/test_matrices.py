@@ -4,14 +4,14 @@ import random
 import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
+from types import SimpleNamespace
 
 import pytest
 
 from optsl2 import cli, jordan, matrices, partitions, sl2
 from optsl2.cochar import Cocharacter
 from optsl2.errors import BudgetError, DomainError, OptSL2Error
-from optsl2.matrices import (DEFAULT_BUDGET, Mat,
-                             ad_operator, bracket, combination_walk,
+from optsl2.matrices import (Mat, ad_operator, bracket, combination_walk,
                              commutes, det, devectorize, enumerate_group,
                              hstack, independent, intertwiner_counts,
                              intertwiner_forms, inverse, random_invertible,
@@ -338,9 +338,11 @@ def test_enumerate_group_order_and_determinism():
     assert len(seen) == 6
     els3 = list(enumerate_group(2, 3))
     assert len(els3) == (9 - 1) * (9 - 3)
+    # the walk charges the 81 rows of each prefix it extends, so it
+    # stops after about 10^4 / 81 prefixes, long before it holds
+    # GL_4(F_3)
     with pytest.raises(BudgetError):
-        list(enumerate_group(4, 3))
-    assert 3 ** 16 > DEFAULT_BUDGET
+        list(enumerate_group(4, 3, budget=10 ** 4))
 
 
 def _rank_filtered_scan(n, p):
@@ -644,18 +646,18 @@ def test_intertwiner_counts_on_one_by_one_and_budget():
             assert intertwiner_counts(1, p, [[(A, A)], [(A, B)]]) == \
                 _filtered_counts(1, p, [[(A, A)], [(A, B)]]) == \
                 (p - 1, [p - 1, 0])
-    with pytest.raises(BudgetError) as walk:
-        intertwiner_counts(4, 3, [[]])
-    with pytest.raises(BudgetError):
-        intertwiner_counts(4, 3, [])
-    with pytest.raises(BudgetError) as enum:
-        next(enumerate_group(4, 3))
-    assert str(walk.value) == str(enum.value) == \
-        "enumeration of %d candidate matrices exceeds budget %d" \
-        % (3 ** 16, DEFAULT_BUDGET)
-    assert intertwiner_counts(2, 2, [[]], budget=16) == (6, [6])
-    with pytest.raises(BudgetError):
-        intertwiner_counts(2, 2, [[]], budget=15)
+    # a side with no form is one count, which visits no row, so no
+    # budget stops it; with no side nothing is walked
+    order = (81 - 1) * (81 - 3) * (81 - 9) * (81 - 27)
+    assert intertwiner_counts(4, 3, [[]], budget=1) == (order, [order])
+    assert intertwiner_counts(4, 3, [], budget=1) == (0, [])
+    # C(J_2) over F_2: the 4 first rows of y, then the 4 second rows of
+    # the one prefix C(J_2) keeps
+    J = Mat.from_rows(F2, [[0, 1], [0, 0]])
+    assert intertwiner_counts(2, 2, [[(J, J)]], budget=8) == (2, [2])
+    with pytest.raises(BudgetError,
+                       match="^walk of 8 candidates exceeds budget 7$"):
+        intertwiner_counts(2, 2, [[(J, J)]], budget=7)
     with pytest.raises(DomainError):
         intertwiner_counts(2, 3, [[(Mat.identity(F2, 2),) * 2]])
     with pytest.raises(DomainError):
@@ -748,6 +750,80 @@ def test_combination_walk_checks_its_inputs():
     assert [(c, list(alive)) for c, alive in
             combination_walk(3, 2, [A], [[(A, A)]])] == \
         [((c,), [0]) for c in range(3)]
+
+
+def test_walks_charge_what_they_visit(monkeypatch):
+    """A budget is the candidates a walk scans, charged per prefix: the
+    row walk over GL_2(F_2) scans 4 first rows and 4 second rows under
+    each of the 3 nonzero first rows, 16 in all; combination_walk over
+    x = 1 + c A scans the one leading 1 and 3 values of c."""
+    assert len(list(enumerate_group(2, 2, budget=16))) == 6
+    with pytest.raises(BudgetError,
+                       match="^walk of 16 candidates exceeds budget 15$"):
+        list(enumerate_group(2, 2, budget=15))
+    A = rep_from_partition(F3, (2,))
+    assert len(list(combination_walk(3, 2, [A], [[(A, A)]], budget=4))) == 3
+    with pytest.raises(BudgetError,
+                       match="^walk of 4 candidates exceeds budget 3$"):
+        list(combination_walk(3, 2, [A], [[(A, A)]], budget=3))
+
+    # the first charge comes on the call, before the 7^8 rows are built
+    def refused(*args, **kw):
+        raise AssertionError("the walk built its rows")
+
+    monkeypatch.setattr(matrices, "itertools",
+                        SimpleNamespace(product=refused))
+    with pytest.raises(BudgetError,
+                       match="^walk of 5764801 candidates exceeds budget 10$"):
+        matrices._row_walk(8, 7, budget=10)
+
+
+def _plant_uncharged(monkeypatch, module, name):
+    """Replace the walk module.name by the same walk on a meter that
+    charges nothing."""
+    exact = getattr(module, name)
+
+    def uncharged(*args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(matrices, "_meter", lambda budget: lambda k: None)
+            return exact(*args, **kw)
+
+    monkeypatch.setattr(module, name, uncharged)
+
+
+def test_planted_uncharged_row_walk_runs_past_the_budget(monkeypatch):
+    """A row walk that charges nothing fails the budget tests: its
+    walks finish at budgets the metered walk cannot pass, and the
+    centralizer records it should skip are walked in full."""
+    J = Mat.from_rows(F2, [[0, 1], [0, 0]])
+    grid = {"n_max": 3, "primes": (3,), "budget": 81}
+    assert run_suite("centralizer", **grid).summary["skipped"] == 4
+    _plant_uncharged(monkeypatch, matrices, "_row_walk")
+    assert len(list(enumerate_group(2, 2, budget=15))) == 6
+    assert intertwiner_counts(2, 2, [[(J, J)]], budget=7) == (2, [2])
+    assert run_suite("centralizer", **grid).summary["skipped"] == 0
+    # the radical walk still charges
+    A = rep_from_partition(F3, (2,))
+    with pytest.raises(BudgetError):
+        list(combination_walk(3, 2, [A], [[(A, A)]], budget=3))
+
+
+def test_planted_uncharged_combination_walk_runs_past_the_budget(
+        monkeypatch):
+    """A combination_walk that charges nothing fails the budget tests:
+    it finishes at a budget the metered walk cannot pass, and the
+    conjugacy records it should skip are walked in full."""
+    A = rep_from_partition(F3, (2,))
+    grid = {"n_max": 4, "primes": (3,), "budget": 10}
+    assert run_suite("conjugacy", **grid).summary["skipped"] > 0
+    _plant_uncharged(monkeypatch, matrices, "combination_walk")
+    _plant_uncharged(monkeypatch, sl2, "combination_walk")
+    assert len(list(matrices.combination_walk(3, 2, [A], [[(A, A)]],
+                                              budget=3))) == 3
+    assert run_suite("conjugacy", **grid).summary["skipped"] == 0
+    # the row walk still charges
+    with pytest.raises(BudgetError):
+        list(enumerate_group(2, 2, budget=15))
 
 
 def test_walk_prunes_the_regular_nilpotent(monkeypatch):
@@ -1124,8 +1200,8 @@ def _assert_canonical(M, ref):
     assert all(type(x) is Fraction for x in M.data)
     again = Mat(QQ, M.rows, M.cols, list(M.data))
     assert M == again and hash(M) == hash(again)
-    num, den = M.int_form()
-    assert (num, den) == again.int_form()
+    num, den = M.num, M.den
+    assert (num, den) == (again.num, again.den)
     assert den > 0 and gcd(den, *num) == 1
 
 

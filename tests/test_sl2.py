@@ -688,13 +688,15 @@ def test_exp_centralizer_agreement():
         rep = exp_centralizer_check(X)
         assert rep.nullspaces_agree
         assert exp_kernels_agree(X)
-        assert rep.group_checked
         assert rep.group_agree
-        assert rep.group_size is not None
-    skipped = exp_centralizer_check(rep_from_partition(F3, (2,)), budget=1)
-    assert skipped.nullspaces_agree
-    assert not skipped.group_checked
-    assert skipped.group_agree is None
+        assert rep.group_size == centralizer_order(lam, dom.p)
+    # past the budget the check raises, and never reports half of itself
+    with pytest.raises(BudgetError):
+        exp_centralizer_check(rep_from_partition(F3, (2,)), budget=1)
+    # X = 0 is one count, which visits no row, so no budget stops it
+    zero = exp_centralizer_check(rep_from_partition(F3, (1, 1)), budget=1)
+    assert zero.nullspaces_agree and zero.group_agree
+    assert zero.group_size == centralizer_order((1, 1), 3) == 48
 
 
 def test_hom_centralizer_agreement():
@@ -746,7 +748,6 @@ def test_planted_exp_fault_breaks_group_agreement(monkeypatch):
 
     monkeypatch.setattr(sl2, "eps_exp", off_by_one)
     rep = exp_centralizer_check(rep_from_partition(F3, (2, 1)))
-    assert rep.group_checked
     assert rep.group_agree is False
 
 

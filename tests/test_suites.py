@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -131,13 +132,41 @@ def test_budget_produces_skips_not_failures():
     s = report.summary
     assert s["falsified"] == 0
     assert s["skipped"] > 0
-    # 3^4 fits the budget, 3^9 does not: the n = 3 group claims are skips
+    # the walks of (2) at p = 3 scan 27 rows and fit a budget of 81;
+    # those of (3) and (2, 1) pass it and are skips, with the charge at
+    # which they stopped; X = 0, one count, is never a skip
     report = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
-    unchecked = [r for r in report.records
-                 if r.witness.get("group_checked") is False]
-    assert len(unchecked) == 3
-    assert all(r.verified is None for r in unchecked)
+    skipped = [r for r in report.records if r.verified is None]
+    assert [(r.instance["partition"], r.claim) for r in skipped] == [
+        ([3], "exp-centralizer-equals-x-centralizer"),
+        ([3], "image-centralizer-intersection"),
+        ([2, 1], "exp-centralizer-equals-x-centralizer"),
+        ([2, 1], "image-centralizer-intersection")]
+    for r in skipped:
+        [(key, text)] = r.witness.items()
+        assert key == "budget_exceeded"
+        spent = int(re.fullmatch(
+            r"walk of (\d+) candidates exceeds budget 81", text).group(1))
+        assert 81 < spent <= 81 + 27
     assert report.summary["falsified"] == 0
+
+
+@pytest.mark.parametrize("name, n_max, p", [
+    ("centralizer", 4, 3), ("centralizer", 5, 2),
+    ("conjugacy", 6, 5), ("conjugacy", 6, 7)])
+def test_default_budget_skips_nothing_the_walks_settle(name, n_max, p):
+    """Grids whose records the up-front sizes p^(n^2) and p^dim once
+    skipped: the walks visit a small share of those sizes, and every
+    record verifies at the default budget."""
+    s = run_suite(name, n_max=n_max, primes=(p,)).summary
+    assert s["verified"] == s["instances"] > 0
+
+
+def test_a_small_budget_stops_a_large_grid_with_skips():
+    report = run_suite("centralizer", n_max=5, primes=(3,), budget=10 ** 4)
+    s = report.summary
+    assert s["skipped"] > 0 and s["falsified"] == 0
+    assert s["verified"] + s["skipped"] == s["instances"]
 
 
 def test_skipped_group_gives_the_lie_kernels_a_record_of_their_own(
@@ -145,20 +174,21 @@ def test_skipped_group_gives_the_lie_kernels_a_record_of_their_own(
     lie_claim = "exp-centralizer-lie-kernels-agree"
     # the default budget checks every group: no Lie-level record
     assert all(r.claim != lie_claim for r in run_suite("centralizer").records)
+    # at 81 the walks of (3) and (2, 1) are skips; X = 0 is one count
     report = run_suite("centralizer", n_max=3, primes=(3,), budget=81)
     lie = [i for i, r in enumerate(report.records) if r.claim == lie_claim]
     assert [report.records[i].instance["partition"] for i in lie] == \
-        [[3], [2, 1], [1, 1, 1]]
+        [[3], [2, 1]]
     for i in lie:
         r, group = report.records[i], report.records[i - 1]
         assert (r.witness, r.verified) == ({"t_values": 2}, True)
         # right after the skipped group record of the same instance
         assert group.claim == "exp-centralizer-equals-x-centralizer"
         assert group.instance == r.instance
-        assert group.witness == {"group_checked": False, "group_size": None}
+        assert list(group.witness) == ["budget_exceeded"]
         assert group.verified is None
-    assert report.summary == {"instances": 15, "verified": 9,
-                              "falsified": 0, "skipped": 6}
+    assert report.summary == {"instances": 14, "verified": 10,
+                              "falsified": 0, "skipped": 4}
 
     # kernels that disagree falsify the Lie-level records, and the group
     # records that ran; the skipped group records stay skips
@@ -228,8 +258,8 @@ def test_planted_doubled_ad_weights_falsify_weight_bound(monkeypatch):
 def test_planted_duplicate_basis_finds_two_conjugators(monkeypatch, capsys):
     exact = suites.radical_conjugator_counts
 
-    def with_repeat(phi1, phi2s, basis):
-        return exact(phi1, phi2s, basis + basis[:1])
+    def with_repeat(phi1, phi2s, basis, budget):
+        return exact(phi1, phi2s, basis + basis[:1], budget)
 
     monkeypatch.setattr(suites, "radical_conjugator_counts", with_repeat)
     report = run_suite("conjugacy", n_max=3, primes=(2,))
