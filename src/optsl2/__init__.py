@@ -20,9 +20,8 @@ from .sl2 import (OptimalSL2Hom, build_optimal, conjugate_hom,
                   exp_centralizer_check, exp_kernels_agree, gcr_check,
                   gcr_check_hom, hom_centralizer_check,
                   levi_containment_check, positive_commutant_basis,
-                  radical_cochar_transporters, sl2_elements, sl2_torus,
-                  sl2_x1, sl2_y1, sym_power_rep, verify_limit,
-                  verify_optimal)
+                  radical_cochar_transporters, sl2_torus, sl2_x1,
+                  sl2_y1, sym_power_rep, verify_limit, verify_optimal)
 from .springer import (AdditiveHom, SpringerCoeffs, additive_derivative,
                        additive_eval, additive_untwist, eps_exp, eps_log,
                        orbit_bijection_check, springer_apply,

@@ -64,12 +64,13 @@ def _fmt_mat(M: Mat) -> str:
 
 
 def _fmt_record(r: dict) -> str:
-    """One text line per record, plus the witness of a falsified one."""
+    """One text line per record, plus the witness of one that is not
+    verified: what falsified it, or why it was skipped."""
     status = {True: "ok  ", False: "FAIL", None: "skip"}[r["verified"]]
     line = "%s %s  %s" % (status, r["claim"], _fmt_instance(r["instance"]))
     if r.get("runtime") is not None:
         line += "  (%.3fs)" % r["runtime"]
-    if r["verified"] is False:
+    if r["verified"] is not True:
         line += "\n     witness: %s" % r["witness"]
     return line
 
@@ -243,6 +244,8 @@ def _cmd_optimal_build(args) -> int:
 def _cmd_optimal_conjugacy(args) -> int:
     """The conjugacy suite's check, one twist, for every admissible
     partition of n."""
+    if args.n < 1:
+        raise DomainError("--n must be at least 1, got %d" % args.n)
     records = _suite_records("conjugacy", n_max=args.n, primes=(args.p,),
                              seed=args.seed, budget=args.budget, twists=1,
                              only=lambda i: sum(i["partition"]) == args.n)

@@ -6,8 +6,8 @@ matrix B) together with integer weights.  The grading it induces is a
 mask on eigenbasis coordinates: `coords` writes M as B^-1 M B, whose
 entry (r, c) has degree w_r - w_c, and the degree mask is the one place
 that tests a degree, because in those coordinates every matrix unit
-E_rc is homogeneous.  A component, a piece basis, a parabolic membership
-test or a Levi limit is one coordinate change plus one mask.  The lower
+E_rc is homogeneous.  A graded component, a parabolic membership test
+or a Levi limit is one coordinate change plus one mask.  The lower
 central series of Lie U(psi) runs on unit positions alone, because
 conjugation by B is a Lie algebra automorphism and the bracket of two
 units is a unit up to sign or zero.  Two cocharacters count as equal
@@ -160,12 +160,6 @@ class Cocharacter:
         return {w: self.from_coords(Mat.from_ints(self.domain, n, n,
                                                   parts[w], C.den))
                 for w in sorted(parts)}
-
-    def piece_basis(self, w: int):
-        """Basis matrices of the degree-w graded piece of gl_n."""
-        n = self.n
-        return [self.from_coords(Mat.unit(self.domain, n, n, r, c))
-                for r, c in self.mask(lambda e: e == w)]
 
 
 class ParabolicData:

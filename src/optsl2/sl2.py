@@ -47,16 +47,6 @@ def sl2_torus(domain, t) -> Mat:
     return Mat.diagonal(domain, [t, domain.inv(t)])
 
 
-def sl2_elements(p: int):
-    """All of SL_2(F_p) in lexicographic entry order."""
-    dom = Fp(p)
-    out = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p == 1:
-            out.append(Mat(dom, 2, 2, (a, b, c, d)))
-    return out
-
-
 def primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group F_p^*."""
     if p == 2:
@@ -86,10 +76,11 @@ def sl2_generators(domain):
 
 
 def _sl2_element(p: int, index: int) -> Mat:
-    """sl2_elements(p)[index], without building the list.  The p(p-1)
-    elements with a = 0 come first, ordered by b != 0 (then c = -1/b)
-    and d; each a != 0 follows with p^2 elements, ordered by (b, c),
-    with d = (1 + bc)/a."""
+    """The element at position index of SL_2(F_p) listed in
+    lexicographic (a, b, c, d) entry order, without building the list.
+    The p(p-1) elements with a = 0 come first, ordered by b != 0 (then
+    c = -1/b) and d; each a != 0 follows with p^2 elements, ordered by
+    (b, c), with d = (1 + bc)/a."""
     head = p * (p - 1)
     if index < head:
         a, d = 0, index % p
@@ -500,7 +491,14 @@ def exp_kernels_agree(X: Mat) -> bool:
     """The Lie-level fixed spaces agree: the kernel of ad X equals the
     kernel of Ad(eps(tX)) - 1 for every t in F_p^*.  That kernel is
     ker ad(u) for u = eps(tX), as Ad(u)M - M = [u, M] u^-1, so no
-    inverse or operator of M -> u M u^-1 is built."""
+    inverse or operator of M -> u M u^-1 is built.
+
+    The nullspaces are compared, not ranks.  Testing ker A = ker B as
+    rank A = rank B = rank [A; B] gives the same verdicts, but under a
+    planted _pivot_columns fault that never clears the last row it
+    falsified none of the 44 default epsilon records and none of the 22
+    centralizer records; this route falsifies 12 and 3, and
+    test_planted_forward_rank_faults_are_caught requires the 12."""
     dom = X.domain
     if not isinstance(dom, FpDomain):
         raise DomainError("finite field expected")

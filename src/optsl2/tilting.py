@@ -59,10 +59,6 @@ class CharacterVector:
     def support(self):
         return sorted(self._mult, reverse=True)
 
-    @property
-    def dim(self) -> int:
-        return sum(self._mult.values())
-
     def __add__(self, other):
         mult = dict(self._mult)
         for w, m in other._mult.items():

@@ -168,8 +168,12 @@ def test_optimal_conjugacy(capsys):
                            "--p", "3", "--budget", "10")
     assert code == 0
     assert out.count("skip radical-conjugator-unique") == 3
-    assert run_cli(capsys, "optimal", "conjugacy", "--n", "0",
-                   "--p", "2")[0] == 2
+    # each skip says why
+    assert out.count("witness: {'budget_exceeded': ") == 3
+    code, _, err = run_cli(capsys, "optimal", "conjugacy", "--n", "0",
+                           "--p", "2")
+    assert code == 2
+    assert err == "error: --n must be at least 1, got 0\n"
 
 
 def test_a_raising_check_is_one_falsified_conjugacy_record(capsys,
@@ -343,6 +347,7 @@ def test_exit_codes(capsys):
     assert code == 0
     assert err == ""
     assert "summary: 4 instances, 1 verified, 0 falsified, 3 skipped" in out
+    assert out.count("witness: {'budget_exceeded': ") == 3
     # a grid that checks nothing, or checks an instance twice
     for argv in (("epsilon", "--n-max", "0"), ("untwist", "--primes", "3,3")):
         code, _, err = run_cli(capsys, "verify", *argv)
