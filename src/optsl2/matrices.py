@@ -42,6 +42,9 @@ from_ints, with no intermediate Mat.
 The brute-force checks count the x with x A == B x for fixed pairs
 (A, B): intertwiner_forms compiles a pair once into the linear forms
 of x A - B x on x's flat tuple, so no product is built per element.
+combination_walk compiles each distinct pair (equal by value) once
+per call, since the conjugacy count gives every twist of an instance
+the same x1(1) pair (eps(X), eps(X)).
 Two depth-first walks test each form once its entries are fixed, with
 one pruning step that drops a prefix when every side has a nonzero
 form: intertwiner_counts fixes a row of x in GL_n(F_p) at a time
@@ -821,9 +824,12 @@ def combination_walk(p: int, n: int, basis, sides,
     (A, B) with x A == B x; alive lists the sides it satisfies.  Each
     form of a side, composed with the flat tuples of 1, B_1, ..., B_k,
     is a linear form on (1, c), tested once the walk, which fixes 1 and
-    then one coefficient at a time, fixes its last coefficient.  Raises
-    DomainError unless the B_i and the pairs are n x n over F_p, and
-    BudgetError once the values of c_i it scans pass the budget.
+    then one coefficient at a time, fixes its last coefficient.  A pair
+    that recurs, equal by value, in one side or across sides is compiled
+    (intertwiner_forms and the composition) once per call: the sides of
+    radical_conjugator_counts all hold the pair (eps(X), eps(X)).
+    Raises DomainError unless the B_i and the pairs are n x n over F_p,
+    and BudgetError once the values of c_i it scans pass the budget.
     """
     cols = [Mat.identity(Fp(p), n).num]
     for B in basis:
@@ -834,10 +840,12 @@ def combination_walk(p: int, n: int, basis, sides,
         values = [sum(a * col[t] for t, a in form) % p for col in cols]
         return tuple((j, v) for j, v in enumerate(values) if v)
 
-    composed = []
-    for side in sides:
-        forms = map(on_coefficients, _side_forms(side, n, p))
-        composed.append([g for g in forms if g])
+    compiled = {}
+    for pair in {pair: None for side in sides for pair in side}:
+        forms = map(on_coefficients, _side_forms([pair], n, p))
+        compiled[pair] = [g for g in forms if g]
+    composed = [[g for pair in side for g in compiled[pair]]
+                for side in sides]
     step = _pruning_step(p, composed, 1, len(cols))
     choices = [(1,)] + [range(p)] * len(basis)
     charge = _meter(budget)

@@ -66,7 +66,10 @@ def sl2_generators(domain):
     """x1(1), y1(1), then the torus element at a primitive root mod p
     for p > 2, or at 2 over Q.  They generate SL_2(F_p) over F_p and a
     Zariski-dense subgroup over Q, so two homomorphisms that agree on
-    them agree everywhere."""
+    them agree everywhere.  Each call builds a new list, which its
+    callers may extend (levi_containment_check appends samples), so it
+    is not cached; the images a homomorphism needs are kept on its
+    HomBlocks instead."""
     gens = [sl2_x1(domain, 1), sl2_y1(domain, 1)]
     if domain.p is None:
         gens.append(sl2_torus(domain, 2))
@@ -186,17 +189,62 @@ class Sl2Triple(NamedTuple):
     Y: Mat
 
 
+class HomBlocks:
+    """The block-diagonal matrices of an optimal homomorphism that
+    depend only on its partition and field, in the coordinates of its
+    torus cocharacter's eigenbasis: the images of sl2_generators(domain)
+    (`generators`, one sym_power_rep per distinct part size and
+    generator) and the differentials X, H and Y (blocks sym_power_dX,
+    sym_power_dH, sym_power_dY), each built on first use.  A twist
+    shares the HomBlocks of the homomorphism it twists, so the blocks of
+    one conjugacy instance are built once, by whichever homomorphism
+    reads them first; each homomorphism still puts them into place by
+    its own psi.from_coords.  Nothing is kept between instances.
+    """
+
+    def __init__(self, block_sizes, domain):
+        self.block_sizes = block_sizes
+        self.domain = domain
+
+    @cached_property
+    def generators(self) -> tuple:
+        return tuple(_block_image(self.block_sizes, g)
+                     for g in sl2_generators(self.domain))
+
+    def _differential(self, block) -> Mat:
+        dom = self.domain
+        return Mat.block_diag(dom, [block(dom, dd - 1)
+                                    for dd in self.block_sizes])
+
+    @cached_property
+    def X(self) -> Mat:
+        return self._differential(sym_power_dX)
+
+    @cached_property
+    def H(self) -> Mat:
+        return self._differential(sym_power_dH)
+
+    @cached_property
+    def Y(self) -> Mat:
+        return self._differential(sym_power_dY)
+
+
 class OptimalSL2Hom:
     """Blockwise symmetric-power homomorphism conjugated into place.
 
     block_sizes is the partition (parts = Jordan block sizes, largest
     first); conjugator columns are the Jordan basis the blocks act on.
     psi, the torus cocharacter on that basis with the block weights,
-    is built once; X, radical_basis, radical_coords and
-    generator_images are computed on first use.
+    is built once, and puts into place the block-diagonal matrices of
+    `blocks`, a HomBlocks: a new one unless one for the same partition
+    and domain is given (conjugate_hom passes its homomorphism's).  X,
+    radical_basis, radical_coords and generator_images are computed on
+    first use; X and generator_images are one psi.from_coords each of
+    the shared blocks, so they evaluate no symmetric power once the
+    blocks exist.
     """
 
-    def __init__(self, block_sizes, conjugator: Mat):
+    def __init__(self, block_sizes, conjugator: Mat, blocks=None):
         self.block_sizes = check_partition(block_sizes)
         self.conjugator = conjugator
         self.domain = conjugator.domain
@@ -209,6 +257,12 @@ class OptimalSL2Hom:
             raise PreconditionError(
                 "largest part %d exceeds p = %d, no optimal homomorphism"
                 % (self.block_sizes[0], self.domain.p))
+        if blocks is None:
+            blocks = HomBlocks(self.block_sizes, self.domain)
+        elif (blocks.block_sizes != self.block_sizes
+              or blocks.domain != self.domain):
+            raise DomainError("blocks of another partition or domain")
+        self.blocks = blocks
         # the restriction to the diagonal torus; its coordinate change
         # puts every block-diagonal matrix into place
         self.psi = Cocharacter(conjugator, block_weights(self.block_sizes))
@@ -216,7 +270,7 @@ class OptimalSL2Hom:
     @cached_property
     def X(self) -> Mat:
         """The nilpotent d(phi) of the x1-direction."""
-        return _d_part(self, sym_power_dX)
+        return self.psi.from_coords(self.blocks.X)
 
     @cached_property
     def radical_basis(self) -> list:
@@ -231,7 +285,7 @@ class OptimalSL2Hom:
     @cached_property
     def generator_images(self) -> tuple:
         """The images of sl2_generators(domain), in that order."""
-        return tuple(eval_hom(self, g) for g in sl2_generators(self.domain))
+        return tuple(self.psi.from_coords(B) for B in self.blocks.generators)
 
     @property
     def n(self) -> int:
@@ -262,33 +316,32 @@ def build_optimal(X: Mat) -> OptimalSL2Hom:
 
 
 def eval_hom(phi: OptimalSL2Hom, g: Mat) -> Mat:
-    """phi(g): the block-diagonal symmetric-power image of g, each block
-    built once per distinct part size, put into place by phi.psi."""
+    """phi(g): the block-diagonal symmetric-power image of g, put into
+    place by phi.psi."""
     if g.domain != phi.domain:
         raise DomainError("mixed domains")
-    sizes = phi.block_sizes
+    return phi.psi.from_coords(_block_image(phi.block_sizes, g))
+
+
+def _block_image(sizes, g: Mat) -> Mat:
+    """The block-diagonal matrix of sym_power_rep(d - 1, g) over the
+    parts d, each block built once per distinct part size."""
     reps = {dd: sym_power_rep(dd - 1, g) for dd in set(sizes)}
-    return phi.psi.from_coords(Mat.block_diag(
-        phi.domain, [reps[dd] for dd in sizes]))
-
-
-def _d_part(phi: OptimalSL2Hom, block) -> Mat:
-    """One differential of phi: the block-diagonal matrix of
-    block(domain, d - 1) over the parts d, conjugated into place.  block
-    is sym_power_dX, sym_power_dH or sym_power_dY."""
-    dom = phi.domain
-    return phi.psi.from_coords(Mat.block_diag(
-        dom, [block(dom, dd - 1) for dd in phi.block_sizes]))
+    return Mat.block_diag(g.domain, [reps[dd] for dd in sizes])
 
 
 def d_hom(phi: OptimalSL2Hom) -> Sl2Triple:
-    return Sl2Triple(X=phi.X, H=_d_part(phi, sym_power_dH),
-                     Y=_d_part(phi, sym_power_dY))
+    from_coords = phi.psi.from_coords
+    return Sl2Triple(X=phi.X, H=from_coords(phi.blocks.H),
+                     Y=from_coords(phi.blocks.Y))
 
 
 def conjugate_hom(phi: OptimalSL2Hom, g: Mat) -> OptimalSL2Hom:
-    """The twist Int(g) o phi."""
-    return OptimalSL2Hom(phi.block_sizes, g * phi.conjugator)
+    """The twist Int(g) o phi: the homomorphism on the conjugator
+    g * phi.conjugator, with its own torus cocharacter and so its own
+    coordinate change, sharing phi.blocks, which depend only on the
+    partition and the field."""
+    return OptimalSL2Hom(phi.block_sizes, g * phi.conjugator, phi.blocks)
 
 
 class OptimalVerifyReport(NamedTuple):
@@ -452,7 +505,10 @@ def _conjugator_tests(phi1: OptimalSL2Hom, phi2s):
     """Per twist phi2, the pairs (phi1(g), phi2(g)) of generator_images
     for g = y1(1), x1(1), which generate SL_2(F_p).  y1(1) comes first:
     when phi1 and phi2 differentiate to the same X, every radical element
-    has x phi1(x1(1)) = phi2(x1(1)) x, as both are eps(X)."""
+    has x phi1(x1(1)) = phi2(x1(1)) x, as both are eps(X).  So every
+    twist's x1(1) pair is (eps(X), eps(X)) by value, and
+    combination_walk, which compiles each distinct pair once, compiles
+    it once per instance."""
     x1, y1 = phi1.generator_images[:2]
     return [[(y1, phi2.generator_images[1]), (x1, phi2.generator_images[0])]
             for phi2 in phi2s]
@@ -463,7 +519,9 @@ def radical_conjugator_counts(phi1: OptimalSL2Hom, phi2s, basis,
     """For each phi2 in phi2s, how many radical_element x, c in F_p^k,
     have Int(x) o phi1 = phi2 on x1(1) and y1(1), by one combination_walk
     with a side per twist (x is 1 + nilpotent, hence invertible), which
-    raises BudgetError once it passes the budget."""
+    compiles the pairs of _conjugator_tests once each (the x1(1) pair,
+    shared by every twist, once) and raises BudgetError once it passes
+    the budget."""
     sides = _conjugator_tests(phi1, phi2s)
     walk = combination_walk(phi1.domain.p, phi1.n, basis, sides, budget)
     return _tally(walk, len(sides))[1]

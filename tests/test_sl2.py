@@ -358,6 +358,97 @@ def test_conjugate_optimal_identity_twist():
     assert conjugate_optimal(phi, phi) == Mat.identity(F3, 3)
 
 
+def _assert_twist_is_the_conjugate(phi, x, twist_first=False):
+    """conjugate_hom(phi, x), which puts phi's shared blocks into place
+    by its own coordinate change, against x phi(.) x^-1 by products:
+    the generator images, and X, H and Y."""
+    phi2 = conjugate_hom(phi, x)
+    assert phi2.blocks is phi.blocks
+    if twist_first:  # the twist builds the shared blocks
+        phi2.generator_images
+    xi = inverse(x)
+    images = phi.generator_images
+    assert len(phi2.generator_images) == len(images)
+    for G, G2 in zip(images, phi2.generator_images, strict=True):
+        assert G2 == x * G * xi
+    assert phi2.X == x * phi.X * xi
+    for M, M2 in zip(d_hom(phi), d_hom(phi2), strict=True):
+        assert M2 == x * M * xi
+
+
+def test_twists_share_blocks_and_equal_the_conjugated_images():
+    """Seeded radical twists and random invertible twists over F_2, F_3
+    and F_5, and a twist of a dense rational conjugate: each twist's
+    generator images and X equal x phi(g) x^-1 and x X x^-1."""
+    rnd = random.Random(33)
+    checked = 0
+    for dom in (F2, F3, F5):
+        p = dom.p
+        for n in range(1, 4):
+            for lam in partitions_of(n):
+                if not admissible(lam, p):
+                    continue
+                X = rep_from_partition(dom, lam)
+                for k, x in enumerate(
+                        [x for x, _ in _seeded_radical_twists(
+                            build_optimal(X), 2, lambda: rnd.randrange(p))]
+                        + [random_invertible(dom, n, rnd) for _ in range(2)]):
+                    _assert_twist_is_the_conjugate(build_optimal(X), x,
+                                                   twist_first=k % 2 == 1)
+                    checked += 1
+    assert checked == 4 * (5 + 6 + 6)
+    lam = (3, 2, 1)
+    g = random_invertible(QQ, 6, rnd, bound=3)
+    X = g * rep_from_partition(QQ, lam) * inverse(g)
+    phi = build_optimal(X)
+    assert phi.conjugator != Mat.identity(QQ, 6)
+    _assert_twist_is_the_conjugate(phi, random_invertible(QQ, 6, rnd,
+                                                          bound=3))
+    with pytest.raises(DomainError, match="another partition"):
+        sl2.OptimalSL2Hom((2, 1), Mat.identity(F3, 3), phi.blocks)
+
+
+def test_twists_reuse_the_instance_blocks_and_pairs(monkeypatch):
+    """Tier-1 guard on what a conjugacy instance builds once: after
+    phi1's generator images and X exist, ten twists' generator images
+    and X evaluate no symmetric power and build no block diagonal, and
+    the radical count compiles each distinct pair once, so the x1(1)
+    pair, eps(X) on both sides for every twist, once in all."""
+    dom = Fp(5)
+    phi1 = build_optimal(rep_from_partition(dom, (3, 2)))
+    phi1.generator_images
+    basis = phi1.radical_basis
+    rnd = random.Random(49)
+    twists = [radical_element(dom, 5, basis, [rnd.randrange(5) for _ in basis])
+              for _ in range(10)]
+    assert len(set(twists)) == 10
+
+    def forbidden(*args):
+        raise AssertionError("a twist rebuilt a block")
+
+    with monkeypatch.context() as m:
+        m.setattr(sl2, "sym_power_rep", forbidden)
+        m.setattr(Mat, "block_diag", staticmethod(forbidden))
+        phi2s = [conjugate_hom(phi1, x) for x in twists]
+        for phi2 in phi2s:
+            phi2.generator_images, phi2.X
+
+    compiled = []
+    exact = matrices.intertwiner_forms
+
+    def recording(A, B):
+        compiled.append((A, B))
+        return exact(A, B)
+
+    monkeypatch.setattr(matrices, "intertwiner_forms", recording)
+    assert radical_conjugator_counts(phi1, phi2s, basis) == [1] * 10
+    pairs = {pair for side in sl2._conjugator_tests(phi1, phi2s)
+             for pair in side}
+    assert len(pairs) == 11  # ten y1(1) pairs and one x1(1) pair
+    assert len(compiled) == len(set(compiled)) == 11
+    assert set(compiled) == pairs
+
+
 def test_optimal_hom_owns_its_jordan_basis_data():
     """phi.X, phi.psi and phi.radical_basis are the nilpotent, the torus
     cocharacter and the radical basis the free functions compute, each

@@ -324,6 +324,33 @@ def _assert_full_radical_counts(report):
             assert r.verified is True
 
 
+def test_planted_identity_coordinate_change_falsifies_only_twists(
+        monkeypatch):
+    """Cocharacter.coords and from_coords planted as the identity.  The
+    default grids build X in Jordan form, whose Jordan basis is the
+    identity, so only a twist's coordinate change is wrong: each twist
+    then has phi1's images, and the 10 conjugacy records with a
+    nontrivial radical are falsified, while centralizer and gcr stay
+    verified.  So each twist puts the shared blocks into place by its
+    own coordinate change."""
+    monkeypatch.setattr(cochar.Cocharacter, "coords", lambda self, M: M)
+    monkeypatch.setattr(cochar.Cocharacter, "from_coords",
+                        lambda self, C: C)
+    report = run_suite("conjugacy")
+    assert len(report.records) == 18
+    bad = [r for r in report.records if r.verified is not True]
+    assert len(bad) == 10
+    for r in report.records:
+        nontrivial = partitions.radical_dim(tuple(r.instance["partition"]))
+        assert (r.verified is False) == (nontrivial > 0)
+    assert {r.witness.get("error") for r in bad} == {
+        "transporter solution does not conjugate the homomorphisms"}
+    for name in ("centralizer", "gcr"):
+        report = run_suite(name)
+        assert report.records
+        assert all(r.verified is True for r in report.records), name
+
+
 def test_planted_shifted_twist_predicates_are_caught(monkeypatch):
     exact = sl2._conjugator_tests
 
